@@ -27,6 +27,7 @@ import numpy as np
 from .config import SCHEMA_VERSION, ConfigError, load_config
 from .diagnostics import (
     acf_product,
+    ball_quadrature,
     flatness_table,
     oscillation_decay,
     two_plane_fit,
@@ -101,6 +102,16 @@ def _locked_output(out_dir: str):
             os.remove(lock_path)
         except OSError:
             pass
+
+
+def _write_run_json(out_dir, summary, t0):
+    """Write the deterministic ``summary.json`` and, apart from it, the
+    wall-clock ``timings.json``."""
+    timings = {"seconds": round(time.time() - t0, 3)}
+    for name, obj in (("summary.json", summary), ("timings.json", timings)):
+        with open(os.path.join(out_dir, name), "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _write_iterations_csv(report, path):
@@ -178,11 +189,8 @@ def cmd_solve(args) -> int:
                 "weiss_monotone": monotone,
                 "flatness": _flatness_payload(report.flatness),
                 "notes": list(report.notes),
-                "seconds": round(time.time() - t0, 3),
             }
-            with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_run_json(out_dir, summary, t0)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -215,9 +223,11 @@ def cmd_diagnose(args) -> int:
         with _locked_output(args.out) as out_dir:
             tp, residual = two_plane_fit(u, phi, spec.center,
                                          max(spec.radii))
+            quad = ball_quadrature(u, phi, spec.center, spec.radii)
             series = weiss_series(u, phi, spec.center, spec.radii,
-                                  tp.alpha, tp.beta)
-            acf = acf_product(u, phi, spec.center, spec.radii)
+                                  tp.alpha, tp.beta, quadrature=quad)
+            acf = acf_product(u, phi, spec.center, spec.radii,
+                              quadrature=quad)
             table = flatness_table(phi, spec.center, spec.radii)
             flat_by_r = {float(r): (float(d), dirv)
                          for r, d, dirv in zip(table.radii, table.deltas,
@@ -242,8 +252,7 @@ def cmd_diagnose(args) -> int:
             if spec.levels > 0:
                 try:
                     offsets = oscillation_decay(
-                        u, phi, spec.center, max(spec.radii), spec.levels,
-                        tp.alpha, tp.beta)
+                        u, spec.center, max(spec.radii), spec.levels, tp)
                     trapping = [[float(a), float(b)] for a, b in offsets]
                 except (FblabError, ValueError):
                     trapping = None  # scale ladder not resolvable here
@@ -256,11 +265,8 @@ def cmd_diagnose(args) -> int:
                 "acf_monotone": bool(acf.monotone),
                 "trapping_offsets": trapping,
                 "flatness": _flatness_payload(table),
-                "seconds": round(time.time() - t0, 3),
             }
-            with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_run_json(out_dir, summary, t0)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG

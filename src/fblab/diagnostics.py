@@ -33,6 +33,15 @@ from .fields import (
 _BOUNDARY_SAMPLES = 512
 _BALL_SUBDIV = 8
 _MONOTONE_SLACK = 1e-3
+_FIT_NODES = 2048  # node budget of the two-plane grid search
+_FIT_ROUNDS = ((64, 24), (16, 16), (16, 16), (16, 16))  # (angles, betas)
+_FIT_BETA_MAX = 10.0
+_OFFSET_BISECTIONS = 48
+
+
+def _profile(s, alpha, beta):
+    """Two-plane profile alpha*s+ + beta*s- at signed coordinate s."""
+    return alpha * np.maximum(s, 0.0) + beta * np.minimum(s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,8 @@ class TwoPlane:
 
     def height(self, t):
         """Profile value at signed coordinate t (offset already applied)."""
-        t = np.asarray(t, dtype=float) + self.c
-        return self.alpha * np.maximum(t, 0.0) + self.beta * np.minimum(t, 0.0)
+        return _profile(np.asarray(t, dtype=float) + self.c, self.alpha,
+                        self.beta)
 
     def evaluate(self, points, center):
         """Evaluate at absolute points (m, 2) relative to ``center``."""
@@ -186,21 +195,41 @@ def _one_sided_cell_gradient(u, phi, corners, side):
     return acc / count
 
 
+def _cell_energy(u, phi, i, j, cell):
+    """Phase Dirichlet energies and areas (grad_plus, grad_minus, area_plus,
+    area_minus) of cell (i, j), weighted by its covered area ``cell``."""
+    h = u.grid.h
+    vals = u.values
+    corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+    f_pos = _positive_fraction(*(phi.phi[jj, ii] for (ii, jj) in corners))
+    if f_pos == 1.0 or f_pos == 0.0:
+        ux = ((vals[j, i + 1] + vals[j + 1, i + 1])
+              - (vals[j, i] + vals[j + 1, i])) / (2 * h)
+        uy = ((vals[j + 1, i] + vals[j + 1, i + 1])
+              - (vals[j, i] + vals[j, i + 1])) / (2 * h)
+        g2 = cell * (ux * ux + uy * uy)
+        return (g2, 0.0, cell, 0.0) if f_pos == 1.0 else (0.0, g2, 0.0, cell)
+    gp = _one_sided_cell_gradient(u, phi, corners, +1)
+    gm = _one_sided_cell_gradient(u, phi, corners, -1)
+    return (cell * f_pos * float(gp @ gp) if gp is not None else 0.0,
+            cell * (1.0 - f_pos) * float(gm @ gm) if gm is not None else 0.0,
+            cell * f_pos, cell * (1.0 - f_pos))
+
+
 def _cell_quadrature(u, phi, center, r):
     """Per-cell contributions inside B_r(center): returns the arrays
     (grad_plus, grad_minus, area_plus, area_minus) summed over cells, where
     grad_* are phase-restricted Dirichlet energies and area_* phase areas."""
     grid = u.grid
     h = grid.h
-    vals = u.values
-    pv = phi.phi
+    _check_ball(grid, center, r)
 
     i_lo = max(int((center[0] - r - grid.x0) / h) - 1, 0)
     i_hi = min(int((center[0] + r - grid.x0) / h) + 1, grid.nx - 2)
     j_lo = max(int((center[1] - r - grid.y0) / h) - 1, 0)
     j_hi = min(int((center[1] + r - grid.y0) / h) + 1, grid.ny - 2)
 
-    grad_p = grad_m = area_p = area_m = 0.0
+    terms = [0.0] * 4  # grad_p, grad_m, area_p, area_m
     for j in range(j_lo, j_hi + 1):
         y0c = grid.y0 + j * h
         for i in range(i_lo, i_hi + 1):
@@ -218,44 +247,32 @@ def _cell_quadrature(u, phi, center, r):
             else:
                 w_ball = 1.0
 
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            pc = np.array([pv[jj, ii] for (ii, jj) in corners])
-            f_pos = _positive_fraction(*pc)
-            cell = w_ball * h * h
+            terms = [a + b for a, b in zip(
+                terms, _cell_energy(u, phi, i, j, w_ball * h * h))]
+    return tuple(terms)
 
-            if f_pos == 1.0 or f_pos == 0.0:
-                ux = ((vals[j, i + 1] + vals[j + 1, i + 1])
-                      - (vals[j, i] + vals[j + 1, i])) / (2 * h)
-                uy = ((vals[j + 1, i] + vals[j + 1, i + 1])
-                      - (vals[j, i] + vals[j, i + 1])) / (2 * h)
-                g2 = ux * ux + uy * uy
-                if f_pos == 1.0:
-                    grad_p += cell * g2
-                    area_p += cell
-                else:
-                    grad_m += cell * g2
-                    area_m += cell
-            else:
-                gp = _one_sided_cell_gradient(u, phi, corners, +1)
-                gm = _one_sided_cell_gradient(u, phi, corners, -1)
-                if gp is not None:
-                    grad_p += cell * f_pos * float(gp @ gp)
-                if gm is not None:
-                    grad_m += cell * (1.0 - f_pos) * float(gm @ gm)
-                area_p += cell * f_pos
-                area_m += cell * (1.0 - f_pos)
-    return grad_p, grad_m, area_p, area_m
+
+def ball_quadrature(u: ScalarField, phi: LevelSet, center,
+                    radii) -> np.ndarray:
+    """Rows (grad_plus, grad_minus, area_plus, area_minus) of
+    :func:`_cell_quadrature`, one per radius: the terms both
+    :func:`weiss_series` and :func:`acf_product` are derived from."""
+    return np.array([_cell_quadrature(u, phi, center, r)
+                     for r in radii]).reshape(-1, 4)
+
+
+def _weighted_energy(terms, alpha, beta):
+    if abs(alpha**2 - beta**2 - 1.0) > 1e-10:
+        raise ValueError("weights must satisfy alpha^2 - beta^2 = 1")
+    grad_p, grad_m, area_p, area_m = terms
+    return grad_p + grad_m + alpha**2 * area_p + beta**2 * area_m
 
 
 def weiss_energy(u: ScalarField, phi: LevelSet, center, r: float,
                  alpha: float, beta: float) -> float:
     """Weighted energy over B_r(center): Dirichlet part plus alpha^2 times
     the positive-phase area plus beta^2 times the negative-phase area."""
-    if abs(alpha**2 - beta**2 - 1.0) > 1e-10:
-        raise ValueError("weights must satisfy alpha^2 - beta^2 = 1")
-    _check_ball(u.grid, center, r)
-    grad_p, grad_m, area_p, area_m = _cell_quadrature(u, phi, center, r)
-    return grad_p + grad_m + alpha**2 * area_p + beta**2 * area_m
+    return _weighted_energy(_cell_quadrature(u, phi, center, r), alpha, beta)
 
 
 def boundary_square_integral(u: ScalarField, center, r: float,
@@ -287,21 +304,20 @@ def _monotone_verdict(radii, values):
 
 
 def weiss_series(u: ScalarField, phi: LevelSet, center, radii,
-                 alpha: float, beta: float) -> WeissSeries:
+                 alpha: float, beta: float,
+                 quadrature: Optional[np.ndarray] = None) -> WeissSeries:
     """Evaluate the normalized energy on an increasing list of radii and
-    report whether it is non-decreasing up to quadrature slack."""
+    report whether it is non-decreasing up to quadrature slack.
+    ``quadrature``, if given, is :func:`ball_quadrature` of the same args."""
     radii = np.asarray(radii, dtype=float)
-    Es, bts, phis = [], [], []
-    for r in radii:
-        val, E, bt = weiss_phi(u, phi, center, r, alpha, beta)
-        Es.append(E)
-        bts.append(bt)
-        phis.append(val)
-    phis = np.asarray(phis)
+    if quadrature is None:
+        quadrature = ball_quadrature(u, phi, center, radii)
+    Es = np.asarray([_weighted_energy(q, alpha, beta) for q in quadrature])
+    bts = np.asarray([boundary_square_integral(u, center, r) for r in radii])
+    phis = Es / radii**2 - bts / radii**3
     monotone, violation = _monotone_verdict(radii, phis)
     return WeissSeries(center=np.asarray(center, dtype=float), radii=radii,
-                       E_values=np.asarray(Es),
-                       boundary_terms=np.asarray(bts), phi_values=phis,
+                       E_values=Es, boundary_terms=bts, phi_values=phis,
                        alpha=alpha, beta=beta, monotone=monotone,
                        first_violation=violation)
 
@@ -322,25 +338,47 @@ def rescale(u: ScalarField, lam: float, center) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def _fit_objective(points, uvals, theta, betas, cs):
-    """Max-node deviation over a (beta, c) grid at one angle; returns the
-    (len(betas), len(cs)) residual table."""
-    nu = np.array([-math.sin(theta), math.cos(theta)])
-    t = points @ nu
-    tc = t[:, None, None] + cs[None, None, :]
+def _best_offsets(t, uvals, betas, c_max):
+    """Minimax offsets in [-c_max, c_max] for node coordinates ``t`` along
+    one direction, one per beta; returns (residuals, offsets).  Deviations
+    profile(t + c) - u rise with c, so the worst, max(top, -bottom), falls
+    until top + bottom > 0 and rises after: bisection on that sign finds it.
+    A node with larger t and smaller u than another never sets the top, nor
+    one with smaller t and larger u the bottom; only the rest are kept."""
+    order = np.argsort(t, kind="stable")
+    t, uvals = t[order], uvals[order]
+    top = uvals < np.append(np.minimum.accumulate(uvals[::-1])[-2::-1], np.inf)
+    bot = uvals > np.insert(np.maximum.accumulate(uvals)[:-1], 0, -np.inf)
+    t_top, u_top = t[top][:, None], uvals[top][:, None]
+    t_bot, u_bot = t[bot][:, None], uvals[bot][:, None]
     alphas = np.sqrt(1.0 + betas**2)
-    prof = (alphas[None, :, None] * np.maximum(tc, 0.0)
-            + betas[None, :, None] * np.minimum(tc, 0.0))
-    return np.max(np.abs(prof - uvals[:, None, None]), axis=0)
+
+    def extremes(c):
+        return (np.max(_profile(t_top + c, alphas, betas) - u_top, axis=0),
+                np.min(_profile(t_bot + c, alphas, betas) - u_bot, axis=0))
+
+    lo, hi = np.full(betas.shape, -c_max), np.full(betas.shape, c_max)
+    for _ in range(_OFFSET_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        high = np.sum(extremes(mid), axis=0) > 0
+        lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
+    c = 0.5 * (lo + hi)
+    return np.max(np.abs(extremes(c)), axis=0), c
+
+
+def _unit(theta):
+    return np.array([-math.sin(theta), math.cos(theta)])
 
 
 def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
     """Best L-infinity fit of a two-plane profile over nodes in B_r(center).
 
-    Coarse grid search (64 angles x 32 betas x 32 offsets) with three
-    10x zoom rounds, then a simplex polish.  Ties prefer smaller beta, then
-    smaller |c|, then direction closest to (0, 1).  Returns
-    (TwoPlane, residual).
+    The optimal offset in [-r/2, r/2] is solved for each (angle, beta) by
+    bisection (:func:`_best_offsets`).  A 64-angle x 24-beta grid over the
+    circle and beta in [0, 10], then three zoomed 16 x 16 rounds, search on
+    at most 2048 nodes; a simplex polish on every node follows.  Ties prefer
+    smaller beta, then smaller |c|, then direction closest to (0, 1).
+    Returns (TwoPlane, residual over every node in the ball).
     """
     grid = u.grid
     _check_ball(grid, center, r)
@@ -348,81 +386,61 @@ def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
     mask = (xx - center[0])**2 + (yy - center[1])**2 <= r**2
     points = np.column_stack([xx[mask] - center[0], yy[mask] - center[1]])
     uvals = u.values[mask]
+    c_max = r / 2
 
-    # the coarse grid search only needs enough nodes to land near the
-    # optimum; the simplex polish below uses the full node set
-    if len(points) > 4096:
-        stride = int(np.ceil(len(points) / 4096))
-        cpoints, cvals = points[::stride], uvals[::stride]
-    else:
-        cpoints, cvals = points, uvals
-
-    n_theta, n_beta, n_c = 64, 32, 32
+    # the grid search only needs enough nodes to land near the optimum;
+    # the simplex polish below uses the full node set
+    stride = max(int(np.ceil(len(points) / _FIT_NODES)), 1)
+    cpoints, cvals = points[::stride], uvals[::stride]
     theta0, theta_span = 0.0, np.pi  # full circle: nu and -nu are distinct
-    beta_lo, beta_hi = 0.0, 10.0
-    c_lo, c_hi = -r / 2, r / 2
-    best = (np.inf, 0.0, 0.0, 0.0)
-
-    for _round in range(4):
+    beta0 = beta_span = _FIT_BETA_MAX / 2
+    best = (np.inf, 0.0, 0.0, 0.0)  # (residual, theta, beta, c)
+    for n_theta, n_beta in _FIT_ROUNDS:
         thetas = theta0 + np.linspace(-theta_span, theta_span, n_theta)
         # tie-break ordering: smallest angular distance from (0, 1) first
-        thetas = thetas[np.argsort(np.abs(thetas - 0.0), kind="stable")]
-        betas = np.linspace(max(beta_lo, 0.0), min(beta_hi, 10.0), n_beta)
-        cs = np.linspace(max(c_lo, -r / 2), min(c_hi, r / 2), n_c)
-        cs = cs[np.argsort(np.abs(cs), kind="stable")]
-        found = (np.inf, 0.0, 0.0, 0.0)
+        thetas = thetas[np.argsort(np.abs(thetas), kind="stable")]
+        betas = np.linspace(max(beta0 - beta_span, 0.0),
+                            min(beta0 + beta_span, _FIT_BETA_MAX), n_beta)
         for theta in thetas:
-            table = _fit_objective(cpoints, cvals, theta, betas, cs)
-            k = int(np.argmin(table))
-            bi, ci = divmod(k, n_c)
-            if table[bi, ci] < found[0] - 1e-15:
-                found = (float(table[bi, ci]), float(theta),
-                         float(betas[bi]), float(cs[ci]))
-        if found[0] < best[0]:
-            best = found
-        # zoom on the incumbent
-        theta0 = best[1]
-        theta_span /= 10.0
-        beta_lo, beta_hi = best[2] - 10.0 / 10**(_round + 1), \
-            best[2] + 10.0 / 10**(_round + 1)
-        half_c = (r / 2) / 10**(_round + 1)
-        c_lo, c_hi = best[3] - half_c, best[3] + half_c
+            res, cs = _best_offsets(cpoints @ _unit(theta), cvals, betas,
+                                    c_max)
+            k = int(np.argmin(res))  # first minimum: smallest beta
+            if (res[k], betas[k], abs(cs[k])) < (best[0], best[2],
+                                                 abs(best[3])):
+                best = (res[k], theta, betas[k], cs[k])
+        # zoom to two grid steps either side of the incumbent
+        theta0, beta0 = best[1], best[2]
+        theta_span *= 4.0 / (n_theta - 1)
+        beta_span *= 4.0 / (n_beta - 1)
+
+    def plane(z):
+        theta, beta, c = (float(v) for v in z)
+        return TwoPlane(beta=min(max(beta, 0.0), _FIT_BETA_MAX),
+                        nu=_unit(theta), c=min(max(c, -c_max), c_max))
 
     def objective(z):
-        theta, beta, c = z
-        beta = min(max(beta, 0.0), 10.0)
-        c = min(max(c, -r / 2), r / 2)
-        nu = np.array([-math.sin(theta), math.cos(theta)])
-        t = points @ nu + c
-        prof = math.sqrt(1 + beta**2) * np.maximum(t, 0.0) \
-            + beta * np.minimum(t, 0.0)
-        return float(np.max(np.abs(prof - uvals)))
+        tp = plane(z)
+        return float(np.max(np.abs(tp.height(points @ tp.nu) - uvals)))
 
-    # the simplex can stall on the non-smooth max objective; restart from
-    # the incumbent until it stops improving
-    res = minimize(objective, x0=[best[1], best[2], best[3]],
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": 2000})
-    for _ in range(5):
-        if res.fun < 1e-15:
+    # the simplex can stall on the non-smooth max objective, and it moves
+    # the offset only approximately: restart it from the incumbent, with the
+    # offset solved exactly, until it stops improving
+    opts = {"xatol": 1e-13, "fatol": 1e-16, "maxiter": 2000}
+    z, best_res = best[1:], objective(best[1:])
+    for _ in range(6):
+        if best_res < 1e-15:
             break
-        nxt = minimize(objective, x0=res.x, method="Nelder-Mead",
-                       options={"xatol": 1e-13, "fatol": 1e-16,
-                                "maxiter": 2000})
-        if nxt.fun >= res.fun * (1 - 1e-3):
-            res = nxt if nxt.fun < res.fun else res
+        theta, beta, _ = minimize(objective, x0=z, method="Nelder-Mead",
+                                  options=opts).x
+        beta = min(max(float(beta), 0.0), _FIT_BETA_MAX)
+        _, c = _best_offsets(points @ _unit(theta), uvals, np.array([beta]),
+                             c_max)
+        res, prev = objective((theta, beta, c[0])), best_res
+        if res < best_res:
+            z, best_res = (theta, beta, c[0]), res
+        if not res < prev * (1 - 1e-3):
             break
-        res = nxt
-    if res.fun <= best[0]:
-        theta, beta, c = res.x
-        beta = min(max(float(beta), 0.0), 10.0)
-        c = min(max(float(c), -r / 2), r / 2)
-        best = (float(res.fun), float(theta), beta, c)
-
-    theta = best[1]
-    nu = np.array([-math.sin(theta), math.cos(theta)])
-    nu /= np.linalg.norm(nu)
-    return TwoPlane(beta=best[2], nu=nu, c=best[3]), best[0]
+    return plane(z), best_res
 
 
 def flatness_slab(phi: LevelSet, center, r: float, nu):
@@ -473,7 +491,7 @@ def holder_exponent(u: ScalarField, phi: LevelSet, center, alpha: float,
     """Slope of log-deviation vs log-distance around an interface point.
 
     The deviation is (u - fitted two-plane) / (alpha * epsilon); the fit
-    frame comes from :func:`two_plane_fit` at the largest radius.  Returns
+    frame comes from :func:`two_plane_fit` at the innermost radius.  Returns
     the string 'exact plane' when all deviations vanish to 1e-12.
     """
     radii = np.asarray(radii, dtype=float)
@@ -531,17 +549,17 @@ def nondegeneracy(u: ScalarField, phi: LevelSet, delta_band: float) -> float:
     return float(np.min(u.values[mask] / dist[mask]))
 
 
-def oscillation_decay(u: ScalarField, phi: LevelSet, x0, r0: float,
-                      levels: int, alpha: float, beta: float):
+def oscillation_decay(u: ScalarField, x0, r0: float, levels: int,
+                      plane: TwoPlane):
     """Tightest two-plane trapping offsets (a_k, b_k) at the shrinking
-    scales r_k = r0 / 20^k, k = 0..levels, in the frame fitted at r0."""
+    scales r_k = r0 / 20^k, k = 0..levels, in the frame and slopes of
+    ``plane``, the profile :func:`two_plane_fit` fitted at r0."""
     grid = u.grid
     _check_ball(grid, x0, r0)
     if r0 / 20**levels < 4 * grid.h:
         raise UnderResolvedError(
             "deepest level is under-resolved: r0/20^levels < 4h")
-    plane, _ = two_plane_fit(u, phi, x0, r0)
-    nu = plane.nu
+    nu, alpha, beta = plane.nu, plane.alpha, plane.beta
     xx, yy = grid.meshgrid()
     relx = xx - x0[0]
     rely = yy - x0[1]
@@ -569,19 +587,19 @@ def oscillation_decay(u: ScalarField, phi: LevelSet, x0, r0: float,
     return out
 
 
-def acf_product(u: ScalarField, phi: LevelSet, center, radii) -> ACFSeries:
+def acf_product(u: ScalarField, phi: LevelSet, center, radii,
+                quadrature: Optional[np.ndarray] = None) -> ACFSeries:
     """Product monitor r^-4 * (positive-phase Dirichlet energy) *
     (negative-phase Dirichlet energy) over B_r(center), with the cell
-    containing the center excluded."""
-    grid = u.grid
+    containing the center excluded.  ``quadrature``: as in weiss_series."""
     radii = np.asarray(radii, dtype=float)
-    ci, cj = grid.cell_of(center[0], center[1])
+    if quadrature is None:
+        quadrature = ball_quadrature(u, phi, center, radii)
+    # remove the center cell's contribution from both factors
+    ci, cj = u.grid.cell_of(center[0], center[1])
+    sub_p, sub_m, _, _ = _cell_energy(u, phi, ci, cj, u.grid.h * u.grid.h)
     vals = []
-    for r in radii:
-        _check_ball(grid, center, r)
-        grad_p, grad_m, _, _ = _cell_quadrature(u, phi, center, r)
-        # remove the center cell's contribution from both factors
-        sub_p, sub_m = _center_cell_energy(u, phi, ci, cj)
+    for r, (grad_p, grad_m, _, _) in zip(radii, quadrature):
         grad_p = max(grad_p - sub_p, 0.0)
         grad_m = max(grad_m - sub_m, 0.0)
         vals.append(grad_p * grad_m / r**4)
@@ -591,24 +609,3 @@ def acf_product(u: ScalarField, phi: LevelSet, center, radii) -> ACFSeries:
                      values=vals, monotone=monotone,
                      first_violation=violation)
 
-
-def _center_cell_energy(u, phi, i, j):
-    grid = u.grid
-    h = grid.h
-    vals = u.values
-    corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-    pc = np.array([phi.phi[jj, ii] for (ii, jj) in corners])
-    f_pos = _positive_fraction(*pc)
-    cell = h * h
-    if f_pos in (0.0, 1.0):
-        ux = ((vals[j, i + 1] + vals[j + 1, i + 1])
-              - (vals[j, i] + vals[j + 1, i])) / (2 * h)
-        uy = ((vals[j + 1, i] + vals[j + 1, i + 1])
-              - (vals[j, i] + vals[j, i + 1])) / (2 * h)
-        g2 = (ux * ux + uy * uy) * cell
-        return (g2, 0.0) if f_pos == 1.0 else (0.0, g2)
-    gp = _one_sided_cell_gradient(u, phi, corners, +1)
-    gm = _one_sided_cell_gradient(u, phi, corners, -1)
-    ep = cell * f_pos * float(gp @ gp) if gp is not None else 0.0
-    em = cell * (1 - f_pos) * float(gm @ gm) if gm is not None else 0.0
-    return ep, em

@@ -29,7 +29,3 @@ class SolverError(FblabError):
 
 class PhaseCollapseError(FblabError):
     """A phase lost all interior nodes during iteration."""
-
-
-class ConfigError(FblabError):
-    """Invalid run configuration."""

@@ -26,6 +26,7 @@ from .elliptic import (
 )
 from .errors import (
     DegenerateInterfaceError,
+    FblabError,
     FieldError,
     PhaseCollapseError,
     UnderResolvedError,
@@ -394,6 +395,6 @@ def _final_flatness(problem, phi):
         if not radii:
             return None
         return flatness_table(phi, center, radii)
-    except Exception:  # diagnostics are best-effort here
+    except (FblabError, ValueError):  # diagnostics are best-effort here
         log.debug("flatness table unavailable", exc_info=True)
         return None

@@ -4,8 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import fblab.cli
+import fblab.diagnostics
 from fblab.cli import main
-from fblab.fields import read_field, read_levelset
+from fblab.fields import (
+    LevelSet,
+    ScalarField,
+    make_grid,
+    read_field,
+    read_levelset,
+    write_field,
+)
 
 TWO_PLANE_INI = """
 [meta]
@@ -136,9 +145,11 @@ class TestSolve:
             assert main(["solve", "--config", cfg,
                          "--out", str(tmp_path / name)]) == 0
         for fname in ("u.csv", "phi.csv", "interface.csv",
-                      "iterations.csv"):
+                      "iterations.csv", "summary.json"):
             assert (tmp_path / "a" / fname).read_bytes() \
                 == (tmp_path / "b" / fname).read_bytes()
+        timings = json.loads((tmp_path / "a" / "timings.json").read_text())
+        assert timings["seconds"] >= 0
 
 
 class TestDiagnose:
@@ -165,6 +176,56 @@ levels = 0
         assert summary["weiss_monotone"] is True
         assert summary["two_plane_fit"]["beta"] == pytest.approx(0.5,
                                                                  abs=1e-6)
+
+    def test_deterministic_outputs(self, tmp_path):
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2, 0.4
+levels = 0
+""")
+        out = str(tmp_path / "solve-out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        for name in ("a", "b"):
+            assert main(["diagnose", "--u", out + "/u.csv",
+                         "--phi", out + "/phi.csv", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == 0
+        for fname in ("summary.json", "diagnostics.csv"):
+            assert (tmp_path / "a" / fname).read_bytes() \
+                == (tmp_path / "b" / fname).read_bytes()
+        assert (tmp_path / "a" / "timings.json").is_file()
+
+    def test_fits_two_plane_once(self, tmp_path, monkeypatch):
+        # 201^2 nodes resolve the trapping ladder r0/20 >= 4h, so
+        # oscillation_decay runs in full
+        grid = make_grid(201, 201, (-1.0, -1.0, 1.0, 1.0))
+        write_field(ScalarField.from_function(
+            grid, lambda x, y: math.sqrt(1.25) * np.maximum(y, 0)
+            + 0.5 * np.minimum(y, 0)), str(tmp_path / "u.csv"))
+        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
+                    str(tmp_path / "phi.csv"))
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI.replace(
+            "nx = 65\nny = 65", "nx = 201\nny = 201") + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.45, 0.9
+levels = 1
+""")
+        calls = []
+        fit = fblab.diagnostics.two_plane_fit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(fblab.cli, "two_plane_fit", counted)
+        monkeypatch.setattr(fblab.diagnostics, "two_plane_fit", counted)
+        assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 0
+        assert len(calls) == 1
+        summary = json.loads((tmp_path / "d" / "summary.json").read_text())
+        assert len(summary["trapping_offsets"]) == 2
 
     def test_mismatched_grids_exit_three(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """

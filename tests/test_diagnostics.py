@@ -9,6 +9,7 @@ from fblab.diagnostics import (
     TwoPlane,
     WeissSeries,
     acf_product,
+    ball_quadrature,
     boundary_square_integral,
     flatness_slab,
     flatness_table,
@@ -251,6 +252,28 @@ class TestTwoPlaneFit:
         assert plane.c == pytest.approx(c, abs=1e-3)
         assert np.allclose(plane.nu, nu, atol=1e-3)
 
+    def test_perturbed_generic_beats_planted(self, grid257):
+        # the diagnose benchmark family: a generic profile plus a smooth
+        # perturbation; the planted parameters bound the optimal residual
+        planted = TwoPlane(beta=1.37, nu=np.array([-math.sin(0.31),
+                                                   math.cos(0.31)]), c=0.021)
+        xx, yy = grid257.meshgrid()
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        vals = planted.evaluate(pts, (0, 0)).reshape(grid257.shape) \
+            + 0.01 * np.sin(5 * xx + 0.7)
+        u = ScalarField(grid257, vals)
+        phi = LevelSet(grid257, (pts @ planted.nu + planted.c)
+                       .reshape(grid257.shape))
+        inside = np.hypot(xx, yy) <= 0.8
+        planted_res = float(np.max(np.abs(vals - planted.evaluate(
+            pts, (0, 0)).reshape(grid257.shape))[inside]))
+        fitted, res = two_plane_fit(u, phi, (0, 0), 0.8)
+        assert res <= planted_res + 1e-9
+        # the reported residual is the fitted plane's, over every node
+        recomputed = np.max(np.abs(vals - fitted.evaluate(
+            pts, (0, 0)).reshape(grid257.shape))[inside])
+        assert res == pytest.approx(recomputed, abs=1e-15)
+
 
 class TestFlatness:
     def test_flat_interface(self, grid65):
@@ -363,8 +386,8 @@ class TestOscillationDecay:
     def test_exact_plane_zero_offsets(self, grid257):
         u = ScalarField.from_function(grid257, two_plane_fn(0.7))
         phi = flat_phi(grid257)
-        out = oscillation_decay(u, phi, np.array([0.0, 0.0]), 0.8, 1,
-                                math.sqrt(1.49), 0.7)
+        plane, _ = two_plane_fit(u, phi, np.array([0.0, 0.0]), 0.8)
+        out = oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 1, plane)
         for a, b in out:
             assert abs(a) < 1e-12 and abs(b) < 1e-12
 
@@ -372,8 +395,8 @@ class TestOscillationDecay:
         u = ScalarField.from_function(
             grid257, lambda x, y: two_plane_fn(0.7)(x, y + 0.01))
         phi = LevelSet.from_function(grid257, lambda x, y: y + 0.01 + 0 * x)
-        out = oscillation_decay(u, phi, np.array([0.0, 0.0]), 0.8, 1,
-                                math.sqrt(1.49), 0.7)
+        plane, _ = two_plane_fit(u, phi, np.array([0.0, 0.0]), 0.8)
+        out = oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 1, plane)
         for a, b in out:
             assert a == pytest.approx(0.01, abs=1e-9)
             assert b == pytest.approx(0.01, abs=1e-9)
@@ -381,8 +404,8 @@ class TestOscillationDecay:
     def test_depth_precondition(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(0.0))
         with pytest.raises(UnderResolvedError):
-            oscillation_decay(u, flat_phi(grid65), np.array([0.0, 0.0]),
-                              0.8, 2, 1.0, 0.0)
+            oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 2,
+                              TwoPlane(beta=0.0, nu=np.array([0.0, 1.0])))
 
 
 class TestACFProduct:
@@ -405,6 +428,29 @@ class TestACFProduct:
         u = ScalarField.constant(grid65, 0.0)
         series = acf_product(u, flat_phi(grid65), (0, 0), [0.2, 0.4])
         assert np.allclose(series.values, 0.0, atol=1e-14)
+
+    def test_shared_quadrature_bit_identical(self, grid65):
+        # a tilted interface, so cut cells use the one-sided gradients
+        nu = np.array([-math.sin(0.4), math.cos(0.4)])
+        plane = TwoPlane(beta=0.6, nu=nu, c=0.03)
+        xx, yy = grid65.meshgrid()
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        u = ScalarField(grid65, plane.evaluate(pts, (0, 0))
+                        .reshape(grid65.shape) + 0.01 * np.sin(5 * xx))
+        phi = LevelSet(grid65, (pts @ nu + 0.03).reshape(grid65.shape))
+        center, radii = (0.05, -0.02), [0.2, 0.3, 0.45]
+        quad = ball_quadrature(u, phi, center, radii)
+        shared = weiss_series(u, phi, center, radii, plane.alpha, plane.beta,
+                              quadrature=quad)
+        alone = weiss_series(u, phi, center, radii, plane.alpha, plane.beta)
+        for name in ("E_values", "boundary_terms", "phi_values"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name))
+        for r, E in zip(radii, alone.E_values):
+            assert E == weiss_energy(u, phi, center, r, plane.alpha,
+                                     plane.beta)
+        assert np.array_equal(
+            acf_product(u, phi, center, radii, quadrature=quad).values,
+            acf_product(u, phi, center, radii).values)
 
 
 class TestBoundaryIntegral:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fblab.fbiter
 from fblab.elliptic import CoefficientField
 from fblab.errors import DegenerateInterfaceError, FieldError
 from fblab.fbiter import (
@@ -246,6 +247,17 @@ class TestRun:
         flat = pb_run["report"].flatness
         assert flat is not None
         assert np.all(np.asarray(flat.deltas) >= 0)
+
+    def test_final_flatness_propagates_defects(self, grid65, monkeypatch):
+        # only typed toolkit errors and value errors mean "no table"; any
+        # other exception is a defect and must surface
+        def broken(*args, **kwargs):
+            raise RuntimeError("defect in flatness_table")
+
+        monkeypatch.setattr(fblab.fbiter, "flatness_table", broken)
+        with pytest.raises(RuntimeError, match="defect"):
+            fblab.fbiter._final_flatness(two_plane_problem(grid65, 0.5),
+                                         two_plane_levelset(grid65))
 
     def test_perturbed_plane_settles(self, perturbed_run):
         rep = perturbed_run["report"]
