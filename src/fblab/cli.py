@@ -14,7 +14,7 @@ empty sweep; 3 invalid configuration or input files; 4 phase collapse.
 from __future__ import annotations
 
 import argparse
-import itertools
+import fcntl
 import json
 import math
 import os
@@ -70,38 +70,28 @@ def _g(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _apply_thread_cap():
-    """Honor FBLAB_THREADS by capping the BLAS thread pools (only where the
-    user has not already pinned them)."""
-    cap = os.environ.get("FBLAB_THREADS")
-    if not cap:
-        return None
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    return cap
-
-
 @contextmanager
 def _locked_output(out_dir: str):
-    """Exclusive per-directory lockfile; concurrent writers are refused."""
+    """Exclusive per-directory lock; concurrent writers are refused.
+
+    The lock is an advisory ``flock`` held on ``.fblab.lock`` for the run.
+    The kernel drops it when the holder exits, however it exits, so a file
+    left behind by a killed run does not block later runs.  The file itself
+    is kept: unlinking it would let two runs lock different files."""
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, _LOCK_NAME)
+    fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory {out_dir} is locked by another run "
-            f"(remove {lock_path} if stale)")
-    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(
+                f"output directory {out_dir} is locked by another run")
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         yield out_dir
     finally:
-        try:
-            os.remove(lock_path)
-        except OSError:
-            pass
+        os.close(fd)
 
 
 def _write_run_json(out_dir, summary, t0):
@@ -426,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -27,6 +27,7 @@ from .fields import (
     read_field,
     read_levelset,
 )
+from .problems import two_plane_field, two_plane_levelset
 
 SCHEMA_VERSION = 1
 
@@ -104,15 +105,9 @@ def _parse_outer_spec(spec: str, grid: Grid2, base: str) -> ScalarField:
     toks = _split(spec)
     if toks and toks[0] == "two_plane":
         beta, angle, offset = _floats(" ".join(toks[1:]), 3, "outer")
-        alpha = math.sqrt(1.0 + beta**2)
         th = math.radians(angle)
-        nx, ny = -math.sin(th), math.cos(th)
-
-        def fn(x, y):
-            t = x * nx + y * ny + offset
-            return alpha * np.maximum(t, 0.0) + beta * np.minimum(t, 0.0)
-
-        return ScalarField.from_function(grid, fn)
+        return two_plane_field(grid, beta, (-math.sin(th), math.cos(th)),
+                               offset)
     return _parse_scalar_spec(spec, grid, base, "outer")
 
 
@@ -147,9 +142,8 @@ def _parse_interface(spec: str, grid: Grid2, base: str) -> LevelSet:
     if kind == "flat":
         angle, offset = _floats(" ".join(toks[1:]), 2, "interface")
         th = math.radians(angle)
-        nx, ny = -math.sin(th), math.cos(th)
-        return LevelSet.from_function(
-            grid, lambda x, y: x * nx + y * ny + offset)
+        return two_plane_levelset(grid, (-math.sin(th), math.cos(th)),
+                                  offset)
     if kind == "circle":
         (radius,) = _floats(" ".join(toks[1:]), 1, "interface")
         if radius <= 0:

@@ -20,18 +20,17 @@ from scipy.optimize import minimize
 
 from .errors import FblabError, GridError, UnderResolvedError
 from .fields import (
-    INTO_NEGATIVE,
-    INTO_POSITIVE,
     LevelSet,
     ScalarField,
     all_interface_points,
-    gradient,
     interface_extract,
+    one_sided_gradient,
     polyline_distance,
 )
 
 _BOUNDARY_SAMPLES = 512
 _BALL_SUBDIV = 8
+_BALL_CHUNK = 128  # ball-crossing cells subdivided at a time
 _MONOTONE_SLACK = 1e-3
 _FIT_NODES = 2048  # node budget of the two-plane grid search
 _FIT_ROUNDS = ((64, 24), (16, 16), (16, 16), (16, 16))  # (angles, betas)
@@ -136,90 +135,108 @@ def _check_ball(grid, center, r):
 
 def _positive_fraction(v00, v10, v11, v01):
     """Area fraction of the unit square where the bilinear interpolant of
-    the given corner values is positive, using linear edge cuts."""
-    corners = ((0.0, 0.0, v00), (1.0, 0.0, v10), (1.0, 1.0, v11),
-               (0.0, 1.0, v01))
-    if v00 >= 0 and v10 >= 0 and v11 >= 0 and v01 >= 0:
-        return 1.0
-    if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
-        return 0.0
-    poly = []
+    the given corner values is positive, using linear edge cuts; elementwise
+    over arrays of corner values."""
+    vals = [np.asarray(v, dtype=float) for v in (v00, v10, v11, v01)]
+    square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    # polygon in corner order: each corner with v >= 0, then the crossing on
+    # its edge to the next corner, if any
+    verts = []
     for k in range(4):
-        xa, ya, va = corners[k]
-        xb, yb, vb = corners[(k + 1) % 4]
-        if va >= 0:
-            poly.append((xa, ya))
-        if (va >= 0) != (vb >= 0):
-            t = va / (va - vb)
-            poly.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+        (xa, ya), (xb, yb) = square[k], square[(k + 1) % 4]
+        va, vb = vals[k], vals[(k + 1) % 4]
+        cross = (va >= 0) != (vb >= 0)
+        t = va / np.where(cross, va - vb, 1.0)
+        verts.append((va >= 0, xa, ya))
+        verts.append((cross, xa + t * (xb - xa), ya + t * (yb - ya)))
+    # shoelace sum from the closing edge on; an absent vertex repeats the
+    # previous one, which adds an exact zero
+    px = py = 0.0
+    for present, x, y in verts:
+        px, py = np.where(present, x, px), np.where(present, y, py)
     area = 0.0
-    m = len(poly)
-    for k in range(m):
-        xa, ya = poly[k]
-        xb, yb = poly[(k + 1) % m]
-        area += xa * yb - xb * ya
-    return min(max(0.5 * abs(area), 0.0), 1.0)
+    for present, x, y in verts:
+        x, y = np.where(present, x, px), np.where(present, y, py)
+        area = area + (px * y - x * py)
+        px, py = x, y
+    return np.minimum(0.5 * np.abs(area), 1.0)
 
 
 def _ball_fraction(grid, i, j, center, r):
-    """Fraction of cell (i, j) covered by the ball, subdividing crossed
-    cells with exact signed distances at subcell corners."""
-    xs = grid.x0 + (i + np.arange(_BALL_SUBDIV + 1) / _BALL_SUBDIV) * grid.h
-    ys = grid.y0 + (j + np.arange(_BALL_SUBDIV + 1) / _BALL_SUBDIV) * grid.h
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    s = r - np.hypot(xx - center[0], yy - center[1])
-    total = 0.0
-    for a in range(_BALL_SUBDIV):
-        for b in range(_BALL_SUBDIV):
-            total += _positive_fraction(s[a, b], s[a + 1, b],
-                                        s[a + 1, b + 1], s[a, b + 1])
-    return total / _BALL_SUBDIV**2
+    """Fractions of the cells (i, j), index arrays, covered by the ball:
+    each cell is split into subcells cut linearly between exact signed
+    distances at their corners.  Cells go in chunks to bound memory."""
+    t = np.arange(_BALL_SUBDIV + 1) / _BALL_SUBDIV
+    out = np.empty(len(i))
+    for k in range(0, len(i), _BALL_CHUNK):
+        xs = grid.x0 + (i[k:k + _BALL_CHUNK, None] + t) * grid.h
+        ys = grid.y0 + (j[k:k + _BALL_CHUNK, None] + t) * grid.h
+        s = r - np.hypot(xs[:, :, None] - center[0],
+                         ys[:, None, :] - center[1])
+        out[k:k + _BALL_CHUNK] = np.mean(_positive_fraction(
+            s[:, :-1, :-1], s[:, 1:, :-1], s[:, 1:, 1:], s[:, :-1, 1:]),
+            axis=(1, 2))
+    return out
 
 
-def _one_sided_cell_gradient(u, phi, corners, side):
-    """Average one-sided node gradient over the cell corners lying on the
-    requested side of the interface; falls back to the centered stencil."""
-    mode = INTO_POSITIVE if side > 0 else INTO_NEGATIVE
-    acc = np.zeros(2)
-    count = 0
-    for (i, j) in corners:
-        if side * phi.phi[j, i] < 0:
-            continue
-        try:
-            acc += gradient(u, (i, j), mode, phi)
-            count += 1
-        except UnderResolvedError:
-            continue
-    if count == 0:
-        return None
-    return acc / count
+def _corners(a):
+    """Views of a node block at the cell corners 00, 10, 11, 01."""
+    return a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]
 
 
-def _cell_energy(u, phi, i, j, cell):
+def _cut_gradient_sq(u, phi, side, jc, ic):
+    """Squared one-sided gradient of the cells (ic, jc): the node gradients
+    of the valid corners on ``side`` averaged, zero if no corner is valid."""
+    gx, gy, valid = one_sided_gradient(u, phi, side)
+    sx = sy = count = 0
+    for cj, ci in ((jc, ic), (jc, ic + 1), (jc + 1, ic + 1), (jc + 1, ic)):
+        ok = valid[cj, ci]
+        sx = sx + np.where(ok, gx[cj, ci], 0.0)
+        sy = sy + np.where(ok, gy[cj, ci], 0.0)
+        count = count + ok
+    n = np.maximum(count, 1)
+    mx, my = sx / n, sy / n
+    return np.where(count > 0, mx * mx + my * my, 0.0)
+
+
+def _cell_energy(u, phi, i0, j0, cell):
     """Phase Dirichlet energies and areas (grad_plus, grad_minus, area_plus,
-    area_minus) of cell (i, j), weighted by its covered area ``cell``."""
+    area_minus) summed over a block of cells whose first cell is (i0, j0),
+    each weighted by its covered area, the 2-D array ``cell``.
+
+    An uncut cell takes the cell-centered gradient.  A phase-cut cell splits
+    by its linear-cut area fraction, and each phase takes the one-sided node
+    gradient averaged over the valid corners on its side (zero if none)."""
     h = u.grid.h
-    vals = u.values
-    corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-    f_pos = _positive_fraction(*(phi.phi[jj, ii] for (ii, jj) in corners))
-    if f_pos == 1.0 or f_pos == 0.0:
-        ux = ((vals[j, i + 1] + vals[j + 1, i + 1])
-              - (vals[j, i] + vals[j + 1, i])) / (2 * h)
-        uy = ((vals[j + 1, i] + vals[j + 1, i + 1])
-              - (vals[j, i] + vals[j, i + 1])) / (2 * h)
-        g2 = cell * (ux * ux + uy * uy)
-        return (g2, 0.0, cell, 0.0) if f_pos == 1.0 else (0.0, g2, 0.0, cell)
-    gp = _one_sided_cell_gradient(u, phi, corners, +1)
-    gm = _one_sided_cell_gradient(u, phi, corners, -1)
-    return (cell * f_pos * float(gp @ gp) if gp is not None else 0.0,
-            cell * (1.0 - f_pos) * float(gm @ gm) if gm is not None else 0.0,
-            cell * f_pos, cell * (1.0 - f_pos))
+    nodes = np.s_[j0:j0 + cell.shape[0] + 1, i0:i0 + cell.shape[1] + 1]
+    pc = _corners(phi.phi[nodes])
+    f_pos = np.all([c >= 0 for c in pc], axis=0).astype(float)
+    mixed = np.any([c >= 0 for c in pc], axis=0) & (f_pos == 0.0)
+    f_pos[mixed] = _positive_fraction(*(c[mixed] for c in pc))
+    v00, v10, v11, v01 = _corners(u.values[nodes])
+    ux = ((v10 + v11) - (v00 + v01)) / (2 * h)
+    uy = ((v01 + v11) - (v00 + v10)) / (2 * h)
+    g2 = cell * (ux * ux + uy * uy)
+    del ux, uy
+    grad_p = np.where(f_pos == 1.0, g2, 0.0)
+    grad_m = np.where(f_pos == 0.0, g2, 0.0)
+    del g2
+    cut = np.nonzero((f_pos != 1.0) & (f_pos != 0.0))
+    if len(cut[0]):
+        jc, ic = cut[0] + j0, cut[1] + i0
+        grad_p[cut] = cell[cut] * f_pos[cut] \
+            * _cut_gradient_sq(u, phi, +1, jc, ic)
+        grad_m[cut] = cell[cut] * (1.0 - f_pos[cut]) \
+            * _cut_gradient_sq(u, phi, -1, jc, ic)
+    return (float(np.sum(grad_p)), float(np.sum(grad_m)),
+            float(np.sum(cell * f_pos)), float(np.sum(cell * (1.0 - f_pos))))
 
 
 def _cell_quadrature(u, phi, center, r):
-    """Per-cell contributions inside B_r(center): returns the arrays
-    (grad_plus, grad_minus, area_plus, area_minus) summed over cells, where
-    grad_* are phase-restricted Dirichlet energies and area_* phase areas."""
+    """Cell contributions inside B_r(center): returns the sums (grad_plus,
+    grad_minus, area_plus, area_minus) over cells, where grad_* are
+    phase-restricted Dirichlet energies and area_* phase areas.  Only cells
+    crossed by the circle are subdivided."""
     grid = u.grid
     h = grid.h
     _check_ball(grid, center, r)
@@ -229,27 +246,16 @@ def _cell_quadrature(u, phi, center, r):
     j_lo = max(int((center[1] - r - grid.y0) / h) - 1, 0)
     j_hi = min(int((center[1] + r - grid.y0) / h) + 1, grid.ny - 2)
 
-    terms = [0.0] * 4  # grad_p, grad_m, area_p, area_m
-    for j in range(j_lo, j_hi + 1):
-        y0c = grid.y0 + j * h
-        for i in range(i_lo, i_hi + 1):
-            x0c = grid.x0 + i * h
-            # ball clipping via exact corner distances
-            dx = np.array([x0c, x0c + h, x0c + h, x0c]) - center[0]
-            dy = np.array([y0c, y0c, y0c + h, y0c + h]) - center[1]
-            s = r - np.hypot(dx, dy)
-            if np.all(s <= 0):
-                continue
-            if np.any(s <= 0):
-                w_ball = _ball_fraction(grid, i, j, center, r)
-                if w_ball == 0.0:
-                    continue
-            else:
-                w_ball = 1.0
-
-            terms = [a + b for a, b in zip(
-                terms, _cell_energy(u, phi, i, j, w_ball * h * h))]
-    return tuple(terms)
+    # ball clipping via exact signed distances at the block's nodes
+    xs = grid.x0 + np.arange(i_lo, i_hi + 2) * h
+    ys = grid.y0 + np.arange(j_lo, j_hi + 2) * h
+    s = _corners(r - np.hypot(xs[None, :] - center[0],
+                              ys[:, None] - center[1]))
+    w_ball = np.all([c > 0 for c in s], axis=0).astype(float)
+    jc, ic = np.nonzero(np.any([c > 0 for c in s], axis=0) & (w_ball == 0.0))
+    w_ball[jc, ic] = _ball_fraction(grid, ic + i_lo, jc + j_lo, center, r)
+    del s
+    return _cell_energy(u, phi, i_lo, j_lo, w_ball * h * h)
 
 
 def ball_quadrature(u: ScalarField, phi: LevelSet, center,
@@ -597,7 +603,8 @@ def acf_product(u: ScalarField, phi: LevelSet, center, radii,
         quadrature = ball_quadrature(u, phi, center, radii)
     # remove the center cell's contribution from both factors
     ci, cj = u.grid.cell_of(center[0], center[1])
-    sub_p, sub_m, _, _ = _cell_energy(u, phi, ci, cj, u.grid.h * u.grid.h)
+    sub_p, sub_m, _, _ = _cell_energy(u, phi, ci, cj,
+                                      np.full((1, 1), u.grid.h * u.grid.h))
     vals = []
     for r, (grad_p, grad_m, _, _) in zip(radii, quadrature):
         grad_p = max(grad_p - sub_p, 0.0)

@@ -148,24 +148,12 @@ class IterationReport:
 
 def _jump_at_points(u_plus, u_minus, A, phi, Q, points):
     """Jump defect and one-sided energies at the given interface points."""
-    cache_p, cache_m = {}, {}
-    J = np.empty(len(points))
-    qp = np.empty(len(points))
-    qm = np.empty(len(points))
-    flipped = bool(os.environ.get(_BREAK_ENV))
-    for k, p in enumerate(points):
-        _, q_plus = interface_normal_gradient(u_plus, A, phi, p, +1,
-                                              _cache=cache_p)
-        _, q_minus = interface_normal_gradient(u_minus, A, phi, p, -1,
-                                               _cache=cache_m)
-        target = float(Q.sample(p[0], p[1]))
-        qp[k] = q_plus
-        qm[k] = q_minus
-        if flipped:
-            J[k] = q_minus - q_plus - target
-        else:
-            J[k] = q_plus - q_minus - target
-    return J, qp, qm
+    _, qp = interface_normal_gradient(u_plus, A, phi, points, +1)
+    _, qm = interface_normal_gradient(u_minus, A, phi, points, -1)
+    target = Q.sample(points[:, 0], points[:, 1])
+    if os.environ.get(_BREAK_ENV):
+        return qm - qp - target, qp, qm
+    return qp - qm - target, qp, qm
 
 
 def interface_jump(u_plus: ScalarField, u_minus: ScalarField,

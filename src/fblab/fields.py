@@ -16,6 +16,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateInterfaceError,
@@ -27,6 +28,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 _SQUARE_CELL_RTOL = 1e-12
+_ENVELOPE_K = 16  # nearest anchors tried per node by reinitialize
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,12 @@ class Grid2:
             and self.y0 + pad <= y <= self.y1 - pad
         )
 
-    def cell_of(self, x: float, y: float):
-        """Cell index (i, j) such that the point lies in cell
+    def cell_of(self, x, y):
+        """Cell indices (i, j) such that the point(s) lie in cell
         [x_i, x_i+h] x [y_j, y_j+h], clamped to valid cells."""
-        i = int(np.clip(np.floor((x - self.x0) / self.h), 0, self.nx - 2))
-        j = int(np.clip(np.floor((y - self.y0) / self.h), 0, self.ny - 2))
-        return i, j
+        i = np.clip(np.floor((x - self.x0) / self.h), 0, self.nx - 2)
+        j = np.clip(np.floor((y - self.y0) / self.h), 0, self.ny - 2)
+        return i.astype(int), j.astype(int)
 
     def same_layout(self, other: "Grid2") -> bool:
         return (
@@ -221,36 +223,50 @@ INTO_POSITIVE = "one_sided_into_positive"
 INTO_NEGATIVE = "one_sided_into_negative"
 
 
-def _axis_derivative(values, j, i, dj, di, h, usable):
-    """Derivative along one axis at node (i, j).
+def _masked_gradient(values, usable, h):
+    """Whole-array gradient whose stencils use only ``usable`` nodes.
 
-    ``usable(jj, ii)`` says whether a node may enter the stencil.  Prefers the
-    centered second-order stencil, falls back to the second-order biased
-    stencil on whichever side is available.
+    Per axis it prefers the centered second-order stencil, then the forward
+    and then the backward second-order biased one.  Returns ``(gx, gy,
+    ok)``; ``ok`` is false where some axis has no admissible 3-node stencil.
     """
     ny, nx = values.shape
+    v = np.pad(values, 2)
+    use = np.pad(usable, 2)  # nodes off the grid are never usable
+    out = []
+    ok = np.ones(values.shape, dtype=bool)
+    for shift in (lambda a, k: a[2:2 + ny, 2 + k:2 + k + nx],
+                  lambda a, k: a[2 + k:2 + k + ny, 2:2 + nx]):
+        centered = shift(use, -1) & shift(use, 1)
+        forward = shift(use, 1) & shift(use, 2)
+        backward = shift(use, -1) & shift(use, -2)
+        # numerators, lowest preference first so that each stencil
+        # overrides the last; in place, to hold few full-grid temporaries
+        d = 3.0 * values
+        d -= 4.0 * shift(v, -1)
+        d += shift(v, -2)
+        t = -3.0 * values
+        t += 4.0 * shift(v, 1)
+        t -= shift(v, 2)
+        np.copyto(d, t, where=forward)
+        np.subtract(shift(v, 1), shift(v, -1), out=t)
+        np.copyto(d, t, where=centered)
+        d /= 2.0 * h
+        out.append(d)
+        ok &= centered | forward | backward
+    return out[0], out[1], ok
 
-    def ok(jj, ii):
-        return 0 <= jj < ny and 0 <= ii < nx and usable(jj, ii)
 
-    if ok(j - dj, i - di) and ok(j + dj, i + di):
-        return (values[j + dj, i + di] - values[j - dj, i - di]) / (2.0 * h)
-    if ok(j + dj, i + di) and ok(j + 2 * dj, i + 2 * di):
-        return (
-            -3.0 * values[j, i]
-            + 4.0 * values[j + dj, i + di]
-            - values[j + 2 * dj, i + 2 * di]
-        ) / (2.0 * h)
-    if ok(j - dj, i - di) and ok(j - 2 * dj, i - 2 * di):
-        return (
-            3.0 * values[j, i]
-            - 4.0 * values[j - dj, i - di]
-            + values[j - 2 * dj, i - 2 * di]
-        ) / (2.0 * h)
-    raise UnderResolvedError(
-        f"no admissible 3-node stencil at node (i={i}, j={j}); "
-        "phase sliver thinner than 3 cells"
-    )
+def one_sided_gradient(u: ScalarField, phi: LevelSet, side: int):
+    """Gradient of ``u`` at every node from stencils restricted to one phase.
+
+    A node is usable iff ``side * phi >= 0``.  Returns ``(gx, gy, valid)``;
+    ``valid`` is false at off-side nodes and at nodes without an admissible
+    3-node stencil on some axis (phase slivers thinner than 3 cells).
+    """
+    usable = side * phi.phi >= 0.0
+    gx, gy, ok = _masked_gradient(u.values, usable, u.grid.h)
+    return gx, gy, usable & ok
 
 
 def gradient(field: ScalarField, node, side: str = CENTERED,
@@ -260,36 +276,34 @@ def gradient(field: ScalarField, node, side: str = CENTERED,
     ``side`` selects the stencil: ``centered`` is the standard second-order
     difference; the one-sided modes restrict the stencil to nodes of the
     requested phase (``phi >= 0`` resp. ``phi <= 0``), using a second-order
-    biased stencil when the centered one would cross the zero set.
+    biased stencil when the centered one would cross the zero set.  The
+    value is read from the whole-array stencils of :func:`_masked_gradient`.
     """
     i, j = node
-    v = field.values
-    ny, nx = v.shape
+    ny, nx = field.values.shape
     if not (0 <= i < nx and 0 <= j < ny):
         raise FieldError(f"node {node} outside grid")
-    h = field.grid.h
-
     if side == CENTERED:
-        def usable(jj, ii):
-            return True
+        gx, gy, valid = _masked_gradient(
+            field.values, np.ones(field.values.shape, dtype=bool),
+            field.grid.h)
     elif side in (INTO_POSITIVE, INTO_NEGATIVE):
         if phi is None:
             raise FieldError("one-sided gradient modes require phi")
-        sgn = 1.0 if side == INTO_POSITIVE else -1.0
-        p = phi.phi
-
-        def usable(jj, ii):
-            return sgn * p[jj, ii] >= 0.0
-        if not usable(j, i):
+        sgn = 1 if side == INTO_POSITIVE else -1
+        if sgn * phi.phi[j, i] < 0.0:
             raise UnderResolvedError(
                 f"node {node} is not on the requested side of the zero set"
             )
+        gx, gy, valid = one_sided_gradient(field, phi, sgn)
     else:
         raise FieldError(f"unknown gradient mode {side!r}")
-
-    gx = _axis_derivative(v, j, i, 0, 1, h, usable)
-    gy = _axis_derivative(v, j, i, 1, 0, h, usable)
-    return np.array([gx, gy])
+    if not valid[j, i]:
+        raise UnderResolvedError(
+            f"no admissible 3-node stencil at node (i={i}, j={j}); "
+            "phase sliver thinner than 3 cells"
+        )
+    return np.array([gx[j, i], gy[j, i]])
 
 
 # ---------------------------------------------------------------------------
@@ -321,52 +335,46 @@ def interface_extract(phi: LevelSet) -> list[Polyline]:
     # segments[cell] -> list of (edge_key_a, point_a, edge_key_b, point_b)
     # edge keys: ('h', i, j) = horizontal edge from node (i,j) to (i+1,j)
     #            ('v', i, j) = vertical edge from node (i,j) to (i,j+1)
+    b = inside.view(np.uint8)
+    code = (b[:-1, :-1] | b[:-1, 1:] << 1 | b[1:, 1:] << 2 | b[1:, :-1] << 3)
     seg_list = []
-    for j in range(g.ny - 1):
+    for j, i in zip(*np.nonzero((code != 0) & (code != 15))):
+        i, j, c = int(i), int(j), int(code[j, i])
+        x = g.x0 + i * h
         y = g.y0 + j * h
-        for i in range(g.nx - 1):
-            c = (
-                (1 if inside[j, i] else 0)
-                | (2 if inside[j, i + 1] else 0)
-                | (4 if inside[j + 1, i + 1] else 0)
-                | (8 if inside[j + 1, i] else 0)
-            )
-            if c == 0 or c == 15:
-                continue
-            x = g.x0 + i * h
-            n00 = (x, y)
-            n10 = (x + h, y)
-            n11 = (x + h, y + h)
-            n01 = (x, y + h)
-            p00, p10 = p[j, i], p[j, i + 1]
-            p11, p01 = p[j + 1, i + 1], p[j + 1, i]
+        n00 = (x, y)
+        n10 = (x + h, y)
+        n11 = (x + h, y + h)
+        n01 = (x, y + h)
+        p00, p10 = p[j, i], p[j, i + 1]
+        p11, p01 = p[j + 1, i + 1], p[j + 1, i]
 
-            edge_key = {
-                "b": ("h", i, j),
-                "t": ("h", i, j + 1),
-                "l": ("v", i, j),
-                "r": ("v", i + 1, j),
-            }
-            edge_point = {
-                "b": lambda: _edge_crossing(p00, p10, n00, n10),
-                "t": lambda: _edge_crossing(p01, p11, n01, n11),
-                "l": lambda: _edge_crossing(p00, p01, n00, n01),
-                "r": lambda: _edge_crossing(p10, p11, n10, n11),
-            }
+        edge_key = {
+            "b": ("h", i, j),
+            "t": ("h", i, j + 1),
+            "l": ("v", i, j),
+            "r": ("v", i + 1, j),
+        }
+        edge_point = {
+            "b": lambda: _edge_crossing(p00, p10, n00, n10),
+            "t": lambda: _edge_crossing(p01, p11, n01, n11),
+            "l": lambda: _edge_crossing(p00, p01, n00, n01),
+            "r": lambda: _edge_crossing(p10, p11, n10, n11),
+        }
 
-            pairs = _MS_TABLE.get(c)
-            if pairs is None:
-                # saddle: 5 = corners 00 and 11 inside, 10 = corners 10 and 01
-                center = 0.25 * (p00 + p10 + p11 + p01)
-                if c == 5:
-                    pairs = [("l", "b"), ("t", "r")] if center <= 0 else \
-                        [("l", "t"), ("b", "r")]
-                else:  # c == 10
-                    pairs = [("b", "r"), ("l", "t")] if center <= 0 else \
-                        [("l", "b"), ("t", "r")]
-            for ea, ebb in pairs:
-                seg_list.append((edge_key[ea], edge_point[ea](),
-                                 edge_key[ebb], edge_point[ebb]()))
+        pairs = _MS_TABLE.get(c)
+        if pairs is None:
+            # saddle: 5 = corners 00 and 11 inside, 10 = corners 10 and 01
+            center = 0.25 * (p00 + p10 + p11 + p01)
+            if c == 5:
+                pairs = [("l", "b"), ("t", "r")] if center <= 0 else \
+                    [("l", "t"), ("b", "r")]
+            else:  # c == 10
+                pairs = [("b", "r"), ("l", "t")] if center <= 0 else \
+                    [("l", "b"), ("t", "r")]
+        for ea, ebb in pairs:
+            seg_list.append((edge_key[ea], edge_point[ea](),
+                             edge_key[ebb], edge_point[ebb]()))
 
     return _stitch_segments(seg_list)
 
@@ -499,20 +507,35 @@ def reinitialize(phi: LevelSet, band_tol: float = 0.35) -> LevelSet:
     xx, yy = g.meshgrid()
     d = np.empty(g.shape)
     d[anchor] = d_anchor[anchor]
-
     far_mask = ~anchor
-    fx = xx[far_mask]
-    fy = yy[far_mask]
-    out = np.empty(fx.shape)
-    chunk = max(1, int(4_000_000 // max(len(ax), 1)))
-    for s in range(0, len(fx), chunk):
-        e = min(s + chunk, len(fx))
-        dist = np.hypot(fx[s:e, None] - ax[None, :],
-                        fy[s:e, None] - ay[None, :])
-        out[s:e] = np.min(dist + ad[None, :], axis=1)
-    d[far_mask] = out
-
+    d[far_mask] = _lower_envelope(xx[far_mask], yy[far_mask], ax, ay, ad)
     return LevelSet(g, d * sign)
+
+
+def _lower_envelope(fx, fy, ax, ay, ad):
+    """Exact ``min_a (ad_a + |x - x_a|)`` at the points (fx, fy).
+
+    The candidates are each point's ``_ENVELOPE_K`` nearest anchors.  Since
+    ``ad >= 0``, no farther anchor can undercut a candidate minimum that
+    lies below the k-th nearest distance; points whose minimum does not are
+    recomputed over every anchor.
+    """
+    k = min(_ENVELOPE_K, len(ax))
+    dk, idx = cKDTree(np.column_stack([ax, ay])).query(
+        np.column_stack([fx, fy]), k=k)
+    dk, idx = dk.reshape(len(fx), k)[:, -1], idx.reshape(len(fx), k)
+    out = np.min(np.hypot(fx[:, None] - ax[idx], fy[:, None] - ay[idx])
+                 + ad[idx], axis=1)
+    if k < len(ax):
+        # the margin covers the tree rounding its distances differently
+        redo = np.nonzero(out >= dk * (1.0 - 1e-12))[0]
+        chunk = max(1, 4_000_000 // len(ax))
+        for s in range(0, len(redo), chunk):
+            sel = redo[s:s + chunk]
+            dist = np.hypot(fx[sel, None] - ax[None, :],
+                            fy[sel, None] - ay[None, :])
+            out[sel] = np.min(dist + ad[None, :], axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

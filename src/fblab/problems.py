@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from .diagnostics import _profile
 from .elliptic import CoefficientField
 from .fbiter import PhaseProblem
 from .fields import Grid2, LevelSet, ScalarField
@@ -19,8 +20,7 @@ def two_plane_values(beta: float, nu=(0.0, 1.0), c: float = 0.0):
     nx, ny = float(nu[0]), float(nu[1])
 
     def fn(x, y):
-        t = x * nx + y * ny + c
-        return alpha * np.maximum(t, 0.0) + beta * np.minimum(t, 0.0)
+        return _profile(x * nx + y * ny + c, alpha, beta)
 
     return fn
 

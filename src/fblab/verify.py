@@ -43,6 +43,7 @@ from .prandtl import (
 from .problems import (
     pb_levelset,
     pb_problem,
+    two_plane_field,
     two_plane_levelset,
     two_plane_problem,
 )
@@ -173,9 +174,7 @@ def criterion_weiss_closed_form(ctx, out_dir=None) -> CriterionResult:
     worst_rel, worst_spread = 0.0, 0.0
     for beta in (0.0, 1.0):
         alpha = math.sqrt(1.0 + beta**2)
-        u = ScalarField.from_function(
-            grid, lambda x, y: alpha * np.maximum(y, 0.0)
-            + beta * np.minimum(y, 0.0))
+        u = two_plane_field(grid, beta)
         phi = two_plane_levelset(grid)
         target = (1.0 + 2.0 * beta**2) * math.pi / 2.0
         vals = [weiss_phi(u, phi, (0.0, 0.0), r, alpha, beta)[0]

@@ -1,3 +1,4 @@
+import fcntl
 import json
 import math
 
@@ -136,8 +137,19 @@ class TestSolve:
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".fblab.lock").write_text("1")
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        with open(out / ".fblab.lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert not (out / "u.csv").exists()
+
+    def test_stale_lockfile_ignored(self, tmp_path):
+        # a killed run leaves the file behind, but nobody holds the lock
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".fblab.lock").write_text("12345")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "u.csv").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,17 @@ class TestLoadConfig:
         expect = alpha * np.maximum(yy, 0) + 0.5 * np.minimum(yy, 0)
         assert np.allclose(cfg.problem.outer_data.values, expect)
         assert np.allclose(cfg.phi0.phi, yy)
+
+    def test_two_plane_outer_bit_identical(self, tmp_path):
+        text = BASE.replace("outer = two_plane 0.5 0 0",
+                            "outer = two_plane 1.7 23.5 -0.125")
+        cfg = load_config(write_config(tmp_path, text))
+        xx, yy = cfg.grid.meshgrid()
+        th = math.radians(23.5)
+        t = xx * -math.sin(th) + yy * math.cos(th) + -0.125
+        alpha = math.sqrt(1.0 + 1.7**2)
+        expect = alpha * np.maximum(t, 0.0) + 1.7 * np.minimum(t, 0.0)
+        assert np.array_equal(cfg.problem.outer_data.values, expect)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -23,7 +23,14 @@ from fblab.diagnostics import (
     weiss_series,
 )
 from fblab.errors import FblabError, GridError, UnderResolvedError
-from fblab.fields import LevelSet, ScalarField, make_grid
+from fblab.fields import (
+    INTO_NEGATIVE,
+    INTO_POSITIVE,
+    LevelSet,
+    ScalarField,
+    gradient,
+    make_grid,
+)
 
 
 def two_plane_fn(beta):
@@ -451,6 +458,79 @@ class TestACFProduct:
         assert np.array_equal(
             acf_product(u, phi, center, radii, quadrature=quad).values,
             acf_product(u, phi, center, radii).values)
+
+
+def reference_positive_fraction(v):
+    """Positive area of the unit square cut linearly between the corner
+    values v (counter-clockwise from (0, 0))."""
+    corners = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    poly = []
+    for k in range(4):
+        (xa, ya), (xb, yb) = corners[k], corners[(k + 1) % 4]
+        va, vb = v[k], v[(k + 1) % 4]
+        if va >= 0:
+            poly.append((xa, ya))
+        if (va >= 0) != (vb >= 0):
+            t = va / (va - vb)
+            poly.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+    area = sum(xa * yb - xb * ya for (xa, ya), (xb, yb)
+               in zip(poly, poly[1:] + poly[:1]))
+    return min(0.5 * abs(area), 1.0)
+
+
+def reference_cell_quadrature(u, phi, center, r, sub=8):
+    """Per-cell loop: cells with a corner in the ball, covered fraction by
+    subcells, cut cells split by their linear-cut fraction with
+    corner-averaged one-sided gradients."""
+    g, h, v = u.grid, u.grid.h, u.values
+    terms = np.zeros(4)
+    for j in range(g.ny - 1):
+        for i in range(g.nx - 1):
+            t = np.arange(sub + 1) / sub
+            xs, ys = g.x0 + (i + t) * h, g.y0 + (j + t) * h
+            s = r - np.hypot(xs[:, None] - center[0], ys[None, :] - center[1])
+            if max(s[0, 0], s[-1, 0], s[-1, -1], s[0, -1]) <= 0:
+                continue  # no corner in the ball
+            w = np.mean([reference_positive_fraction(
+                (s[a, b], s[a + 1, b], s[a + 1, b + 1], s[a, b + 1]))
+                for a in range(sub) for b in range(sub)])
+            cell = w * h * h
+            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+            f = reference_positive_fraction([phi.phi[b, a] for a, b in corners])
+            if f in (0.0, 1.0):
+                ux = (v[j, i + 1] + v[j + 1, i + 1] - v[j, i] - v[j + 1, i])
+                uy = (v[j + 1, i] + v[j + 1, i + 1] - v[j, i] - v[j, i + 1])
+                g2 = cell * (ux**2 + uy**2) / (2 * h)**2
+                terms += (g2 * f, g2 * (1 - f), cell * f, cell * (1 - f))
+                continue
+            for k, (mode, frac) in enumerate(((INTO_POSITIVE, f),
+                                              (INTO_NEGATIVE, 1 - f))):
+                grads = []
+                for a, b in corners:
+                    try:
+                        grads.append(gradient(u, (a, b), mode, phi))
+                    except UnderResolvedError:
+                        pass
+                if grads:
+                    terms[k] += cell * frac * np.sum(np.mean(grads, 0)**2)
+            terms[2:] += (cell * f, cell * (1 - f))
+    return terms
+
+
+class TestBallQuadrature:
+    def test_matches_per_cell_reference(self):
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        phi = LevelSet.from_function(
+            grid, lambda x, y: np.hypot(x - 0.1, y + 0.05) - 0.35)
+        u = ScalarField.from_function(
+            grid, lambda x, y: np.where(phi.sample(x, y) > 0, 2.0, 0.7)
+            * phi.sample(x, y) + 0.05 * np.sin(3 * x))
+        center, radii = (0.03, -0.02), [0.2, 0.37, 0.6]
+        quad = ball_quadrature(u, phi, center, radii)
+        for r, row in zip(radii, quad):
+            np.testing.assert_allclose(
+                row, reference_cell_quadrature(u, phi, center, r),
+                rtol=1e-12, atol=0)
 
 
 class TestBoundaryIntegral:

@@ -8,8 +8,14 @@ from fblab.elliptic import (
     interface_normal_gradient,
     solve_phase,
 )
-from fblab.errors import FieldError
-from fblab.fields import LevelSet, ScalarField, make_grid
+from fblab.errors import FieldError, UnderResolvedError
+from fblab.fields import (
+    LevelSet,
+    ScalarField,
+    all_interface_points,
+    interface_extract,
+    make_grid,
+)
 
 
 def full_box_region(grid, boundary_fn):
@@ -193,3 +199,49 @@ class TestInterfaceNormalGradient:
         phi = LevelSet.from_function(grid, lambda x, y: y)
         _, qp = interface_normal_gradient(u, A, phi, (-0.2, 0.0), +1)
         assert qp == pytest.approx(2.0, abs=1e-10)
+
+    def check_batched_matches_points(self, u, A, phi, side):
+        pts = all_interface_points(interface_extract(phi))
+        grads, qs = interface_normal_gradient(u, A, phi, pts, side)
+        assert grads.shape == (len(pts), 2) and qs.shape == (len(pts),)
+        for p, g, q in zip(pts, grads, qs):
+            g1, q1 = interface_normal_gradient(u, A, phi, p, side)
+            assert g1.shape == (2,) and isinstance(q1, float)
+            np.testing.assert_allclose(g, g1, rtol=1e-14, atol=0)
+            assert q == pytest.approx(q1, rel=1e-14, abs=0)
+
+    def test_batched_two_plane(self):
+        grid = make_grid(65, 65, (-1, -1, 1, 1))
+        A = CoefficientField.constant(grid, 1.5, 0.2, 0.8)
+        u = ScalarField.from_function(grid, two_plane(0.5))
+        phi = LevelSet.from_function(grid, lambda x, y: y - 0.1 * x + 0.013)
+        for side in (1, -1):
+            self.check_batched_matches_points(u, A, phi, side)
+
+    def test_batched_disk(self):
+        grid = make_grid(193, 193, (-1, -1, 1, 1))
+        A = CoefficientField.from_functions(
+            grid, lambda x, y: 1 + 0.2 * x, lambda x, y: 0.1 * y,
+            lambda x, y: 1.5 + 0 * x)
+        rho = 1 / np.e
+        r = lambda x, y: np.maximum(np.hypot(x, y), 1e-12)
+        u = ScalarField.from_function(
+            grid, lambda x, y: np.where(r(x, y) >= rho,
+                                        1 - np.log(r(x, y)) / np.log(rho),
+                                        0.5 * (r(x, y)**2 - rho**2)))
+        phi = LevelSet.from_function(grid, lambda x, y: np.hypot(x, y) - rho)
+        for side in (1, -1):
+            self.check_batched_matches_points(u, A, phi, side)
+
+    def test_one_cell_sliver_raises(self):
+        grid = make_grid(17, 17, (0, 0, 1, 1))
+        u = ScalarField.from_function(grid, lambda x, y: y)
+        A = CoefficientField.identity(grid)
+        # positive phase one node thick: no 3-node stencil on that side
+        phi = LevelSet(grid, np.where(
+            np.isclose(grid.meshgrid()[1], grid.ys[8]), 1.0, -1.0))
+        pts = all_interface_points(interface_extract(phi))
+        with pytest.raises(UnderResolvedError, match="no usable corner"):
+            interface_normal_gradient(u, A, phi, pts, +1)
+        with pytest.raises(UnderResolvedError):
+            interface_normal_gradient(u, A, phi, pts[0], +1)

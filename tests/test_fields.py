@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fblab.fields
 from fblab.errors import DegenerateInterfaceError, GridError, UnderResolvedError
 from fblab.fields import (
     CENTERED,
@@ -11,6 +12,7 @@ from fblab.fields import (
     gradient,
     interface_extract,
     make_grid,
+    one_sided_gradient,
     polyline_distance,
     read_field,
     reinitialize,
@@ -84,6 +86,76 @@ class TestGradient:
             np.isclose(grid.meshgrid()[1], grid.ys[8]), 1.0, -1.0))
         with pytest.raises(UnderResolvedError):
             gradient(u, (8, 8), INTO_POSITIVE, phi)
+
+
+def reference_node_gradient(values, h, usable, i, j):
+    """Per-node stencil: per axis centered, else forward, else backward
+    second-order biased, over usable in-grid nodes; None if some axis has
+    no stencil."""
+    ny, nx = values.shape
+
+    def ok(jj, ii):
+        return 0 <= jj < ny and 0 <= ii < nx and usable[jj, ii]
+
+    out = []
+    for dj, di in ((0, 1), (1, 0)):
+        if ok(j - dj, i - di) and ok(j + dj, i + di):
+            out.append((values[j + dj, i + di] - values[j - dj, i - di])
+                       / (2.0 * h))
+        elif ok(j + dj, i + di) and ok(j + 2 * dj, i + 2 * di):
+            out.append((-3.0 * values[j, i] + 4.0 * values[j + dj, i + di]
+                        - values[j + 2 * dj, i + 2 * di]) / (2.0 * h))
+        elif ok(j - dj, i - di) and ok(j - 2 * dj, i - 2 * di):
+            out.append((3.0 * values[j, i] - 4.0 * values[j - dj, i - di]
+                        + values[j - 2 * dj, i - 2 * di]) / (2.0 * h))
+        else:
+            return None
+    return out
+
+
+class TestOneSidedGradient:
+    def check_against_reference(self, u, phi):
+        h = u.grid.h
+        for side in (1, -1):
+            gx, gy, valid = one_sided_gradient(u, phi, side)
+            usable = side * phi.phi >= 0
+            for j in range(u.grid.ny):
+                for i in range(u.grid.nx):
+                    ref = reference_node_gradient(u.values, h, usable, i, j)
+                    if not usable[j, i] or ref is None:
+                        assert not valid[j, i]
+                        continue
+                    assert valid[j, i]
+                    assert gx[j, i] == ref[0] and gy[j, i] == ref[1]
+
+    def test_three_cell_sliver(self):
+        grid = make_grid(17, 17, (0, 0, 1, 1))
+        u = ScalarField.from_function(
+            grid, lambda x, y: np.sin(3 * x) * np.exp(y) + x * y**2)
+        # positive phase: rows 7..10, three cells thick
+        rows = np.arange(grid.ny)[:, None] + 0 * np.arange(grid.nx)
+        phi = LevelSet(grid, np.where((rows >= 7) & (rows <= 10), 1.0, -1.0))
+        self.check_against_reference(u, phi)
+        _, _, valid = one_sided_gradient(u, phi, 1)
+        assert np.all(valid[7:11])
+
+    def test_disk(self):
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        u = ScalarField.from_function(
+            grid, lambda x, y: np.cos(2 * x) * y + x**3)
+        phi = LevelSet.from_function(
+            grid, lambda x, y: np.hypot(x - 0.1, y + 0.05) - 0.45)
+        self.check_against_reference(u, phi)
+
+    def test_gradient_lookup_matches(self):
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        u = ScalarField.from_function(grid, lambda x, y: np.sin(x + 2 * y))
+        phi = LevelSet.from_function(grid, lambda x, y: x**2 + y**2 - 0.2)
+        gx, gy, _ = one_sided_gradient(u, phi, -1)
+        assert np.array_equal(gradient(u, (14, 17), INTO_NEGATIVE, phi),
+                              [gx[17, 14], gy[17, 14]])
+        with pytest.raises(UnderResolvedError, match="requested side"):
+            gradient(u, (0, 0), INTO_NEGATIVE, phi)
 
 
 class TestInterfaceExtract:
@@ -185,6 +257,71 @@ class TestReinitialize:
         grid = make_grid(16, 16, (0, 0, 1, 1))
         with pytest.raises(DegenerateInterfaceError):
             reinitialize(LevelSet(grid, np.ones(grid.shape)))
+
+
+def reference_reinitialize(phi):
+    """All-pairs lower envelope over the anchors of :func:`reinitialize`."""
+    g, p = phi.grid, phi.phi
+    anchor = p == 0.0
+    cross_x = p[:, :-1] * p[:, 1:] < 0.0
+    anchor[:, :-1] |= cross_x
+    anchor[:, 1:] |= cross_x
+    cross_y = p[:-1, :] * p[1:, :] < 0.0
+    anchor[:-1, :] |= cross_y
+    anchor[1:, :] |= cross_y
+    gy, gx = np.gradient(p, g.h)
+    gn = np.hypot(gx, gy)
+    scale = np.where(np.abs(gn - 1.0) <= 0.35, 1.0, np.maximum(gn, 1e-12))
+    d = np.abs(p) / scale
+    jj, ii = np.nonzero(anchor)
+    ax, ay, ad = g.x0 + ii * g.h, g.y0 + jj * g.h, d[jj, ii]
+    xx, yy = g.meshgrid()
+    far = ~anchor
+    dist = np.hypot(xx[far][:, None] - ax[None, :],
+                    yy[far][:, None] - ay[None, :])
+    d[far] = np.min(dist + ad[None, :], axis=1)
+    return d * np.sign(p)
+
+
+class TestReinitializeExact:
+    """The nearest-anchor search gives the all-pairs result bit for bit,
+    also when few candidates force the all-anchor fallback."""
+
+    @pytest.fixture(params=[1, 2, None], ids=["k1", "k2", "default_k"])
+    def envelope_k(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(fblab.fields, "_ENVELOPE_K", request.param)
+
+    def test_random_level_sets(self, envelope_k):
+        rng = np.random.default_rng(7)
+        grid = make_grid(41, 41, (-1, -1, 1, 1))
+        xx, yy = grid.meshgrid()
+        for _ in range(4):
+            a, b = rng.normal(size=(2, 3))
+            vals = (np.sin(a[0] * 3 * xx + a[1]) * np.cos(b[0] * 3 * yy)
+                    + 0.5 * a[2] * xx + b[1] * yy**2 - 0.2 * b[2]
+                    + 0.05 * rng.normal(size=grid.shape))
+            phi = LevelSet(grid, vals - np.median(vals))
+            assert np.array_equal(reinitialize(phi).phi,
+                                  reference_reinitialize(phi))
+
+    def test_random_anchor_offsets(self, envelope_k):
+        # offsets spread over a cell make far anchors win often
+        rng = np.random.default_rng(3)
+        ax, ay = rng.random((2, 60))
+        ad = rng.random(60) * 0.05
+        fx, fy = rng.random((2, 2000)) * 3 - 1
+        dist = np.hypot(fx[:, None] - ax[None, :], fy[:, None] - ay[None, :])
+        assert np.array_equal(
+            fblab.fields._lower_envelope(fx, fy, ax, ay, ad),
+            np.min(dist + ad[None, :], axis=1))
+
+    def test_sliver_level_set(self, envelope_k):
+        grid = make_grid(33, 33, (0, 0, 1, 1))
+        yy = grid.meshgrid()[1]
+        phi = LevelSet(grid, 0.4 * (grid.h / 2 - np.abs(yy - 0.51)))
+        assert np.array_equal(reinitialize(phi).phi,
+                              reference_reinitialize(phi))
 
 
 class TestCsvRoundTrip:
