@@ -354,7 +354,10 @@ def cmd_prandtl(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.level, out_dir=args.out, ctx=SuiteContext())
+    # the test-harness flag breaks the jump measurement of every verify run
+    flip = bool(os.environ.get("FBLAB_BREAK_JUMP_SIGN"))
+    ctx = SuiteContext(flip_jump_sign=flip)
+    results = run_suite(args.level, out_dir=args.out, ctx=ctx)
     width = max(len(r.name) for r in results)
     hard_failures = []
     for r in results:

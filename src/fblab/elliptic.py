@@ -6,11 +6,15 @@ once: one whole-array one-sided node gradient per phase, blended bilinearly
 at probe points along the normal and extrapolated back to the interface.
 
 Discretization: node-centered finite-volume fluxes with arithmetic face
-averaging of the coefficient matrix.  Interface Dirichlet data is imposed by
-ghost-value elimination at the linear-interpolation crossing of each cut edge
-(locally first order, globally second order for Dirichlet data).  The cross
-term ``a12`` uses a 9-point treatment and is dropped on rows whose stencil
-crosses the interface.
+averaging of the coefficient matrix.  The free boundary carries the value
+u = 0, imposed by ghost-value elimination at the linear-interpolation
+crossing of each cut edge (locally first order, globally second order for
+Dirichlet data).  The cross term ``a12`` uses a 9-point treatment and is
+dropped on rows whose stencil crosses the interface.
+
+The box border is always Dirichlet data, so no unknown sits on it.  The
+assembly therefore reads every stencil from shifted views of the interior
+block, ``a[1+dj:ny-1+dj, 1+di:nx-1+di]``, and never leaves the grid.
 """
 
 from __future__ import annotations
@@ -119,13 +123,12 @@ class PhaseRegion:
 
     ``sign`` is +1 for {phi > 0}, -1 for {phi < 0}.  ``pinned`` optionally
     marks nodes held at the outer data regardless of position (used for ball
-    masks inside the box).
+    masks inside the box).  The free boundary carries the value 0.
     """
 
     phi: LevelSet
     sign: int
     outer_data: ScalarField
-    interface_value: float = 0.0
     pinned: np.ndarray | None = None
 
     def __post_init__(self):
@@ -141,7 +144,6 @@ class PhaseRegion:
     def interior_mask(self) -> np.ndarray:
         """Solvable nodes: strictly this phase, strictly inside the box, not
         pinned."""
-        g = self.phi.grid
         m = self.sign * self.phi.phi > 0
         m[0, :] = m[-1, :] = False
         m[:, 0] = m[:, -1] = False
@@ -154,118 +156,109 @@ class PhaseRegion:
 
 
 _UNKNOWN, _KNOWN, _OUTSIDE = 1, 2, 0
+_FACES = ((0, 1), (0, -1), (1, 0), (-1, 0))  # (dj, di) neighbour offsets
+_RESIDUAL_TOL = 1e-8  # relative bound on the discrete residual
 
 
 def _classify(region: PhaseRegion):
-    """Node status arrays and the known-value field."""
-    g = region.phi.grid
-    phase = region.sign * region.phi.phi
-    status = np.full(g.shape, _OUTSIDE, dtype=np.int8)
-    known = np.zeros(g.shape)
-
-    in_phase = phase > 0
-    status[in_phase] = _UNKNOWN
-    # box boundary and pinned nodes of this phase are Dirichlet
-    boundary = np.zeros(g.shape, dtype=bool)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-    if region.pinned is not None:
-        boundary |= region.pinned
-    dir_mask = in_phase & boundary
-    status[dir_mask] = _KNOWN
-    known[dir_mask] = region.outer_data.values[dir_mask]
-    # nodes exactly on the zero set carry the interface value
-    on_iface = region.phi.phi == 0.0
-    status[on_iface] = _KNOWN
-    known[on_iface] = region.interface_value
+    """Node status arrays and the known-value field: the rest of the phase
+    (box border, pinned nodes) carries the outer data, and nodes exactly on
+    the zero set carry the interface value 0."""
+    status = np.where(region.sign * region.phi.phi > 0, _KNOWN,
+                      _OUTSIDE).astype(np.int8)
+    status[region.interior_mask()] = _UNKNOWN
+    known = np.where(status == _KNOWN, region.outer_data.values, 0.0)
+    status[region.phi.phi == 0.0] = _KNOWN
     return status, known
 
 
-def solve_phase(A: CoefficientField, f: ScalarField, region: PhaseRegion,
-                tol: float = 1e-8) -> ScalarField:
-    """Solve div(A grad u) = f on one phase with interface value imposed at
+def solve_phase(A: CoefficientField, f: ScalarField,
+                region: PhaseRegion) -> ScalarField:
+    """Solve div(A grad u) = f on one phase with u = 0 imposed at
     linear-interpolation crossings and outer data on the box boundary.
 
     Returns u on the region's nodes (Dirichlet trace included), zero
     elsewhere.  Raises SolverError when the discrete residual exceeds
-    ``tol``, UnderResolvedError for an empty region.
+    ``_RESIDUAL_TOL`` relative to max(1, |rhs|), UnderResolvedError for an
+    empty region.
     """
-    if tol <= 0:
-        raise FieldError("tol must be positive")
     g = region.phi.grid
     if not (g.same_layout(A.grid) and g.same_layout(f.grid)):
         raise FieldError("grid mismatch between A, f and region")
-    h = g.h
-    h2 = h * h
-    phi = region.phi.phi
-    sphase = region.sign * phi
+    h2 = g.h * g.h
+    sphase = region.sign * region.phi.phi
+    ny, nx = g.shape
+
+    def nb(a, dj=0, di=0):
+        """Neighbour (dj, di) of every node of the interior block."""
+        return a[1 + dj:ny - 1 + dj, 1 + di:nx - 1 + di]
 
     status, known = _classify(region)
 
-    # pre-pass: pin nodes whose nearest crossing is too close
-    unk = status == _UNKNOWN
-    for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        nb_phase = np.roll(sphase, (-dj, -di), axis=(0, 1))
-        nb_out = np.roll(status, (-dj, -di), axis=(0, 1)) == _OUTSIDE
-        _kill_wrap(nb_out, dj, di)
-        cut = unk & nb_out & (nb_phase < 0)
+    # pre-pass: pin nodes whose nearest crossing is too close (their known
+    # value stays 0, the interface value)
+    for dj, di in _FACES:
+        cut = (nb(status) == _UNKNOWN) & (nb(status, dj, di) == _OUTSIDE)
         with np.errstate(divide="ignore", invalid="ignore"):
-            theta = np.where(cut, sphase / (sphase - nb_phase), 1.0)
-        tiny = cut & (theta < _THETA_MIN)
-        status[tiny] = _KNOWN
-        known[tiny] = region.interface_value
-        unk = status == _UNKNOWN
+            theta = nb(sphase) / (nb(sphase) - nb(sphase, dj, di))
+        nb(status)[cut & (theta < _THETA_MIN)] = _KNOWN
 
+    unk = status == _UNKNOWN
     n_unknown = int(np.count_nonzero(unk))
     if n_unknown == 0:
         raise UnderResolvedError("region has no interior nodes")
 
     idx = -np.ones(g.shape, dtype=np.int64)
     idx[unk] = np.arange(n_unknown)
+    u = nb(unk)
+    row_of = nb(idx)[u]
 
     rows, cols, vals = [], [], []
     diag = np.zeros(n_unknown)
-    rhs = -f.values[unk].astype(float)
+    rhs = -nb(f.values)[u]
 
-    row_of = idx[unk]
+    for dj, di in _FACES:
+        coeff = A.a11 if dj == 0 else A.a22
+        aF = (0.5 * (nb(coeff) + nb(coeff, dj, di)))[u]
+        nb_status = nb(status, dj, di)[u]
 
-    def face_coeff(arr, dj, di):
-        nb = np.roll(arr, (-dj, -di), axis=(0, 1))
-        return 0.5 * (arr + nb)
-
-    for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        coeff_arr = A.a11 if dj == 0 else A.a22
-        aF_full = face_coeff(coeff_arr, dj, di)
-        aF = aF_full[unk]
-        nb_status = np.roll(status, (-dj, -di), axis=(0, 1)).copy()
-        edge = np.zeros(g.shape, dtype=bool)
-        _mark_edge(edge, dj, di)
-        nb_status[edge] = _KNOWN  # off-grid never happens: border is KNOWN
-        nb_status_u = nb_status[unk]
-        nb_idx = np.roll(idx, (-dj, -di), axis=(0, 1))[unk]
-        nb_known = np.roll(known, (-dj, -di), axis=(0, 1))[unk]
-        nb_phase = np.roll(sphase, (-dj, -di), axis=(0, 1))[unk]
-
-        m_u = nb_status_u == _UNKNOWN
+        m_u = nb_status == _UNKNOWN
         diag[m_u] += aF[m_u] / h2
         rows.append(row_of[m_u])
-        cols.append(nb_idx[m_u])
+        cols.append(nb(idx, dj, di)[u][m_u])
         vals.append(-aF[m_u] / h2)
 
-        m_k = nb_status_u == _KNOWN
+        m_k = nb_status == _KNOWN
         diag[m_k] += aF[m_k] / h2
-        rhs[m_k] += aF[m_k] * nb_known[m_k] / h2
+        rhs[m_k] += aF[m_k] * nb(known, dj, di)[u][m_k] / h2
 
-        m_o = nb_status_u == _OUTSIDE
-        if np.any(m_o):
-            sp_u = sphase[unk][m_o]
-            theta = np.clip(sp_u / (sp_u - nb_phase[m_o]), _THETA_MIN, 1.0)
-            diag[m_o] += aF[m_o] / (theta * h2)
-            rhs[m_o] += aF[m_o] * region.interface_value / (theta * h2)
+        m_o = nb_status == _OUTSIDE
+        sp_u = nb(sphase)[u][m_o]
+        theta = np.clip(sp_u / (sp_u - nb(sphase, dj, di)[u][m_o]),
+                        _THETA_MIN, 1.0)
+        diag[m_o] += aF[m_o] / (theta * h2)
+        # the interface value 0 adds +0.0, which turns a -0.0 from -f into
+        # +0.0; solutions, and so written fields, keep that sign
+        rhs[m_o] += 0.0
 
     if np.any(A.a12 != 0.0):
-        _assemble_cross_term(A, g, status, idx, known, unk, row_of,
-                             rows, cols, vals, diag, rhs)
+        # the cross flux is kept only on rows whose 3x3 neighbourhood stays
+        # inside the phase; near the interface it is dropped (first order)
+        elig = u.copy()
+        for dj in (-1, 0, 1):
+            for di in (-1, 0, 1):
+                if dj or di:
+                    elig &= nb(status, dj, di) != _OUTSIDE
+        row_e = nb(idx)[elig]
+        for (dj, di), w in _cross_weights(A.a12, nb, h2).items():
+            w = w[elig]
+            nb_status = nb(status, dj, di)[elig]
+            m_u = nb_status == _UNKNOWN
+            rows.append(row_e[m_u])
+            cols.append(nb(idx, dj, di)[elig][m_u])
+            vals.append(w[m_u])
+            m_k = nb_status == _KNOWN
+            rhs[row_e[m_k]] -= w[m_k] * nb(known, dj, di)[elig][m_k]
 
     rows.append(row_of)
     cols.append(row_of)
@@ -282,11 +275,10 @@ def solve_phase(A: CoefficientField, f: ScalarField, region: PhaseRegion,
         raise SolverError("sparse solve produced non-finite values")
 
     resid = np.max(np.abs(M @ sol - rhs))
-    scale = max(1.0, np.max(np.abs(rhs)) if rhs.size else 1.0)
-    if resid > tol * scale:
-        raise SolverError(
-            f"residual {resid:.3e} exceeds tol {tol:.3e} (scale {scale:.3e})"
-        )
+    scale = max(1.0, np.max(np.abs(rhs)))
+    if resid > _RESIDUAL_TOL * scale:
+        raise SolverError(f"residual {resid:.3e} exceeds tol "
+                          f"{_RESIDUAL_TOL:.3e} (scale {scale:.3e})")
 
     out = np.zeros(g.shape)
     out[unk] = sol
@@ -295,91 +287,30 @@ def solve_phase(A: CoefficientField, f: ScalarField, region: PhaseRegion,
     return ScalarField(g, out)
 
 
-def _kill_wrap(mask, dj, di):
-    """Zero out entries whose np.roll neighbor wrapped around the grid."""
-    if di == 1:
-        mask[:, -1] = False
-    elif di == -1:
-        mask[:, 0] = False
-    if dj == 1:
-        mask[-1, :] = False
-    elif dj == -1:
-        mask[0, :] = False
+def _cross_weights(a12, nb, h2):
+    """9-point weights of -(d/dx(a12 du/dy) + d/dy(a12 du/dx)) at the
+    interior block, keyed by neighbour offset (dj, di); the assembled
+    operator is -div, so cross-flux contributions enter with a minus sign."""
+    weights: dict[tuple[int, int], np.ndarray] = {}
 
-
-def _mark_edge(mask, dj, di):
-    if di == 1:
-        mask[:, -1] = True
-    elif di == -1:
-        mask[:, 0] = True
-    if dj == 1:
-        mask[-1, :] = True
-    elif dj == -1:
-        mask[0, :] = True
-
-
-def _assemble_cross_term(A, g, status, idx, known, unk, row_of,
-                         rows, cols, vals, diag, rhs):
-    """9-point discretization of d/dx(a12 du/dy) + d/dy(a12 du/dx).
-
-    Applied only on rows whose full 3x3 neighborhood stays inside the phase
-    (no interface crossing); near the interface the cross flux is dropped,
-    which is locally first order.
-    """
-    h2 = g.h * g.h
-    # eligible rows: all 8 neighbors not OUTSIDE and not on the grid border
-    elig = unk.copy()
-    elig[0, :] = elig[-1, :] = False
-    elig[:, 0] = elig[:, -1] = False
-    for dj in (-1, 0, 1):
-        for di in (-1, 0, 1):
-            if dj == 0 and di == 0:
-                continue
-            nb = np.roll(status, (-dj, -di), axis=(0, 1))
-            elig &= nb != _OUTSIDE
-    if not np.any(elig):
-        return
-
-    b = A.a12
-    bE = 0.5 * (b + np.roll(b, -1, axis=1))
-    bW = 0.5 * (b + np.roll(b, 1, axis=1))
-    bN = 0.5 * (b + np.roll(b, -1, axis=0))
-    bS = 0.5 * (b + np.roll(b, 1, axis=0))
-
-    # each entry: (di, dj, weight array); the assembled operator is -div, so
-    # cross-flux contributions enter with a minus sign
-    entries: dict[tuple[int, int], np.ndarray] = {}
-
-    def add(di, dj, w):
-        key = (di, dj)
-        entries[key] = entries.get(key, 0.0) + w
+    def add(dj, di, w):
+        weights[dj, di] = weights.get((dj, di), 0.0) + w
 
     q = 1.0 / (4.0 * h2)
-    # d/dx (a12 du/dy): east face minus west face
-    for sgn, bf, di0 in ((+1.0, bE, 0), (-1.0, bW, -1)):
-        # du/dy at the face averages the centered dy-differences of the two
-        # face nodes (i+di0 and i+di0+1)
-        for ii in (di0, di0 + 1):
-            add(ii, 1, -sgn * bf * q)
-            add(ii, -1, +sgn * bf * q)
+    # d/dx (a12 du/dy): east face minus west face; du/dy at the face
+    # averages the centered dy-differences of its two nodes
+    for sgn, di0 in ((+1.0, 0), (-1.0, -1)):
+        bf = 0.5 * (nb(a12) + nb(a12, 0, 2 * di0 + 1))
+        for di in (di0, di0 + 1):
+            add(1, di, -sgn * bf * q)
+            add(-1, di, +sgn * bf * q)
     # d/dy (a12 du/dx): north face minus south face
-    for sgn, bf, dj0 in ((+1.0, bN, 0), (-1.0, bS, -1)):
-        for jj in (dj0, dj0 + 1):
-            add(1, jj, -sgn * bf * q)
-            add(-1, jj, +sgn * bf * q)
-
-    row_elig = idx[elig]
-    for (di, dj), w in entries.items():
-        wv = (w if isinstance(w, np.ndarray) else np.full(g.shape, w))[elig]
-        nb_status = np.roll(status, (-dj, -di), axis=(0, 1))[elig]
-        nb_idx = np.roll(idx, (-dj, -di), axis=(0, 1))[elig]
-        nb_known = np.roll(known, (-dj, -di), axis=(0, 1))[elig]
-        m_u = nb_status == _UNKNOWN
-        rows.append(row_elig[m_u])
-        cols.append(nb_idx[m_u])
-        vals.append(wv[m_u])
-        m_k = nb_status == _KNOWN
-        np.add.at(rhs, row_elig[m_k], -wv[m_k] * nb_known[m_k])
+    for sgn, dj0 in ((+1.0, 0), (-1.0, -1)):
+        bf = 0.5 * (nb(a12) + nb(a12, 2 * dj0 + 1, 0))
+        for dj in (dj0, dj0 + 1):
+            add(dj, 1, -sgn * bf * q)
+            add(dj, -1, +sgn * bf * q)
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ kappa * J / G with a global slope estimate G, capped at one cell per step.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .errors import (
 from .fields import (
     LevelSet,
     ScalarField,
+    _centered_gradient_norm,
     all_interface_points,
     interface_extract,
     reinitialize,
@@ -42,7 +42,7 @@ from .fields import (
 log = logging.getLogger(__name__)
 
 _VELOCITY_BAND = 5  # cells on each side of the interface carrying velocity
-_BREAK_ENV = "FBLAB_BREAK_JUMP_SIGN"
+_SMOOTH_PASSES = 8  # moving-average passes along each polyline
 
 
 @dataclass
@@ -95,13 +95,16 @@ class PhaseProblem:
 @dataclass
 class IterationOptions:
     """Knobs of the fixed-point loop; tol_jump defaults to 1e-3 times the
-    largest jump target when left unset."""
+    largest jump target when left unset.  ``flip_jump_sign`` is fault
+    injection for negative controls: it measures the jump with the wrong
+    sign, which must break stationarity of exact profiles."""
 
     tol_jump: Optional[float] = None
     tol_move: float = 1e-2
     max_iters: int = 100
     kappa: float = 0.5
     reinit_every: int = 5
+    flip_jump_sign: bool = False
 
     def __post_init__(self):
         if self.tol_jump is not None and self.tol_jump <= 0:
@@ -146,12 +149,13 @@ class IterationReport:
         ]
 
 
-def _jump_at_points(u_plus, u_minus, A, phi, Q, points):
-    """Jump defect and one-sided energies at the given interface points."""
+def _jump_at_points(u_plus, u_minus, A, phi, Q, points, flip_sign=False):
+    """Jump defect and one-sided energies at the given interface points;
+    ``flip_sign`` measures q_A(u-) - q_A(u+) instead (fault injection)."""
     _, qp = interface_normal_gradient(u_plus, A, phi, points, +1)
     _, qm = interface_normal_gradient(u_minus, A, phi, points, -1)
     target = Q.sample(points[:, 0], points[:, 1])
-    if os.environ.get(_BREAK_ENV):
+    if flip_sign:
         return qm - qp - target, qp, qm
     return qp - qm - target, qp, qm
 
@@ -200,15 +204,13 @@ def _composite(u_plus, u_minus, phi):
 
 
 def _gradient_norm(phi: LevelSet):
-    gy, gx = np.gradient(phi.phi, phi.grid.h)
     # phi is kept near a signed distance by periodic reinitialization;
     # clamping the metric prevents band-edge kinks from amplifying the
     # motion and destabilizing the loop
-    return np.clip(np.hypot(gx, gy), 0.8, 1.25)
+    return np.clip(_centered_gradient_norm(phi.grid, phi.phi), 0.8, 1.25)
 
 
-def _smooth_along(values: np.ndarray, closed: bool, window: int = 5,
-                  passes: int = 8):
+def _smooth_along(values: np.ndarray, closed: bool, window: int):
     """Repeated moving average along a polyline, wrap-aware for closed
     curves.  Several passes are needed: short-wavelength components of the
     defect drive an unstable feedback through the one-sided gradients."""
@@ -219,7 +221,7 @@ def _smooth_along(values: np.ndarray, closed: bool, window: int = 5,
         return np.full(m, out.mean())
     k = window // 2
     kernel = np.ones(window) / window
-    for _ in range(passes):
+    for _ in range(_SMOOTH_PASSES):
         if closed:
             padded = np.concatenate([out[-k:], out, out[:k]])
         else:
@@ -269,7 +271,8 @@ def step(problem: PhaseProblem, phi: LevelSet, opts: IterationOptions):
     if points.size == 0:
         raise PhaseCollapseError("interface vanished")
     J, qp, qm = _jump_at_points(u_plus, u_minus, problem.A, phi,
-                                problem.Q, points)
+                                problem.Q, points,
+                                flip_sign=opts.flip_jump_sign)
     defect = float(np.max(np.abs(J)))
 
     # damp vertex-to-vertex quadrature noise before it feeds the motion

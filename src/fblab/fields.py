@@ -462,12 +462,15 @@ def all_interface_points(polylines) -> np.ndarray:
 # reinitialization
 # ---------------------------------------------------------------------------
 
+_UNIT_GRADIENT_TOL = 0.35  # |grad phi| this close to 1 counts as unit
+
+
 def _centered_gradient_norm(grid: Grid2, values: np.ndarray) -> np.ndarray:
     gy, gx = np.gradient(values, grid.h)
     return np.hypot(gx, gy)
 
 
-def reinitialize(phi: LevelSet, band_tol: float = 0.35) -> LevelSet:
+def reinitialize(phi: LevelSet) -> LevelSet:
     """Rebuild ``phi`` as an (approximate) signed distance to its zero set.
 
     Nodes incident to a sign-change edge are anchored with a first-order
@@ -496,7 +499,8 @@ def reinitialize(phi: LevelSet, band_tol: float = 0.35) -> LevelSet:
     gn = _centered_gradient_norm(g, p)
     # treat near-unit gradients as exact distance so that reapplication is a
     # fixed point; otherwise rescale locally
-    scale = np.where(np.abs(gn - 1.0) <= band_tol, 1.0, np.maximum(gn, 1e-12))
+    scale = np.where(np.abs(gn - 1.0) <= _UNIT_GRADIENT_TOL, 1.0,
+                     np.maximum(gn, 1e-12))
     d_anchor = np.abs(p) / scale
 
     jj, ii = np.nonzero(anchor)

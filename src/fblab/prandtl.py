@@ -65,28 +65,39 @@ def jump_threshold(rho: float, h: float, mu: float, omega: float) -> float:
     return mu**2 / (rho**2 * lr**2) - 0.25 * h**2 * omega * rho**2
 
 
-def jump_threshold_min(h: float, mu: float, omega: float):
-    """Minimum of :func:`jump_threshold` over (0, 1) by golden-section
-    search.  Returns (minimum value, minimizer)."""
+def _threshold_fn(h: float, mu: float, omega: float):
+    """:func:`jump_threshold` as a function of rho alone."""
     if mu <= 0 or h <= 0 or omega < 0:
         raise ValueError("h, mu must be positive and omega non-negative")
+    return lambda rho: jump_threshold(rho, h, mu, omega)
+
+
+def _golden_min(fn):
+    """Minimum of ``fn`` over (0, 1) by golden-section search.  Returns
+    (minimum value, minimizer)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = _RHO_LO, _RHO_HI
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = jump_threshold(c, h, mu, omega)
-    fd = jump_threshold(d, h, mu, omega)
+    fc = fn(c)
+    fd = fn(d)
     while b - a > 1e-12:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = jump_threshold(c, h, mu, omega)
+            fc = fn(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = jump_threshold(d, h, mu, omega)
+            fd = fn(d)
     rho_star = 0.5 * (a + b)
-    return jump_threshold(rho_star, h, mu, omega), rho_star
+    return fn(rho_star), rho_star
+
+
+def jump_threshold_min(h: float, mu: float, omega: float):
+    """Minimum of :func:`jump_threshold` over (0, 1) by golden-section
+    search.  Returns (minimum value, minimizer)."""
+    return _golden_min(_threshold_fn(h, mu, omega))
 
 
 def existence_condition(params: PBParams):
@@ -117,6 +128,20 @@ def _bisect(fn, lo, hi, target, residual_tol=1e-10, max_iter=200):
     return 0.5 * (lo + hi)
 
 
+def _admissible_radii(fn, target):
+    """Roots of ``fn = target`` on either side of the minimum of ``fn``.
+    Returns (z0, rho_star, rho1, rho2); raises ConditionError when
+    ``target`` does not exceed max(0, z0)."""
+    z0, rho_star = _golden_min(fn)
+    if not target > max(0.0, z0):
+        raise ConditionError(
+            f"existence condition fails: h^2*sigma = {target} "
+            f"<= max(0, {z0})", z0=z0)
+    rho1 = _bisect(fn, _RHO_LO, rho_star, target)
+    rho2 = _bisect(fn, rho_star, _RHO_HI, target)
+    return z0, rho_star, rho1, rho2
+
+
 def interface_radii(params: PBParams, jump_fn=None):
     """Ordered pair (rho1, rho2) of admissible free-boundary radii: the roots
     of the jump expression equalling h^2*sigma on either side of its minimum.
@@ -128,34 +153,8 @@ def interface_radii(params: PBParams, jump_fn=None):
     if jump_fn is None:
         def jump_fn(rho, p):
             return jump_threshold(rho, p.h, p.mu, p.omega)
-    target = params.h**2 * params.sigma
-
-    # locate the minimum of the requested jump expression
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = _RHO_LO, _RHO_HI
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = jump_fn(c, params)
-    fd = jump_fn(d, params)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = jump_fn(c, params)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = jump_fn(d, params)
-    rho_star = 0.5 * (a + b)
-    z0 = jump_fn(rho_star, params)
-    if not target > max(0.0, z0):
-        raise ConditionError(
-            f"existence condition fails: h^2*sigma = {target} "
-            f"<= max(0, {z0})", z0=z0)
-
-    fn = lambda rho: jump_fn(rho, params)
-    rho1 = _bisect(fn, _RHO_LO, rho_star, target)
-    rho2 = _bisect(fn, rho_star, _RHO_HI, target)
+    _, _, rho1, rho2 = _admissible_radii(lambda rho: jump_fn(rho, params),
+                                         params.h**2 * params.sigma)
     return rho1, rho2
 
 
@@ -164,16 +163,7 @@ def threshold_roots(h: float, mu: float, omega: float, sigma: float):
     values (omega may be zero, unlike :class:`PBParams`).  Returns
     (z0, rho_star, rho1, rho2); raises ConditionError when the level does
     not exceed max(0, z0)."""
-    z0, rho_star = jump_threshold_min(h, mu, omega)
-    target = h**2 * sigma
-    if not target > max(0.0, z0):
-        raise ConditionError(
-            f"existence condition fails: h^2*sigma = {target} "
-            f"<= max(0, {z0})", z0=z0)
-    fn = lambda rho: jump_threshold(rho, h, mu, omega)
-    rho1 = _bisect(fn, _RHO_LO, rho_star, target)
-    rho2 = _bisect(fn, rho_star, _RHO_HI, target)
-    return z0, rho_star, rho1, rho2
+    return _admissible_radii(_threshold_fn(h, mu, omega), h**2 * sigma)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,6 @@ from .problems import (
     two_plane_problem,
 )
 
-BREAK_ENV = "FBLAB_BREAK_JUMP_SIGN"
-
 DISK_PARAMS = PBParams(mu=1.0, omega=1.0, sigma=8.0, h=1.0)
 
 
@@ -62,19 +60,20 @@ class CriterionResult:
     seconds: float
 
 
-def build_disk_run():
+def build_disk_run(flip_jump_sign: bool = False):
     """Converged vortex-patch disk run on a 193^2 grid (criteria 3, 4, 6)."""
     grid = make_grid(193, 193, (-1.1, -1.1, 1.1, 1.1))
     _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
     problem = pb_problem(grid, DISK_PARAMS)
     phi0 = pb_levelset(grid, rho2 * 1.1)
-    opts = IterationOptions(max_iters=80, tol_jump=0.12, tol_move=0.5)
+    opts = IterationOptions(max_iters=80, tol_jump=0.12, tol_move=0.5,
+                            flip_jump_sign=flip_jump_sign)
     u, phi, report = run(problem, phi0, opts)
     return {"grid": grid, "params": DISK_PARAMS, "problem": problem,
             "u": u, "phi": phi, "report": report, "rho2": rho2}
 
 
-def build_perturbed_run():
+def build_perturbed_run(flip_jump_sign: bool = False):
     """Converged run with 0.05-amplitude sinusoidal planar boundary data
     (criteria 8, 9)."""
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
@@ -91,27 +90,30 @@ def build_perturbed_run():
     )
     phi0 = LevelSet.from_function(
         grid, lambda x, y: y + 0.05 * np.sin(np.pi * x))
-    opts = IterationOptions(max_iters=60, tol_jump=0.04, tol_move=0.5)
+    opts = IterationOptions(max_iters=60, tol_jump=0.04, tol_move=0.5,
+                            flip_jump_sign=flip_jump_sign)
     u, phi, report = run(problem, phi0, opts)
     return {"grid": grid, "problem": problem, "u": u, "phi": phi,
             "report": report}
 
 
 class SuiteContext:
-    """Caches the two expensive converged runs across criteria."""
+    """Caches the two expensive converged runs across criteria, and holds
+    the fault injection every run of the suite uses."""
 
-    def __init__(self, disk=None, perturbed=None):
+    def __init__(self, disk=None, perturbed=None, flip_jump_sign=False):
         self._disk = disk
         self._perturbed = perturbed
+        self.flip_jump_sign = flip_jump_sign
 
     def disk(self):
         if self._disk is None:
-            self._disk = build_disk_run()
+            self._disk = build_disk_run(self.flip_jump_sign)
         return self._disk
 
     def perturbed(self):
         if self._perturbed is None:
-            self._perturbed = build_perturbed_run()
+            self._perturbed = build_perturbed_run(self.flip_jump_sign)
         return self._perturbed
 
 
@@ -149,7 +151,8 @@ def criterion_two_plane_stationarity(ctx, out_dir=None) -> CriterionResult:
         problem = two_plane_problem(grid, beta)
         phi0 = two_plane_levelset(grid)
         _, phi, report = run(problem, phi0, IterationOptions(
-            max_iters=10, tol_jump=1e-12, tol_move=1e-12))
+            max_iters=10, tol_jump=1e-12, tol_move=1e-12,
+            flip_jump_sign=ctx.flip_jump_sign))
         drift = float(np.max(np.abs(phi.phi - phi0.phi)))
         elapsed = time.time() - tb
         worst_jump = max(worst_jump, float(report.jump_history[-1]))
@@ -331,21 +334,15 @@ def criterion_branch_ordering(ctx, out_dir=None) -> CriterionResult:
 
 
 def criterion_negative_control(ctx, out_dir=None) -> CriterionResult:
-    """Flipping the sign of the measured jump (via the test-harness
-    environment flag) must break stationarity of the exact profile."""
+    """Flipping the sign of the measured jump (fault injection through
+    ``IterationOptions.flip_jump_sign``) must break stationarity of the
+    exact profile."""
     t0 = time.time()
     grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
     problem = two_plane_problem(grid, 1.0)
     phi0 = two_plane_levelset(grid)
-    old = os.environ.get(BREAK_ENV)
-    os.environ[BREAK_ENV] = "1"
-    try:
-        _, _, defect, _ = step(problem, phi0, IterationOptions())
-    finally:
-        if old is None:
-            os.environ.pop(BREAK_ENV, None)
-        else:
-            os.environ[BREAK_ENV] = old
+    _, _, defect, _ = step(problem, phi0,
+                           IterationOptions(flip_jump_sign=True))
     ok = defect > 5 * grid.h**2
     detail = (f"flipped-sign defect {defect:.3f} exceeds the "
               f"stationarity limit {5 * grid.h**2:.2e}")

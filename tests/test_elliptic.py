@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fblab.elliptic import (
+    _THETA_MIN,
     CoefficientField,
     PhaseRegion,
     holder_seminorm_estimate,
@@ -158,6 +159,136 @@ class TestSolvePhase:
         u1 = solve_full_box(grid, A, lambda x, y: 0 * x, star)
         u2 = solve_full_box(grid, A, lambda x, y: 0 * x, star)
         assert np.array_equal(u1.values, u2.values)
+
+
+def reference_solve_phase(A, f, region):
+    """Node-by-node assembly of the scheme ``solve_phase`` documents: face
+    fluxes with arithmetic face coefficients, ghost-value elimination of
+    u = 0 at cut edges (nodes closer than _THETA_MIN * h pinned to 0), and
+    the 9-point a12 cross flux on rows whose 3x3 neighbourhood stays in the
+    phase."""
+    g = region.phi.grid
+    h2 = g.h**2
+    phi = region.phi.phi
+    s = region.sign * phi
+    ny, nx = g.shape
+    pinned = (np.zeros(g.shape, dtype=bool) if region.pinned is None
+              else region.pinned)
+    faces = ((0, 1), (0, -1), (1, 0), (-1, 0))
+    known, unknown = {}, []
+    for j in range(ny):
+        for i in range(nx):
+            if phi[j, i] == 0.0:
+                known[j, i] = 0.0
+            elif s[j, i] > 0 and (j in (0, ny - 1) or i in (0, nx - 1)
+                                  or pinned[j, i]):
+                known[j, i] = region.outer_data.values[j, i]
+            elif s[j, i] > 0:
+                unknown.append((j, i))
+
+    def theta(p, q):
+        return s[p] / (s[p] - s[q])
+
+    def outside(q):
+        return s[q] <= 0 and q not in known
+
+    for j, i in list(unknown):
+        if any(outside((j + dj, i + di))
+               and theta((j, i), (j + dj, i + di)) < _THETA_MIN
+               for dj, di in faces):
+            unknown.remove((j, i))
+            known[j, i] = 0.0
+    index = {p: k for k, p in enumerate(unknown)}
+    M = np.zeros((len(index), len(index)))
+    b = np.zeros(len(index))
+    for (j, i), k in index.items():
+        b[k] = -f.values[j, i]
+
+        def add(q, w):
+            if q in index:
+                M[k, index[q]] += w
+            else:
+                b[k] -= w * known[q]
+
+        for dj, di in faces:
+            q = (j + dj, i + di)
+            c = A.a11 if dj == 0 else A.a22
+            aF = 0.5 * (c[j, i] + c[q])
+            if outside(q):
+                M[k, k] += aF / (theta((j, i), q) * h2)
+            else:
+                M[k, k] += aF / h2
+                add(q, -aF / h2)
+        if any(outside((j + dj, i + di))
+               for dj in (-1, 0, 1) for di in (-1, 0, 1)):
+            continue
+        w = 1.0 / (4 * h2)
+        for sgn, d in ((1, 1), (-1, -1)):
+            # east/west face: a12 times du/dy averaged over the face nodes
+            af = 0.5 * (A.a12[j, i] + A.a12[j, i + d])
+            for ii in (i, i + d):
+                add((j + 1, ii), -sgn * af * w)
+                add((j - 1, ii), sgn * af * w)
+            # north/south face: a12 times du/dx averaged over the face nodes
+            af = 0.5 * (A.a12[j, i] + A.a12[j + d, i])
+            for jj in (j, j + d):
+                add((jj, i + 1), -sgn * af * w)
+                add((jj, i - 1), sgn * af * w)
+    sol = np.linalg.solve(M, b)
+    out = np.zeros(g.shape)
+    for p, v in known.items():
+        out[p] = v
+    for p, k in index.items():
+        out[p] = sol[k]
+    return out
+
+
+class TestSolvePhaseReference:
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_per_node_assembly(self, sign, ring):
+        # the positive phase (outside a skewed diamond) touches all four box
+        # borders; the ring pins nodes to the outer data inside the box.  The
+        # interface cuts grid edges and passes through the nodes (0, +-0.5).
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        xx, yy = grid.meshgrid()
+        A = CoefficientField.from_functions(
+            grid, lambda x, y: 1.2 + 0.3 * np.sin(2 * x),
+            lambda x, y: 0.25 * np.cos(x + y), lambda x, y: 1 + 0.2 * y**2)
+        phi = LevelSet(grid, np.abs(xx) + np.abs(yy) + 0.1 * xx - 0.5)
+        rr = np.hypot(xx, yy)
+        region = PhaseRegion(
+            phi=phi, sign=sign,
+            outer_data=ScalarField.from_function(
+                grid, lambda x, y: np.sin(x) + x * y),
+            pinned=((rr >= 0.7) & (rr <= 0.8)) if ring else None)
+        f = ScalarField.from_function(grid, lambda x, y: np.cos(3 * x) - y)
+        u = solve_phase(A, f, region)
+        ref = reference_solve_phase(A, f, region)
+        np.testing.assert_allclose(u.values, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_crossing_next_to_node_pins_it(self, side):
+        # the interface sits 1e-5 from node row 16, on the far side from the
+        # phase: theta < _THETA_MIN holds the row at exactly 0 instead of
+        # dividing by theta, and the solve still meets its residual bound
+        # (solve_phase raises SolverError otherwise)
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        yy = grid.meshgrid()[1]
+        c = grid.ys[16] + side * 1e-5
+        exact = side * (c - yy)
+        region = PhaseRegion(phi=LevelSet(grid, c - yy), sign=side,
+                             outer_data=ScalarField(grid, exact))
+        f = ScalarField.constant(grid, 0.0)
+        u = solve_phase(CoefficientField.identity(grid), f, region)
+        row = u.values[16, 1:-1]
+        assert np.all(row == 0.0) and not np.any(np.signbit(row))
+        # holding the row at 0 moves the linear solution by the 1e-5 offset
+        in_phase = exact > 0
+        assert np.max(np.abs(u.values - exact)[in_phase]) <= 1e-5 + 1e-12
+        ref = reference_solve_phase(CoefficientField.identity(grid), f,
+                                    region)
+        np.testing.assert_allclose(u.values, ref, rtol=0, atol=1e-12)
 
 
 def two_plane(beta):

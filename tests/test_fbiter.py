@@ -268,16 +268,23 @@ class TestRun:
 
 
 class TestBrokenJumpSign:
-    def test_flipped_sign_breaks_stationarity(self, grid129, monkeypatch):
-        monkeypatch.setenv("FBLAB_BREAK_JUMP_SIGN", "1")
+    def test_flipped_sign_breaks_stationarity(self, grid129):
         prob = two_plane_problem(grid129, 1.0)
         phi0 = two_plane_levelset(grid129)
-        _, _, defect, _ = step(prob, phi0, IterationOptions())
+        _, _, defect, _ = step(prob, phi0,
+                               IterationOptions(flip_jump_sign=True))
         # flipped measurement reads -(alpha^2 - beta^2) - Q = -2
         assert defect == pytest.approx(2.0, abs=0.05)
 
-    def test_unset_environment_is_clean(self, grid129, monkeypatch):
-        monkeypatch.delenv("FBLAB_BREAK_JUMP_SIGN", raising=False)
+    def test_unset_environment_is_clean(self, grid129):
+        prob = two_plane_problem(grid129, 1.0)
+        phi0 = two_plane_levelset(grid129)
+        _, _, defect, _ = step(prob, phi0, IterationOptions())
+        assert defect <= 5 * grid129.h**2
+
+    def test_step_ignores_harness_flag(self, grid129, monkeypatch):
+        # only `fblab verify` reads the flag; the loop takes its options
+        monkeypatch.setenv("FBLAB_BREAK_JUMP_SIGN", "1")
         prob = two_plane_problem(grid129, 1.0)
         phi0 = two_plane_levelset(grid129)
         _, _, defect, _ = step(prob, phi0, IterationOptions())
