@@ -10,7 +10,10 @@ averaging of the coefficient matrix.  The free boundary carries the value
 u = 0, imposed by ghost-value elimination at the linear-interpolation
 crossing of each cut edge (locally first order, globally second order for
 Dirichlet data).  The cross term ``a12`` uses a 9-point treatment and is
-dropped on rows whose stencil crosses the interface.
+dropped on rows whose stencil crosses the interface.  The matrix is thus
+symmetric when ``a12 = 0`` and structurally close to symmetric otherwise, so
+SuperLU factors it in symmetric mode on a minimum-degree ordering of A + A^T,
+which fills less than a column ordering; partial pivoting stays on.
 
 The box border is always Dirichlet data, so no unknown sits on it.  The
 assembly therefore reads every stencil from shifted views of the interior
@@ -215,7 +218,7 @@ def solve_phase(A: CoefficientField, f: ScalarField,
 
     rows, cols, vals = [], [], []
     diag = np.zeros(n_unknown)
-    rhs = -nb(f.values)[u]
+    rhs = 0.0 - nb(f.values)[u]  # +0.0, never -0.0, where f = 0
 
     for dj, di in _FACES:
         coeff = A.a11 if dj == 0 else A.a22
@@ -237,9 +240,6 @@ def solve_phase(A: CoefficientField, f: ScalarField,
         theta = np.clip(sp_u / (sp_u - nb(sphase, dj, di)[u][m_o]),
                         _THETA_MIN, 1.0)
         diag[m_o] += aF[m_o] / (theta * h2)
-        # the interface value 0 adds +0.0, which turns a -0.0 from -f into
-        # +0.0; solutions, and so written fields, keep that sign
-        rhs[m_o] += 0.0
 
     if np.any(A.a12 != 0.0):
         # the cross flux is kept only on rows whose 3x3 neighbourhood stays
@@ -263,13 +263,13 @@ def solve_phase(A: CoefficientField, f: ScalarField,
     rows.append(row_of)
     cols.append(row_of)
     vals.append(diag)
-    M = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown),
-    )
+    M = sp.csc_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_unknown, n_unknown))
     try:
-        sol = spla.spsolve(M, rhs)
-    except Exception as exc:  # pragma: no cover - singular systems
+        sol = spla.splu(M, permc_spec="MMD_AT_PLUS_A",
+                        options=dict(SymmetricMode=True)).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverError(f"sparse solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise SolverError("sparse solve produced non-finite values")

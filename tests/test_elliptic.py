@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fblab import elliptic
 from fblab.elliptic import (
     _THETA_MIN,
     CoefficientField,
@@ -9,7 +10,7 @@ from fblab.elliptic import (
     interface_normal_gradient,
     solve_phase,
 )
-from fblab.errors import FieldError, UnderResolvedError
+from fblab.errors import FieldError, SolverError, UnderResolvedError
 from fblab.fields import (
     LevelSet,
     ScalarField,
@@ -160,6 +161,39 @@ class TestSolvePhase:
         u2 = solve_full_box(grid, A, lambda x, y: 0 * x, star)
         assert np.array_equal(u1.values, u2.values)
 
+    @pytest.mark.parametrize("n", [33, 48])
+    @pytest.mark.parametrize("shape", ["plane", "disk"])
+    def test_zero_data_gives_no_negative_zero(self, n, shape):
+        # with f = 0 and zero outer data every node is 0, and it must be
+        # +0.0 wherever it sits: written fields print -0.0 as "-0"
+        grid = make_grid(n, n, (-1, -1, 1, 1))
+        xx, yy = grid.meshgrid()
+        phi = LevelSet(grid, yy - 0.1 * xx - 0.013 if shape == "plane"
+                       else 0.6 - np.hypot(xx, yy))
+        zero = ScalarField.constant(grid, 0.0)
+        for A in (CoefficientField.identity(grid),
+                  CoefficientField.constant(grid, 1.5, 0.2, 0.8)):
+            for sign in (1, -1):
+                region = PhaseRegion(phi=phi, sign=sign, outer_data=zero)
+                u = solve_phase(A, zero, region)
+                assert np.all(u.values == 0.0)
+                assert not np.any(np.signbit(u.values))
+
+    @pytest.mark.parametrize("raised, expected", [
+        (RuntimeError, SolverError), (TypeError, TypeError)])
+    def test_only_factor_failures_become_solver_errors(self, raised, expected,
+                                                       monkeypatch):
+        # SuperLU raises RuntimeError for an exactly singular factor; any
+        # other exception is a defect and propagates unchanged
+        def fail(*args, **kwargs):
+            raise raised("Factor is exactly singular")
+
+        monkeypatch.setattr(elliptic.spla, "splu", fail)
+        grid = make_grid(9, 9, (0, 0, 1, 1))
+        with pytest.raises(expected, match="exactly singular"):
+            solve_full_box(grid, CoefficientField.identity(grid),
+                           lambda x, y: 0 * x, lambda x, y: y)
+
 
 def reference_solve_phase(A, f, region):
     """Node-by-node assembly of the scheme ``solve_phase`` documents: face
@@ -243,51 +277,91 @@ def reference_solve_phase(A, f, region):
     return out
 
 
+def diamond_problem(sign, ring, a12):
+    """The positive phase (outside a skewed diamond) touches all four box
+    borders; the ring pins nodes to the outer data inside the box.  The
+    interface cuts grid edges and passes through the nodes (0, +-0.5)."""
+    grid = make_grid(33, 33, (-1, -1, 1, 1))
+    xx, yy = grid.meshgrid()
+    A = CoefficientField.from_functions(
+        grid, lambda x, y: 1.2 + 0.3 * np.sin(2 * x), a12,
+        lambda x, y: 1 + 0.2 * y**2)
+    phi = LevelSet(grid, np.abs(xx) + np.abs(yy) + 0.1 * xx - 0.5)
+    rr = np.hypot(xx, yy)
+    region = PhaseRegion(
+        phi=phi, sign=sign,
+        outer_data=ScalarField.from_function(
+            grid, lambda x, y: np.sin(x) + x * y),
+        pinned=((rr >= 0.7) & (rr <= 0.8)) if ring else None)
+    f = ScalarField.from_function(grid, lambda x, y: np.cos(3 * x) - y)
+    return A, f, region
+
+
+def near_node_problem(side):
+    """Identity coefficients; the interface sits 1e-5 from node row 16,
+    on the far side from the phase, whose linear data vanish on it."""
+    grid = make_grid(33, 33, (-1, -1, 1, 1))
+    yy = grid.meshgrid()[1]
+    c = grid.ys[16] + side * 1e-5
+    exact = side * (c - yy)
+    region = PhaseRegion(phi=LevelSet(grid, c - yy), sign=side,
+                         outer_data=ScalarField(grid, exact))
+    f = ScalarField.constant(grid, 0.0)
+    return CoefficientField.identity(grid), f, region, exact
+
+
 class TestSolvePhaseReference:
     @pytest.mark.parametrize("ring", [False, True])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_matches_per_node_assembly(self, sign, ring):
-        # the positive phase (outside a skewed diamond) touches all four box
-        # borders; the ring pins nodes to the outer data inside the box.  The
-        # interface cuts grid edges and passes through the nodes (0, +-0.5).
-        grid = make_grid(33, 33, (-1, -1, 1, 1))
-        xx, yy = grid.meshgrid()
-        A = CoefficientField.from_functions(
-            grid, lambda x, y: 1.2 + 0.3 * np.sin(2 * x),
-            lambda x, y: 0.25 * np.cos(x + y), lambda x, y: 1 + 0.2 * y**2)
-        phi = LevelSet(grid, np.abs(xx) + np.abs(yy) + 0.1 * xx - 0.5)
-        rr = np.hypot(xx, yy)
-        region = PhaseRegion(
-            phi=phi, sign=sign,
-            outer_data=ScalarField.from_function(
-                grid, lambda x, y: np.sin(x) + x * y),
-            pinned=((rr >= 0.7) & (rr <= 0.8)) if ring else None)
-        f = ScalarField.from_function(grid, lambda x, y: np.cos(3 * x) - y)
+        A, f, region = diamond_problem(sign, ring,
+                                       lambda x, y: 0.25 * np.cos(x + y))
         u = solve_phase(A, f, region)
+        ref = reference_solve_phase(A, f, region)
+        np.testing.assert_allclose(u.values, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("geometry", ["diamond", "ring", "near"])
+    def test_symmetric_matrix_diagonal_pivots(self, geometry, sign,
+                                              monkeypatch):
+        # with a12 = 0 the ghost-value scheme gives an exactly symmetric
+        # matrix, handed to SuperLU as CSC, and SuperLU keeps the diagonal
+        # pivots of its symmetric ordering
+        if geometry == "near":
+            A, f, region, _ = near_node_problem(sign)
+        else:
+            A, f, region = diamond_problem(sign, geometry == "ring",
+                                           lambda x, y: 0 * x)
+        factored = []
+        splu = elliptic.spla.splu
+
+        def spy(M, **kwargs):
+            lu = splu(M, **kwargs)
+            factored.append((M, lu))
+            return lu
+
+        monkeypatch.setattr(elliptic.spla, "splu", spy)
+        u = solve_phase(A, f, region)
+        [(M, lu)] = factored
+        assert M.format == "csc"
+        assert abs(M - M.T).max() == 0.0
+        assert np.array_equal(lu.perm_r, lu.perm_c)
         ref = reference_solve_phase(A, f, region)
         np.testing.assert_allclose(u.values, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("side", [1, -1])
     def test_crossing_next_to_node_pins_it(self, side):
-        # the interface sits 1e-5 from node row 16, on the far side from the
-        # phase: theta < _THETA_MIN holds the row at exactly 0 instead of
-        # dividing by theta, and the solve still meets its residual bound
-        # (solve_phase raises SolverError otherwise)
-        grid = make_grid(33, 33, (-1, -1, 1, 1))
-        yy = grid.meshgrid()[1]
-        c = grid.ys[16] + side * 1e-5
-        exact = side * (c - yy)
-        region = PhaseRegion(phi=LevelSet(grid, c - yy), sign=side,
-                             outer_data=ScalarField(grid, exact))
-        f = ScalarField.constant(grid, 0.0)
-        u = solve_phase(CoefficientField.identity(grid), f, region)
+        # theta < _THETA_MIN holds row 16 at exactly 0 instead of dividing by
+        # theta, and the solve still meets its residual bound (solve_phase
+        # raises SolverError otherwise)
+        A, f, region, exact = near_node_problem(side)
+        u = solve_phase(A, f, region)
         row = u.values[16, 1:-1]
         assert np.all(row == 0.0) and not np.any(np.signbit(row))
         # holding the row at 0 moves the linear solution by the 1e-5 offset
         in_phase = exact > 0
         assert np.max(np.abs(u.values - exact)[in_phase]) <= 1e-5 + 1e-12
-        ref = reference_solve_phase(CoefficientField.identity(grid), f,
-                                    region)
+        ref = reference_solve_phase(A, f, region)
         np.testing.assert_allclose(u.values, ref, rtol=0, atol=1e-12)
 
 
