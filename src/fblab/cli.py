@@ -172,6 +172,7 @@ def cmd_solve(args) -> int:
             summary = {
                 "schema_version": SCHEMA_VERSION,
                 "converged": bool(report.converged),
+                "stop_reason": report.stop_reason,
                 "iterations": int(report.iterations),
                 "final_jump": float(report.jump_history[-1])
                 if report.iterations else None,

@@ -100,26 +100,6 @@ class CoefficientField:
         return np.array([[m11, m12], [m12, m22]])
 
 
-def holder_seminorm_estimate(A: CoefficientField, gamma: float) -> float:
-    """Discrete C^{0,gamma} seminorm estimate over axis-aligned node pairs at
-    dyadic lags.  Reported, never enforced: grid sampling cannot certify
-    Hoelder continuity of the underlying coefficients."""
-    g = A.grid
-    best = 0.0
-    lag = 1
-    while lag < max(g.nx, g.ny):
-        dist = lag * g.h
-        for arr in (A.a11, A.a12, A.a22):
-            if lag < g.nx:
-                best = max(best, np.max(np.abs(arr[:, lag:] - arr[:, :-lag]))
-                           / dist**gamma)
-            if lag < g.ny:
-                best = max(best, np.max(np.abs(arr[lag:, :] - arr[:-lag, :]))
-                           / dist**gamma)
-        lag *= 2
-    return float(best)
-
-
 @dataclass
 class PhaseRegion:
     """One phase of a level-set partition, with its Dirichlet data.

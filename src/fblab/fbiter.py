@@ -4,7 +4,14 @@ Alternately solves the two phase problems with zero interface data and moves
 the level set by the squared-gradient jump defect until the interface
 condition q_A(u+) - q_A(u-) = Q holds.  The level-set velocity is a
 Newton-style scaled defect: the displacement at an interface point is
-kappa * J / G with a global slope estimate G, capped at one cell per step.
+kappa * J / G with a global slope estimate G, capped at half a cell per step.
+
+That defect flow alone converges only linearly, so :func:`run` mixes the
+level-set iterates by Anderson acceleration (type II; Anderson 1965, Walker
+& Ni 2011): the next level set is the affine combination of the recent
+post-move candidates whose residuals cancel best in least squares.  The
+history restarts at every reinitialization, which bounds its depth by
+``reinit_every``, and the mixed per-node change of phi is capped at h/2.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .diagnostics import FlatnessTable, flatness_table
@@ -121,15 +129,20 @@ class IterationOptions:
         return 1e-3 * float(np.max(problem.Q.values))
 
 
+STOP_REASONS = ("tolerances_met", "budget_exhausted", "phase_collapse")
+
+
 @dataclass
 class IterationReport:
-    """Per-iteration history of the fixed-point loop."""
+    """Per-iteration history of the fixed-point loop.  ``stop_reason`` is
+    one of :data:`STOP_REASONS`; the loop converged iff the tolerances were
+    met."""
 
     iterations: int
     jump_history: np.ndarray
     displacement_history: np.ndarray
     area_plus_history: np.ndarray
-    converged: bool
+    stop_reason: str
     flatness: Optional[FlatnessTable] = None
     notes: list = field(default_factory=list)
 
@@ -138,6 +151,12 @@ class IterationReport:
                      "area_plus_history"):
             if len(getattr(self, name)) != self.iterations:
                 raise ValueError(f"{name} length must equal iterations")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerances_met"
 
     def rows(self):
         """CSV-ready (iter, jump_linf, displacement, area_plus) tuples."""
@@ -158,17 +177,6 @@ def _jump_at_points(u_plus, u_minus, A, phi, Q, points, flip_sign=False):
     if flip_sign:
         return qm - qp - target, qp, qm
     return qp - qm - target, qp, qm
-
-
-def interface_jump(u_plus: ScalarField, u_minus: ScalarField,
-                   A: CoefficientField, phi: LevelSet, Q: ScalarField):
-    """Defect q_A(u+) - q_A(u-) - Q at every interface polyline point.
-    Returns (points, J)."""
-    points = all_interface_points(interface_extract(phi))
-    if points.size == 0:
-        raise DegenerateInterfaceError("no interface to evaluate the jump")
-    J, _, _ = _jump_at_points(u_plus, u_minus, A, phi, Q, points)
-    return points, J
 
 
 def extend_velocity(points: np.ndarray, J: np.ndarray,
@@ -302,9 +310,44 @@ def step(problem: PhaseProblem, phi: LevelSet, opts: IterationOptions):
     return u, phi_next, defect, displacement
 
 
+def _anderson_mix(phi: np.ndarray, g: np.ndarray, memory, cap: float):
+    """Type-II Anderson mixing of one fixed-point step.
+
+    ``phi`` is the iterate, ``g`` its image G(phi) under the plain step and
+    f = g - phi the residual.  ``memory`` is what the previous call returned
+    since the last restart (None right after one): the previous residual
+    and image, and one sparse column per pair of consecutive iterates with
+    the difference of their residuals (dF) and of their images (dG).  The
+    step moves phi only in the velocity band, so the columns are as narrow
+    as that band.  The next iterate is G(phi) - dG gamma, where gamma fits
+    dF gamma ~ f in least squares; it is clipped to within ``cap`` of phi
+    node by node.  Returns (next iterate, memory for the next call).
+    """
+    f = sp.csc_array((g - phi).reshape(-1, 1))
+    mixed = g
+    if memory is None:
+        dF = dG = sp.csc_array((g.size, 0))
+    else:
+        f0, g0, dF, dG = memory
+        dF = sp.hstack([dF, f - f0], format="csc")
+        dG = sp.hstack([dG, sp.csc_array((g - g0).reshape(-1, 1))],
+                       format="csc")
+        rows = np.union1d(f.indices, dF.indices)
+        gamma = np.linalg.lstsq(dF[rows].toarray(), f[rows].toarray()[:, 0],
+                                rcond=1e-10)[0]
+        mixed = g - (dG @ gamma).reshape(g.shape)
+    return np.clip(mixed, phi - cap, phi + cap), (f, g, dF, dG)
+
+
 def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
     """Iterate :func:`step` until the jump defect and interface displacement
     both fall under tolerance, or the iteration budget runs out.
+
+    The next level set is not the post-move candidate of :func:`step` but
+    its Anderson mix with the candidates since the last reinitialization
+    (:func:`_anderson_mix`); every ``reinit_every`` iterations the mix is
+    reinitialized and the history cleared.  The mix moves no node of phi by
+    more than h/2 per iteration.
 
     Returns (u, phi, IterationReport).  The converged level set is the one
     the defect was measured on, not the post-move candidate.
@@ -318,9 +361,10 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
     phi = LevelSet(grid, phi0.phi.copy())
     jumps, moves, areas = [], [], []
     notes = []
-    converged = False
+    stop_reason = "budget_exhausted"
     u = None
     best = None  # (defect, u, phi) of the best pre-move iterate
+    memory = None  # Anderson history since the last reinitialization
     cell_area = grid.h**2
 
     for it in range(1, opts.max_iters + 1):
@@ -330,6 +374,7 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
             # a phase shrunk below what the one-sided stencils can see
             notes.append(f"aborted at iteration {it}: {err}")
             log.warning("phase collapse at iteration %d: %s", it, err)
+            stop_reason = "phase_collapse"
             break
         jumps.append(defect)
         moves.append(displacement)
@@ -337,13 +382,16 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
         if best is None or defect < best[0]:
             best = (defect, u, LevelSet(grid, phi.phi.copy()))
         if defect <= tol_jump and displacement <= tol_move:
-            converged = True
+            stop_reason = "tolerances_met"
             break
-        phi = phi_candidate
+        mixed, memory = _anderson_mix(phi.phi, phi_candidate.phi, memory,
+                                      grid.h / 2)
+        phi = LevelSet(grid, mixed)
         if it % opts.reinit_every == 0:
             phi = reinitialize(phi)
+            memory = None
 
-    if not converged and best is not None:
+    if stop_reason != "tolerances_met" and best is not None:
         # hand back the best-seen iterate rather than the last one: the
         # defect flow can stagnate in a noisy neighborhood of the root
         _, u, phi = best
@@ -356,7 +404,7 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
         jump_history=np.asarray(jumps),
         displacement_history=np.asarray(moves),
         area_plus_history=np.asarray(areas),
-        converged=converged,
+        stop_reason=stop_reason,
         flatness=flatness,
         notes=notes,
     )
@@ -364,7 +412,7 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
         raise PhaseCollapseError(
             "iteration aborted before any phase solve completed: "
             + "; ".join(notes))
-    if not converged:
+    if stop_reason == "budget_exhausted":
         log.warning("fixed-point loop did not converge in %d iterations",
                     opts.max_iters)
     return u, phi, report

@@ -13,7 +13,7 @@ exactly on the interface.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,7 +22,6 @@ from .errors import (
     DegenerateInterfaceError,
     FieldError,
     GridError,
-    UnderResolvedError,
 )
 
 logger = logging.getLogger(__name__)
@@ -218,11 +217,6 @@ def bilinear_sample(grid: Grid2, values: np.ndarray, x, y):
 # gradient
 # ---------------------------------------------------------------------------
 
-CENTERED = "centered"
-INTO_POSITIVE = "one_sided_into_positive"
-INTO_NEGATIVE = "one_sided_into_negative"
-
-
 def _masked_gradient(values, usable, h):
     """Whole-array gradient whose stencils use only ``usable`` nodes.
 
@@ -267,43 +261,6 @@ def one_sided_gradient(u: ScalarField, phi: LevelSet, side: int):
     usable = side * phi.phi >= 0.0
     gx, gy, ok = _masked_gradient(u.values, usable, u.grid.h)
     return gx, gy, usable & ok
-
-
-def gradient(field: ScalarField, node, side: str = CENTERED,
-             phi: LevelSet | None = None) -> np.ndarray:
-    """Gradient of ``field`` at a node.
-
-    ``side`` selects the stencil: ``centered`` is the standard second-order
-    difference; the one-sided modes restrict the stencil to nodes of the
-    requested phase (``phi >= 0`` resp. ``phi <= 0``), using a second-order
-    biased stencil when the centered one would cross the zero set.  The
-    value is read from the whole-array stencils of :func:`_masked_gradient`.
-    """
-    i, j = node
-    ny, nx = field.values.shape
-    if not (0 <= i < nx and 0 <= j < ny):
-        raise FieldError(f"node {node} outside grid")
-    if side == CENTERED:
-        gx, gy, valid = _masked_gradient(
-            field.values, np.ones(field.values.shape, dtype=bool),
-            field.grid.h)
-    elif side in (INTO_POSITIVE, INTO_NEGATIVE):
-        if phi is None:
-            raise FieldError("one-sided gradient modes require phi")
-        sgn = 1 if side == INTO_POSITIVE else -1
-        if sgn * phi.phi[j, i] < 0.0:
-            raise UnderResolvedError(
-                f"node {node} is not on the requested side of the zero set"
-            )
-        gx, gy, valid = one_sided_gradient(field, phi, sgn)
-    else:
-        raise FieldError(f"unknown gradient mode {side!r}")
-    if not valid[j, i]:
-        raise UnderResolvedError(
-            f"no admissible 3-node stencil at node (i={i}, j={j}); "
-            "phase sliver thinner than 3 cells"
-        )
-    return np.array([gx[j, i], gy[j, i]])
 
 
 # ---------------------------------------------------------------------------

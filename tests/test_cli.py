@@ -82,6 +82,7 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", out]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["converged"] is True
+        assert summary["stop_reason"] == "tolerances_met"
         assert summary["schema_version"] == 1
         assert summary["final_jump"] < 1e-10
         for name in ("u.csv", "phi.csv", "interface.csv", "iterations.csv"):
@@ -117,6 +118,7 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", out]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["converged"] is False
+        assert summary["stop_reason"] == "budget_exhausted"
         assert (tmp_path / "out" / "u.csv").is_file()
 
     def test_invalid_config_exits_three(self, tmp_path):

@@ -24,12 +24,10 @@ from fblab.diagnostics import (
 )
 from fblab.errors import FblabError, GridError, UnderResolvedError
 from fblab.fields import (
-    INTO_NEGATIVE,
-    INTO_POSITIVE,
     LevelSet,
     ScalarField,
-    gradient,
     make_grid,
+    one_sided_gradient,
 )
 
 
@@ -483,6 +481,7 @@ def reference_cell_quadrature(u, phi, center, r, sub=8):
     subcells, cut cells split by their linear-cut fraction with
     corner-averaged one-sided gradients."""
     g, h, v = u.grid, u.grid.h, u.values
+    one_sided = {side: one_sided_gradient(u, phi, side) for side in (1, -1)}
     terms = np.zeros(4)
     for j in range(g.ny - 1):
         for i in range(g.nx - 1):
@@ -503,14 +502,10 @@ def reference_cell_quadrature(u, phi, center, r, sub=8):
                 g2 = cell * (ux**2 + uy**2) / (2 * h)**2
                 terms += (g2 * f, g2 * (1 - f), cell * f, cell * (1 - f))
                 continue
-            for k, (mode, frac) in enumerate(((INTO_POSITIVE, f),
-                                              (INTO_NEGATIVE, 1 - f))):
-                grads = []
-                for a, b in corners:
-                    try:
-                        grads.append(gradient(u, (a, b), mode, phi))
-                    except UnderResolvedError:
-                        pass
+            for k, (side, frac) in enumerate(((1, f), (-1, 1 - f))):
+                gx, gy, valid = one_sided[side]
+                grads = [(gx[b, a], gy[b, a]) for a, b in corners
+                         if valid[b, a]]
                 if grads:
                     terms[k] += cell * frac * np.sum(np.mean(grads, 0)**2)
             terms[2:] += (cell * f, cell * (1 - f))

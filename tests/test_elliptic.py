@@ -6,7 +6,6 @@ from fblab.elliptic import (
     _THETA_MIN,
     CoefficientField,
     PhaseRegion,
-    holder_seminorm_estimate,
     interface_normal_gradient,
     solve_phase,
 )
@@ -45,14 +44,6 @@ class TestCoefficientField:
         grid = make_grid(9, 9, (0, 0, 1, 1))
         with pytest.raises(FieldError):
             CoefficientField.constant(grid, 1.0, 2.0, 1.0)
-
-    def test_holder_seminorm_linear(self):
-        grid = make_grid(17, 17, (0, 0, 1, 1))
-        A = CoefficientField.from_functions(
-            grid, lambda x, y: 1 + 0.5 * x, lambda x, y: 0 * x,
-            lambda x, y: 1 + 0 * x)
-        # Lipschitz coefficient: gamma=1 seminorm equals the slope
-        assert holder_seminorm_estimate(A, 1.0) == pytest.approx(0.5, rel=1e-10)
 
 
 class TestSolvePhase:

@@ -3,13 +3,18 @@ import pytest
 
 import fblab.fbiter
 from fblab.elliptic import CoefficientField
-from fblab.errors import DegenerateInterfaceError, FieldError
+from fblab.errors import (
+    DegenerateInterfaceError,
+    FieldError,
+    PhaseCollapseError,
+)
 from fblab.fbiter import (
     IterationOptions,
     IterationReport,
     PhaseProblem,
+    _anderson_mix,
+    _jump_at_points,
     extend_velocity,
-    interface_jump,
     run,
     step,
 )
@@ -21,7 +26,6 @@ from fblab.fields import (
     make_grid,
 )
 from fblab.problems import (
-    two_plane_field,
     two_plane_levelset,
     two_plane_problem,
 )
@@ -117,7 +121,7 @@ class TestIterationReport:
             jump_history=np.array([1.0, 0.5]),
             displacement_history=np.array([0.1, 0.05]),
             area_plus_history=np.array([2.0, 2.1]),
-            converged=True,
+            stop_reason="tolerances_met",
         )
         assert rep.rows() == [(1, 1.0, 0.1, 2.0), (2, 0.5, 0.05, 2.1)]
 
@@ -128,7 +132,7 @@ class TestIterationReport:
                 jump_history=np.array([1.0]),
                 displacement_history=np.array([0.1]),
                 area_plus_history=np.array([2.0]),
-                converged=False,
+                stop_reason="budget_exhausted",
             )
 
 
@@ -182,16 +186,10 @@ class TestJumpMeasurement:
                                            lambda x, y: alpha * y)
         u_minus = ScalarField.from_function(grid129, lambda x, y: y)
         Q = ScalarField.constant(grid129, 1.0)
-        points, J = interface_jump(u_plus, u_minus, A, phi, Q)
+        points = all_interface_points(interface_extract(phi))
+        J, _, _ = _jump_at_points(u_plus, u_minus, A, phi, Q, points)
         assert len(points) == len(J) > 0
         assert np.max(np.abs(J)) < 1e-10
-
-    def test_no_interface_raises(self, grid129):
-        A = CoefficientField.identity(grid129)
-        u = two_plane_field(grid129, 1.0)
-        phi = LevelSet(grid129, np.ones(grid129.shape))
-        with pytest.raises(DegenerateInterfaceError):
-            interface_jump(u, u, A, phi, ScalarField.constant(grid129, 1.0))
 
 
 class TestExtendVelocity:
@@ -265,6 +263,104 @@ class TestRun:
         pts = all_interface_points(interface_extract(perturbed_run["phi"]))
         # the settled interface stays within the data's oscillation band
         assert np.max(np.abs(pts[:, 1])) < 0.1
+
+
+class TestStopReason:
+    def test_tolerances_met(self, grid65):
+        _, _, rep = run(two_plane_problem(grid65, 1.0),
+                        two_plane_levelset(grid65), IterationOptions())
+        assert rep.stop_reason == "tolerances_met" and rep.converged
+
+    def test_budget_exhausted(self, grid65):
+        _, _, rep = run(two_plane_problem(grid65, 0.0, Q=0.5),
+                        two_plane_levelset(grid65),
+                        IterationOptions(max_iters=1))
+        assert rep.stop_reason == "budget_exhausted" and not rep.converged
+        assert rep.iterations == 1
+        assert rep.notes[-1].startswith("returned best iterate")
+
+    def test_phase_collapse(self, grid65, monkeypatch):
+        calls = []
+
+        def collapsing(problem, phi, opts):
+            calls.append(1)
+            if len(calls) == 2:
+                raise PhaseCollapseError("a phase has no interior nodes")
+            return step(problem, phi, opts)
+
+        monkeypatch.setattr(fblab.fbiter, "step", collapsing)
+        _, _, rep = run(two_plane_problem(grid65, 0.0, Q=0.5),
+                        two_plane_levelset(grid65), IterationOptions())
+        assert rep.stop_reason == "phase_collapse" and not rep.converged
+        assert rep.iterations == 1
+        assert rep.notes[0].startswith("aborted at iteration 2")
+
+    def test_unknown_reason_rejected(self):
+        with pytest.raises(ValueError):
+            IterationReport(iterations=0, jump_history=np.array([]),
+                            displacement_history=np.array([]),
+                            area_plus_history=np.array([]),
+                            stop_reason="converged")
+
+
+class TestAndersonMix:
+    def test_affine_contraction_exact_in_dim_plus_one_steps(self):
+        # on an affine map the type-II mix is GMRES-like: with dim + 1
+        # iterates in memory the residuals cancel exactly
+        rng = np.random.default_rng(7)
+        dim = 4
+        Qm, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        M = Qm @ np.diag([0.95, 0.9, -0.85, 0.6]) @ Qm.T \
+            + 0.05 * rng.standard_normal((dim, dim))
+        b = rng.standard_normal(dim)
+        x_star = np.linalg.solve(np.eye(dim) - M, b)
+
+        x, memory = np.zeros(dim), None
+        errors = []
+        for _ in range(dim + 1):
+            x, memory = _anderson_mix(x, M @ x + b, memory, np.inf)
+            errors.append(np.max(np.abs(x - x_star)))
+        assert min(errors) < 1e-10
+
+        x = np.zeros(dim)
+        for _ in range(dim + 1):
+            x = M @ x + b
+        assert np.max(np.abs(x - x_star)) > 1e-3
+
+    def test_zero_residual_history_leaves_phi_unchanged(self, grid65):
+        phi = two_plane_levelset(grid65).phi
+        phi = phi + 0.01 * np.sin(7 * phi)
+        memory = None
+        for _ in range(4):
+            nxt, memory = _anderson_mix(phi, phi.copy(), memory, grid65.h / 2)
+            assert nxt.tobytes() == phi.tobytes()
+
+    def test_mixed_change_capped(self):
+        rng = np.random.default_rng(3)
+        x, memory = np.zeros(50), None
+        for _ in range(4):
+            nxt, memory = _anderson_mix(x, x + rng.standard_normal(50),
+                                        memory, 0.25)
+            assert np.all((x - 0.25 <= nxt) & (nxt <= x + 0.25))
+            assert np.any(np.abs(nxt - x) >= 0.25 - 1e-15)
+            x = nxt
+
+    def test_asymmetric_perturbed_start_converges(self):
+        # phase-shifted data: the unmixed defect flow stalls above 0.15
+        grid = make_grid(97, 97, (-1.0, -1.0, 1.0, 1.0))
+
+        def interface(x, y):
+            return y + 0.05 * np.sin(np.pi * x + 1.3)
+
+        prob = PhaseProblem.shared_rhs(
+            CoefficientField.identity(grid), ScalarField.constant(grid, 0.0),
+            ScalarField.constant(grid, 1.0),
+            ScalarField.from_function(
+                grid, lambda x, y: np.maximum(interface(x, y), 0.0)))
+        _, _, rep = run(prob, LevelSet.from_function(grid, interface),
+                        IterationOptions(max_iters=60, tol_jump=0.04,
+                                         tol_move=0.5))
+        assert rep.converged
 
 
 class TestBrokenJumpSign:

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 import fblab.fields
-from fblab.errors import DegenerateInterfaceError, GridError, UnderResolvedError
+from fblab.errors import DegenerateInterfaceError, GridError
 from fblab.fields import (
-    CENTERED,
-    INTO_NEGATIVE,
-    INTO_POSITIVE,
     LevelSet,
     ScalarField,
-    gradient,
+    _masked_gradient,
     interface_extract,
     make_grid,
     one_sided_gradient,
@@ -42,23 +39,32 @@ class TestMakeGrid:
             make_grid(16, 16, (1, 1, 0, 0))
 
 
+def centered_gradient(u):
+    return _masked_gradient(u.values, np.ones(u.values.shape, dtype=bool),
+                            u.grid.h)
+
+
 class TestGradient:
     def setup_method(self):
         self.grid = make_grid(33, 33, (-1, -1, 1, 1))
 
     def test_linear_field_exact_centered(self):
         u = ScalarField.from_function(self.grid, lambda x, y: x)
-        g = gradient(u, (10, 17), CENTERED)
-        assert np.allclose(g, [1.0, 0.0], atol=1e-14)
+        gx, gy, valid = centered_gradient(u)
+        assert valid[17, 10]
+        assert np.allclose([gx[17, 10], gy[17, 10]], [1.0, 0.0], atol=1e-14)
 
     def test_linear_field_exact_all_modes(self):
         u = ScalarField.from_function(self.grid, lambda x, y: 2 * x - 3 * y)
         phi = LevelSet.from_function(self.grid, lambda x, y: y)
-        for mode in (CENTERED, INTO_POSITIVE):
-            gv = gradient(u, (16, 20), mode, phi)
-            assert np.allclose(gv, [2.0, -3.0], atol=1e-13)
-        gv = gradient(u, (16, 10), INTO_NEGATIVE, phi)
-        assert np.allclose(gv, [2.0, -3.0], atol=1e-13)
+        for gx, gy, valid in (centered_gradient(u),
+                              one_sided_gradient(u, phi, 1)):
+            assert valid[20, 16]
+            assert np.allclose([gx[20, 16], gy[20, 16]], [2.0, -3.0],
+                               atol=1e-13)
+        gx, gy, valid = one_sided_gradient(u, phi, -1)
+        assert valid[10, 16]
+        assert np.allclose([gx[10, 16], gy[10, 16]], [2.0, -3.0], atol=1e-13)
 
     def test_quadratic_field_taylor_error(self):
         # centered stencil on x^2 + y^2 is exact for the quadratic; the
@@ -66,8 +72,9 @@ class TestGradient:
         u = ScalarField.from_function(self.grid, lambda x, y: x**2 + y**2)
         i = int(round((0.5 - self.grid.x0) / self.grid.h))
         j = int(round((0.0 - self.grid.y0) / self.grid.h))
-        g = gradient(u, (i, j), CENTERED)
-        assert np.allclose(g, [1.0, 0.0], atol=1e-12)
+        gx, gy, valid = centered_gradient(u)
+        assert valid[j, i]
+        assert np.allclose([gx[j, i], gy[j, i]], [1.0, 0.0], atol=1e-12)
 
     def test_two_plane_one_sided_exact(self):
         # u = alpha * y+ with alpha=1: one-sided into positive just above the
@@ -75,17 +82,18 @@ class TestGradient:
         u = ScalarField.from_function(self.grid, lambda x, y: np.maximum(y, 0))
         phi = LevelSet.from_function(self.grid, lambda x, y: y)
         j0 = int(round((0.0 - self.grid.y0) / self.grid.h)) + 1
-        g = gradient(u, (16, j0), INTO_POSITIVE, phi)
-        assert np.allclose(g, [0.0, 1.0], atol=1e-13)
+        gx, gy, valid = one_sided_gradient(u, phi, 1)
+        assert valid[j0, 16]
+        assert np.allclose([gx[j0, 16], gy[j0, 16]], [0.0, 1.0], atol=1e-13)
 
-    def test_sliver_raises(self):
+    def test_sliver_has_no_stencil(self):
         grid = make_grid(17, 17, (0, 0, 1, 1))
         u = ScalarField.from_function(grid, lambda x, y: y)
         # positive phase one node thick: no 3-node stencil on that side
         phi = LevelSet(grid, np.where(
             np.isclose(grid.meshgrid()[1], grid.ys[8]), 1.0, -1.0))
-        with pytest.raises(UnderResolvedError):
-            gradient(u, (8, 8), INTO_POSITIVE, phi)
+        _, _, valid = one_sided_gradient(u, phi, 1)
+        assert not valid[8, 8]
 
 
 def reference_node_gradient(values, h, usable, i, j):
@@ -146,16 +154,6 @@ class TestOneSidedGradient:
         phi = LevelSet.from_function(
             grid, lambda x, y: np.hypot(x - 0.1, y + 0.05) - 0.45)
         self.check_against_reference(u, phi)
-
-    def test_gradient_lookup_matches(self):
-        grid = make_grid(33, 33, (-1, -1, 1, 1))
-        u = ScalarField.from_function(grid, lambda x, y: np.sin(x + 2 * y))
-        phi = LevelSet.from_function(grid, lambda x, y: x**2 + y**2 - 0.2)
-        gx, gy, _ = one_sided_gradient(u, phi, -1)
-        assert np.array_equal(gradient(u, (14, 17), INTO_NEGATIVE, phi),
-                              [gx[17, 14], gy[17, 14]])
-        with pytest.raises(UnderResolvedError, match="requested side"):
-            gradient(u, (0, 0), INTO_NEGATIVE, phi)
 
 
 class TestInterfaceExtract:
