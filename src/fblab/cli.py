@@ -8,7 +8,9 @@ prandtl   closed-form disk-problem roots, sweeps, and radial profiles
 verify    run the self-verification suite
 
 Exit codes: 0 success; 1 verification hard failure; 2 non-convergence or
-empty sweep; 3 invalid configuration or input files; 4 phase collapse.
+empty sweep; 3 invalid configuration or input files, or any other toolkit
+error; 4 phase collapse.  Commands raise toolkit errors and :func:`main`
+alone maps them to codes 3 and 4.
 """
 
 from __future__ import annotations
@@ -31,14 +33,9 @@ from .diagnostics import (
     flatness_table,
     oscillation_decay,
     two_plane_fit,
-    weiss_phi,
     weiss_series,
 )
-from .errors import (
-    DegenerateInterfaceError,
-    FblabError,
-    PhaseCollapseError,
-)
+from .errors import FblabError, PhaseCollapseError
 from .fields import (
     interface_extract,
     read_field,
@@ -54,7 +51,7 @@ from .prandtl import (
     radial_solution,
     threshold_roots,
 )
-from .verify import SuiteContext, run_suite
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -134,57 +131,40 @@ def _fit_payload(tp, residual):
 
 def cmd_solve(args) -> int:
     t0 = time.time()
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    cfg = load_config(args.config)
+    with _locked_output(args.out) as out_dir:
+        u, phi, report = fbiter_run(cfg.problem, cfg.phi0, cfg.options)
 
-    try:
-        with _locked_output(args.out) as out_dir:
-            try:
-                u, phi, report = fbiter_run(cfg.problem, cfg.phi0,
-                                            cfg.options)
-            except DegenerateInterfaceError as err:
-                print(f"error: {err}", file=sys.stderr)
-                return EXIT_BAD_CONFIG
-            except PhaseCollapseError as err:
-                print(f"error: phase collapse: {err}", file=sys.stderr)
-                return EXIT_PHASE_COLLAPSE
+        write_field(u, os.path.join(out_dir, "u.csv"))
+        write_field(phi, os.path.join(out_dir, "phi.csv"))
+        write_polylines(interface_extract(phi),
+                        os.path.join(out_dir, "interface.csv"))
+        _write_iterations_csv(report,
+                              os.path.join(out_dir, "iterations.csv"))
 
-            write_field(u, os.path.join(out_dir, "u.csv"))
-            write_field(phi, os.path.join(out_dir, "phi.csv"))
-            write_polylines(interface_extract(phi),
-                            os.path.join(out_dir, "interface.csv"))
-            _write_iterations_csv(report,
-                                  os.path.join(out_dir, "iterations.csv"))
+        fit = monotone = None
+        if cfg.diagnostics is not None:
+            spec = cfg.diagnostics
+            tp, residual = two_plane_fit(u, phi, spec.center,
+                                         max(spec.radii))
+            fit = _fit_payload(tp, residual)
+            series = weiss_series(u, phi, spec.center, spec.radii,
+                                  tp.alpha, tp.beta)
+            monotone = bool(series.monotone)
 
-            fit = monotone = None
-            if cfg.diagnostics is not None:
-                spec = cfg.diagnostics
-                tp, residual = two_plane_fit(u, phi, spec.center,
-                                             max(spec.radii))
-                fit = _fit_payload(tp, residual)
-                series = weiss_series(u, phi, spec.center, spec.radii,
-                                      tp.alpha, tp.beta)
-                monotone = bool(series.monotone)
-
-            summary = {
-                "schema_version": SCHEMA_VERSION,
-                "converged": bool(report.converged),
-                "stop_reason": report.stop_reason,
-                "iterations": int(report.iterations),
-                "final_jump": float(report.jump_history[-1])
-                if report.iterations else None,
-                "two_plane_fit": fit,
-                "weiss_monotone": monotone,
-                "flatness": _flatness_payload(report.flatness),
-                "notes": list(report.notes),
-            }
-            _write_run_json(out_dir, summary, t0)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        summary = {
+            "schema_version": SCHEMA_VERSION,
+            "converged": bool(report.converged),
+            "stop_reason": report.stop_reason,
+            "iterations": int(report.iterations),
+            "final_jump": float(report.jump_history[-1])
+            if report.iterations else None,
+            "two_plane_fit": fit,
+            "weiss_monotone": monotone,
+            "flatness": _flatness_payload(report.flatness),
+            "notes": list(report.notes),
+        }
+        _write_run_json(out_dir, summary, t0)
 
     if not report.converged:
         print("fixed-point iteration did not converge; artifacts written",
@@ -195,75 +175,62 @@ def cmd_solve(args) -> int:
 
 def cmd_diagnose(args) -> int:
     t0 = time.time()
-    try:
-        cfg = load_config(args.config)
-        if cfg.diagnostics is None:
-            raise ConfigError("diagnose requires a [diagnostics] section")
-        u = read_field(args.u)
-        phi = read_levelset(args.phi)
-        if not u.grid.same_layout(phi.grid):
-            raise ConfigError("u and phi grids differ")
-        if not u.grid.same_layout(cfg.grid):
-            raise ConfigError("field grids do not match the config grid")
-    except (ConfigError, FblabError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    cfg = load_config(args.config)
+    if cfg.diagnostics is None:
+        raise ConfigError("diagnose requires a [diagnostics] section")
+    u = read_field(args.u)
+    phi = read_levelset(args.phi)
+    if not u.grid.same_layout(phi.grid):
+        raise ConfigError("u and phi grids differ")
+    if not u.grid.same_layout(cfg.grid):
+        raise ConfigError("field grids do not match the config grid")
 
     spec = cfg.diagnostics
-    try:
-        with _locked_output(args.out) as out_dir:
-            tp, residual = two_plane_fit(u, phi, spec.center,
-                                         max(spec.radii))
-            quad = ball_quadrature(u, phi, spec.center, spec.radii)
-            series = weiss_series(u, phi, spec.center, spec.radii,
-                                  tp.alpha, tp.beta, quadrature=quad)
-            acf = acf_product(u, phi, spec.center, spec.radii,
-                              quadrature=quad)
-            table = flatness_table(phi, spec.center, spec.radii)
-            flat_by_r = {float(r): (float(d), dirv)
-                         for r, d, dirv in zip(table.radii, table.deltas,
-                                               table.directions)}
+    with _locked_output(args.out) as out_dir:
+        tp, residual = two_plane_fit(u, phi, spec.center, max(spec.radii))
+        quad = ball_quadrature(u, phi, spec.center, spec.radii)
+        series = weiss_series(u, phi, spec.center, spec.radii,
+                              tp.alpha, tp.beta, quadrature=quad)
+        acf = acf_product(u, phi, spec.center, spec.radii, quadrature=quad)
+        table = flatness_table(phi, spec.center, spec.radii)
+        flat_by_r = {float(r): (float(d), dirv)
+                     for r, d, dirv in zip(table.radii, table.deltas,
+                                           table.directions)}
 
-            rows_path = os.path.join(out_dir, "diagnostics.csv")
-            with open(rows_path, "w") as fh:
-                fh.write("r,E,boundary_term,phi_weiss,acf_J,delta_flat,"
-                         "nu_x,nu_y\n")
-                for k, r in enumerate(spec.radii):
-                    delta, nu = flat_by_r.get(float(r),
-                                              (float("nan"), (float("nan"),
-                                                              float("nan"))))
-                    fh.write(",".join([
-                        _g(r), _g(series.E_values[k]),
-                        _g(series.boundary_terms[k]),
-                        _g(series.phi_values[k]), _g(acf.values[k]),
-                        _g(delta), _g(nu[0]), _g(nu[1]),
-                    ]) + "\n")
+        rows_path = os.path.join(out_dir, "diagnostics.csv")
+        with open(rows_path, "w") as fh:
+            fh.write("r,E,boundary_term,phi_weiss,acf_J,delta_flat,"
+                     "nu_x,nu_y\n")
+            for k, r in enumerate(spec.radii):
+                delta, nu = flat_by_r.get(float(r),
+                                          (float("nan"), (float("nan"),
+                                                          float("nan"))))
+                fh.write(",".join([
+                    _g(r), _g(series.E_values[k]),
+                    _g(series.boundary_terms[k]),
+                    _g(series.phi_values[k]), _g(acf.values[k]),
+                    _g(delta), _g(nu[0]), _g(nu[1]),
+                ]) + "\n")
 
-            trapping = None
-            if spec.levels > 0:
-                try:
-                    offsets = oscillation_decay(
-                        u, spec.center, max(spec.radii), spec.levels, tp)
-                    trapping = [[float(a), float(b)] for a, b in offsets]
-                except (FblabError, ValueError):
-                    trapping = None  # scale ladder not resolvable here
+        trapping = None
+        if spec.levels > 0:
+            try:
+                offsets = oscillation_decay(
+                    u, spec.center, max(spec.radii), spec.levels, tp)
+                trapping = [[float(a), float(b)] for a, b in offsets]
+            except (FblabError, ValueError):
+                trapping = None  # scale ladder not resolvable here
 
-            summary = {
-                "schema_version": SCHEMA_VERSION,
-                "two_plane_fit": _fit_payload(tp, residual),
-                "weiss_monotone": bool(series.monotone),
-                "weiss_first_violation": series.first_violation,
-                "acf_monotone": bool(acf.monotone),
-                "trapping_offsets": trapping,
-                "flatness": _flatness_payload(table),
-            }
-            _write_run_json(out_dir, summary, t0)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except FblabError as err:
-        print(f"error: diagnostics failed: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        summary = {
+            "schema_version": SCHEMA_VERSION,
+            "two_plane_fit": _fit_payload(tp, residual),
+            "weiss_monotone": bool(series.monotone),
+            "weiss_first_violation": series.first_violation,
+            "acf_monotone": bool(acf.monotone),
+            "trapping_offsets": trapping,
+            "flatness": _flatness_payload(table),
+        }
+        _write_run_json(out_dir, summary, t0)
     return EXIT_OK
 
 
@@ -290,14 +257,9 @@ def cmd_prandtl(args) -> int:
             "sigma": args.sigma}
     if base["mu"] <= 0 or base["h"] <= 0 or base["omega"] < 0 \
             or base["sigma"] <= 0:
-        print("error: mu, h, sigma must be positive and omega non-negative",
-              file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
-        sweeps = _parse_sweep(args.sweep)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise ConfigError(
+            "mu, h, sigma must be positive and omega non-negative")
+    sweeps = _parse_sweep(args.sweep)
 
     combos = [dict(base)]
     for key, values in sweeps:
@@ -305,47 +267,43 @@ def cmd_prandtl(args) -> int:
                   for c in combos for v in values]
 
     any_holds = False
-    try:
-        with _locked_output(args.out) as out_dir:
-            sweep_path = os.path.join(out_dir, "sweep.csv")
-            with open(sweep_path, "w") as fh:
-                fh.write("h,mu,omega,sigma,z0,rho_star,cond_holds,"
-                         "rho1,rho2\n")
-                for c in combos:
-                    try:
-                        z0, rho_star, rho1, rho2 = threshold_roots(
-                            c["h"], c["mu"], c["omega"], c["sigma"])
-                        holds = True
-                    except ConditionError as err:
-                        z0 = err.z0
-                        _, rho_star = jump_threshold_min(
-                            c["h"], c["mu"], c["omega"])
-                        rho1 = rho2 = float("nan")
-                        holds = False
-                    any_holds = any_holds or holds
-                    fh.write(",".join([
-                        _g(c["h"]), _g(c["mu"]), _g(c["omega"]),
-                        _g(c["sigma"]), _g(z0), _g(rho_star),
-                        str(int(holds)), _g(rho1), _g(rho2),
-                    ]) + "\n")
-
-            if args.profiles and base["omega"] > 0:
+    with _locked_output(args.out) as out_dir:
+        sweep_path = os.path.join(out_dir, "sweep.csv")
+        with open(sweep_path, "w") as fh:
+            fh.write("h,mu,omega,sigma,z0,rho_star,cond_holds,"
+                     "rho1,rho2\n")
+            for c in combos:
                 try:
-                    params = PBParams(**base)
-                    for branch in (1, 2):
-                        sol = radial_solution(params, branch)
-                        rs = np.linspace(0.0, 1.0, 201)
-                        path = os.path.join(
-                            out_dir, f"profile_branch{branch}.csv")
-                        with open(path, "w") as fh:
-                            fh.write("r,u\n")
-                            for r, uv in zip(rs, sol.u(rs)):
-                                fh.write(f"{_g(r)},{_g(uv)}\n")
-                except ConditionError:
-                    pass  # no admissible radii: sweep rows already say so
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+                    z0, rho_star, rho1, rho2 = threshold_roots(
+                        c["h"], c["mu"], c["omega"], c["sigma"])
+                    holds = True
+                except ConditionError as err:
+                    z0 = err.z0
+                    _, rho_star = jump_threshold_min(
+                        c["h"], c["mu"], c["omega"])
+                    rho1 = rho2 = float("nan")
+                    holds = False
+                any_holds = any_holds or holds
+                fh.write(",".join([
+                    _g(c["h"]), _g(c["mu"]), _g(c["omega"]),
+                    _g(c["sigma"]), _g(z0), _g(rho_star),
+                    str(int(holds)), _g(rho1), _g(rho2),
+                ]) + "\n")
+
+        if args.profiles and base["omega"] > 0:
+            try:
+                params = PBParams(**base)
+                for branch in (1, 2):
+                    sol = radial_solution(params, branch)
+                    rs = np.linspace(0.0, 1.0, 201)
+                    path = os.path.join(
+                        out_dir, f"profile_branch{branch}.csv")
+                    with open(path, "w") as fh:
+                        fh.write("r,u\n")
+                        for r, uv in zip(rs, sol.u(rs)):
+                            fh.write(f"{_g(r)},{_g(uv)}\n")
+            except ConditionError:
+                pass  # no admissible radii: sweep rows already say so
 
     if not any_holds:
         print("no sweep point satisfies the existence condition",
@@ -355,10 +313,7 @@ def cmd_prandtl(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the test-harness flag breaks the jump measurement of every verify run
-    flip = bool(os.environ.get("FBLAB_BREAK_JUMP_SIGN"))
-    ctx = SuiteContext(flip_jump_sign=flip)
-    results = run_suite(args.level, out_dir=args.out, ctx=ctx)
+    results = run_suite(args.level, out_dir=args.out)
     width = max(len(r.name) for r in results)
     hard_failures = []
     for r in results:
@@ -420,8 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the single place where toolkit errors become
+    exit codes.  Anything that is not an FblabError is a defect and
+    propagates with its traceback."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except PhaseCollapseError as err:
+        print(f"error: phase collapse: {err}", file=sys.stderr)
+        return EXIT_PHASE_COLLAPSE
+    except FblabError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

@@ -11,13 +11,13 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .elliptic import CoefficientField
-from .errors import FblabError
+from .errors import FblabError, FieldError, GridError
 from .fbiter import IterationOptions, PhaseProblem
 from .fields import (
     Grid2,
@@ -25,7 +25,6 @@ from .fields import (
     ScalarField,
     make_grid,
     read_field,
-    read_levelset,
 )
 from .problems import two_plane_field, two_plane_levelset
 
@@ -54,16 +53,16 @@ class RunConfig:
     phi0: LevelSet
     options: IterationOptions
     diagnostics: Optional[DiagnosticsSpec] = None
-    raw: dict = field(default_factory=dict)
 
 
 def _split(value: str):
     return [tok for tok in value.replace(",", " ").split() if tok]
 
 
-def _floats(value: str, n: int, what: str):
+def _floats(value: str, n: Optional[int], what: str):
+    """The numbers in ``value``; exactly ``n`` of them unless n is None."""
     toks = _split(value)
-    if len(toks) != n:
+    if n is not None and len(toks) != n:
         raise ConfigError(f"{what} needs {n} numbers, got {value!r}")
     try:
         return [float(t) for t in toks]
@@ -79,7 +78,12 @@ def _existing(path: str, base: str, what: str) -> str:
 
 
 def _same_grid_field(path: str, grid: Grid2, what: str) -> ScalarField:
-    f = read_field(path)
+    """The field in file ``path``, which must lie on the run grid; the one
+    place where a field file enters the configuration."""
+    try:
+        f = read_field(path)
+    except (FieldError, GridError) as err:
+        raise ConfigError(f"{what}: {err}") from err
     if not grid.same_layout(f.grid):
         raise ConfigError(f"{what} grid does not match the run grid")
     return ScalarField(grid, f.values)
@@ -118,19 +122,22 @@ def _parse_coefficients(spec: str, grid: Grid2, base: str) -> CoefficientField:
     kind = toks[0]
     if kind == "identity":
         return CoefficientField.identity(grid)
-    if kind == "constant":
-        a11, a12, a22 = _floats(" ".join(toks[1:]), 3, "coefficients")
-        return CoefficientField.constant(grid, a11, a12, a22)
-    if kind == "file":
-        if len(toks) != 4:
-            raise ConfigError("coefficients: 'file' takes three paths "
-                              "(a11, a12, a22)")
-        arrs = [
-            _same_grid_field(_existing(p, base, "coefficients"), grid,
-                             "coefficients").values
-            for p in toks[1:]
-        ]
-        return CoefficientField(grid, *arrs)
+    try:  # a FieldError here means the matrix is not uniformly elliptic
+        if kind == "constant":
+            a11, a12, a22 = _floats(" ".join(toks[1:]), 3, "coefficients")
+            return CoefficientField.constant(grid, a11, a12, a22)
+        if kind == "file":
+            if len(toks) != 4:
+                raise ConfigError("coefficients: 'file' takes three paths "
+                                  "(a11, a12, a22)")
+            arrs = [
+                _same_grid_field(_existing(p, base, "coefficients"), grid,
+                                 "coefficients").values
+                for p in toks[1:]
+            ]
+            return CoefficientField(grid, *arrs)
+    except FieldError as err:
+        raise ConfigError(f"coefficients: {err}") from err
     raise ConfigError(f"coefficients: unknown kind {kind!r}")
 
 
@@ -155,10 +162,9 @@ def _parse_interface(spec: str, grid: Grid2, base: str) -> LevelSet:
     if kind == "file":
         if len(toks) != 2:
             raise ConfigError("interface: 'file' takes one path")
-        phi = read_levelset(_existing(toks[1], base, "interface"))
-        if not grid.same_layout(phi.grid):
-            raise ConfigError("interface grid does not match the run grid")
-        return LevelSet(grid, phi.phi)
+        f = _same_grid_field(_existing(toks[1], base, "interface"), grid,
+                             "interface")
+        return LevelSet(grid, f.values)
     raise ConfigError(f"interface: unknown kind {kind!r}")
 
 
@@ -179,10 +185,11 @@ def load_config(path: str) -> RunConfig:
     ConfigError for every kind of invalid input."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file does not exist: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read(path)
-    except configparser.Error as err:
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
     base = os.path.dirname(os.path.abspath(path))
 
@@ -247,8 +254,7 @@ def load_config(path: str) -> RunConfig:
     diagnostics = None
     if parser.has_section("diagnostics"):
         center = _floats(_get(parser, "diagnostics", "center"), 2, "center")
-        radii = [float(t)
-                 for t in _split(_get(parser, "diagnostics", "radii"))]
+        radii = _floats(_get(parser, "diagnostics", "radii"), None, "radii")
         if not radii or any(r <= 0 for r in radii):
             raise ConfigError("diagnostics radii must be positive")
         if sorted(radii) != radii:
@@ -266,6 +272,5 @@ def load_config(path: str) -> RunConfig:
         diagnostics = DiagnosticsSpec(center=(cx, cy), radii=radii,
                                       levels=levels)
 
-    raw = {s: dict(parser.items(s)) for s in parser.sections()}
     return RunConfig(grid=grid, problem=problem, phi0=phi0, options=options,
-                     diagnostics=diagnostics, raw=raw)
+                     diagnostics=diagnostics)

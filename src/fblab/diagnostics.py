@@ -281,24 +281,24 @@ def weiss_energy(u: ScalarField, phi: LevelSet, center, r: float,
     return _weighted_energy(_cell_quadrature(u, phi, center, r), alpha, beta)
 
 
-def boundary_square_integral(u: ScalarField, center, r: float,
-                             samples: int = _BOUNDARY_SAMPLES) -> float:
+def boundary_square_integral(u: ScalarField, center, r: float) -> float:
     """Integral of u^2 over the circle of radius r by the midpoint angular
     rule with bilinear sampling."""
     _check_ball(u.grid, center, r)
-    theta = (np.arange(samples) + 0.5) * (2 * np.pi / samples)
+    n = _BOUNDARY_SAMPLES
+    theta = (np.arange(n) + 0.5) * (2 * np.pi / n)
     vals = u.sample(center[0] + r * np.cos(theta),
                     center[1] + r * np.sin(theta))
-    return float(np.sum(vals**2) * r * (2 * np.pi / samples))
+    return float(np.sum(vals**2) * r * (2 * np.pi / n))
 
 
 def weiss_phi(u: ScalarField, phi: LevelSet, center, r: float,
-              alpha: float, beta: float, n: int = 2):
-    """Scale-normalized energy r^-n E - r^(-1-n) * shell integral of u^2.
+              alpha: float, beta: float):
+    """Scale-normalized energy r^-2 E - r^-3 * shell integral of u^2.
     Returns (value, E, shell integral)."""
     E = weiss_energy(u, phi, center, r, alpha, beta)
     bterm = boundary_square_integral(u, center, r)
-    return E / r**n - bterm / r**(n + 1), E, bterm
+    return E / r**2 - bterm / r**3, E, bterm
 
 
 def _monotone_verdict(radii, values):

@@ -22,7 +22,7 @@ block, ``a[1+dj:ny-1+dj, 1+di:nx-1+di]``, and never leaves the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,8 +50,8 @@ class CoefficientField:
     a11: np.ndarray
     a12: np.ndarray
     a22: np.ndarray
-    lambda_min: float = 0.0
-    lambda_max: float = 0.0
+    lambda_min: float = field(init=False)
+    lambda_max: float = field(init=False)
 
     def __post_init__(self):
         for name in ("a11", "a12", "a22"):

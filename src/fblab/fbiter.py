@@ -78,10 +78,9 @@ class PhaseProblem:
             raise FieldError("jump target Q must be positive everywhere")
 
     @classmethod
-    def shared_rhs(cls, A, f, Q, outer_data, mask_radius=None):
+    def shared_rhs(cls, A, f, Q, outer_data):
         """Both phases driven by the same right-hand side."""
-        return cls(A=A, f_plus=f, f_minus=f, Q=Q, outer_data=outer_data,
-                   mask_radius=mask_radius)
+        return cls(A=A, f_plus=f, f_minus=f, Q=Q, outer_data=outer_data)
 
     def pinned_mask(self):
         """Boolean node mask held at outer_data (None without a ball)."""
@@ -239,8 +238,9 @@ def _smooth_along(values: np.ndarray, closed: bool, window: int):
     return out
 
 
-def _damp_interface_wiggles(phi: LevelSet, weight: float = 0.5) -> LevelSet:
-    """One four-neighbor averaging pass restricted to the velocity band.
+def _damp_interface_wiggles(phi: LevelSet) -> LevelSet:
+    """One half-weight four-neighbor averaging pass restricted to the
+    velocity band.
 
     Grid-scale corrugations of the free boundary are violently unstable
     under the jump-defect flow (the one-sided gradients amplify them), so a
@@ -254,7 +254,7 @@ def _damp_interface_wiggles(phi: LevelSet, weight: float = 0.5) -> LevelSet:
     avg[1:-1, 1:-1] = 0.25 * (v[:-2, 1:-1] + v[2:, 1:-1]
                               + v[1:-1, :-2] + v[1:-1, 2:])
     band = np.abs(v) <= _VELOCITY_BAND * grid.h
-    out = np.where(band, (1 - weight) * v + weight * avg, v)
+    out = np.where(band, 0.5 * v + 0.5 * avg, v)
     return LevelSet(grid, out)
 
 

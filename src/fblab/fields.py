@@ -57,14 +57,8 @@ class Grid2:
     def meshgrid(self):
         return np.meshgrid(self.xs, self.ys, indexing="xy")
 
-    def node(self, i: int, j: int):
-        return (self.x0 + i * self.h, self.y0 + j * self.h)
-
-    def contains(self, x: float, y: float, pad: float = 0.0) -> bool:
-        return (
-            self.x0 + pad <= x <= self.x1 - pad
-            and self.y0 + pad <= y <= self.y1 - pad
-        )
+    def contains(self, x: float, y: float) -> bool:
+        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
     def cell_of(self, x, y):
         """Cell indices (i, j) such that the point(s) lie in cell
@@ -544,8 +538,13 @@ def write_field(f: ScalarField | LevelSet, path) -> None:
 
 
 def read_field(path) -> ScalarField:
-    """Read a field written by :func:`write_field`, rebuilding its grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Read a field written by :func:`write_field`, rebuilding its grid.
+    Raises FieldError (or GridError) for a file that cannot be read or
+    does not hold a full grid."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except (OSError, ValueError) as err:
+        raise FieldError(f"cannot read field file {path}: {err}") from err
     if data.ndim != 2 or data.shape[1] != 3:
         raise FieldError(f"malformed field file {path}")
     xs = np.unique(data[:, 0])

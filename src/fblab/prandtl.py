@@ -107,7 +107,7 @@ def existence_condition(params: PBParams):
     return params.h**2 * params.sigma > max(0.0, z0), z0, rho_star
 
 
-def _bisect(fn, lo, hi, target, residual_tol=1e-10, max_iter=200):
+def _bisect(fn, lo, hi, target):
     flo = fn(lo) - target
     fhi = fn(hi) - target
     if flo == 0.0:
@@ -116,10 +116,10 @@ def _bisect(fn, lo, hi, target, residual_tol=1e-10, max_iter=200):
         return hi
     if flo * fhi > 0:
         raise FblabError("bisection bracket does not straddle the target")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fn(mid) - target
-        if abs(fm) < residual_tol and hi - lo < 1e-13:
+        if abs(fm) < 1e-10 and hi - lo < 1e-13:
             return mid
         if flo * fm <= 0:
             hi, fhi = mid, fm
@@ -223,8 +223,7 @@ def profile_jump(rho: float, params: PBParams) -> float:
     return outer**2 - inner**2
 
 
-def classify_comparison(sol: PBRadialSolution, h_test: float,
-                        tol: float = 1e-12) -> str:
+def classify_comparison(sol: PBRadialSolution, h_test: float) -> str:
     """Compare a radial solution against the disk problem with modulus
     ``h_test``: returns 'strict_sub', 'strict_super' or 'neither'.
 
@@ -232,6 +231,7 @@ def classify_comparison(sol: PBRadialSolution, h_test: float,
     h_test^2*omega in the patch; the jump target is h_test^2*sigma.  A strict
     subsolution must exceed both, a strict supersolution fall below both.
     """
+    tol = 1e-12
     p = sol.params
     eq_delta = p.h**2 * p.omega - h_test**2 * p.omega
     jump_delta = profile_jump(sol.rho, p) - h_test**2 * p.sigma
@@ -242,8 +242,8 @@ def classify_comparison(sol: PBRadialSolution, h_test: float,
     return "neither"
 
 
-def ordering_check(m: float, M: float, mu: float, omega: float, sigma: float,
-                   samples: int = 100):
+def ordering_check(m: float, M: float, mu: float, omega: float,
+                   sigma: float):
     """Check the branch ordering for two moduli m < M: the patch grows with
     the modulus along each branch and solutions with larger patches sit
     strictly below, so on interior radii
@@ -265,7 +265,7 @@ def ordering_check(m: float, M: float, mu: float, omega: float, sigma: float,
     um1 = PBRadialSolution(pm, 1, r1m)
     um2 = PBRadialSolution(pm, 2, r2m)
     uM2 = PBRadialSolution(pM, 2, r2M)
-    rs = np.linspace(0.0, 1.0, samples + 2)[1:-1]  # interior radii only
+    rs = np.linspace(0.0, 1.0, 102)[1:-1]  # 100 interior radii
     vM2 = uM2.u(rs)
     vm2 = um2.u(rs)
     vm1 = um1.u(rs)

@@ -37,7 +37,7 @@ def two_plane_levelset(grid: Grid2, nu=(0.0, 1.0),
 
 
 def two_plane_problem(grid: Grid2, beta: float, Q: float = 1.0,
-                      nu=(0.0, 1.0), c: float = 0.0) -> PhaseProblem:
+                      c: float = 0.0) -> PhaseProblem:
     """Homogeneous two-phase problem whose exact solution is the two-plane
     profile: A = I, f = 0, outer data the profile itself."""
     A = CoefficientField.identity(grid)
@@ -47,7 +47,7 @@ def two_plane_problem(grid: Grid2, beta: float, Q: float = 1.0,
         f_plus=zero,
         f_minus=zero,
         Q=ScalarField.constant(grid, Q),
-        outer_data=two_plane_field(grid, beta, nu, c),
+        outer_data=two_plane_field(grid, beta, c=c),
     )
 
 

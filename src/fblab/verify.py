@@ -60,20 +60,19 @@ class CriterionResult:
     seconds: float
 
 
-def build_disk_run(flip_jump_sign: bool = False):
+def build_disk_run():
     """Converged vortex-patch disk run on a 193^2 grid (criteria 3, 4, 6)."""
     grid = make_grid(193, 193, (-1.1, -1.1, 1.1, 1.1))
     _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
     problem = pb_problem(grid, DISK_PARAMS)
     phi0 = pb_levelset(grid, rho2 * 1.1)
-    opts = IterationOptions(max_iters=80, tol_jump=0.12, tol_move=0.5,
-                            flip_jump_sign=flip_jump_sign)
+    opts = IterationOptions(max_iters=80, tol_jump=0.12, tol_move=0.5)
     u, phi, report = run(problem, phi0, opts)
     return {"grid": grid, "params": DISK_PARAMS, "problem": problem,
             "u": u, "phi": phi, "report": report, "rho2": rho2}
 
 
-def build_perturbed_run(flip_jump_sign: bool = False):
+def build_perturbed_run():
     """Converged run with 0.05-amplitude sinusoidal planar boundary data
     (criteria 8, 9)."""
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
@@ -90,30 +89,27 @@ def build_perturbed_run(flip_jump_sign: bool = False):
     )
     phi0 = LevelSet.from_function(
         grid, lambda x, y: y + 0.05 * np.sin(np.pi * x))
-    opts = IterationOptions(max_iters=60, tol_jump=0.04, tol_move=0.5,
-                            flip_jump_sign=flip_jump_sign)
+    opts = IterationOptions(max_iters=60, tol_jump=0.04, tol_move=0.5)
     u, phi, report = run(problem, phi0, opts)
     return {"grid": grid, "problem": problem, "u": u, "phi": phi,
             "report": report}
 
 
 class SuiteContext:
-    """Caches the two expensive converged runs across criteria, and holds
-    the fault injection every run of the suite uses."""
+    """Caches the two expensive converged runs across criteria."""
 
-    def __init__(self, disk=None, perturbed=None, flip_jump_sign=False):
+    def __init__(self, disk=None, perturbed=None):
         self._disk = disk
         self._perturbed = perturbed
-        self.flip_jump_sign = flip_jump_sign
 
     def disk(self):
         if self._disk is None:
-            self._disk = build_disk_run(self.flip_jump_sign)
+            self._disk = build_disk_run()
         return self._disk
 
     def perturbed(self):
         if self._perturbed is None:
-            self._perturbed = build_perturbed_run(self.flip_jump_sign)
+            self._perturbed = build_perturbed_run()
         return self._perturbed
 
 
@@ -151,8 +147,7 @@ def criterion_two_plane_stationarity(ctx, out_dir=None) -> CriterionResult:
         problem = two_plane_problem(grid, beta)
         phi0 = two_plane_levelset(grid)
         _, phi, report = run(problem, phi0, IterationOptions(
-            max_iters=10, tol_jump=1e-12, tol_move=1e-12,
-            flip_jump_sign=ctx.flip_jump_sign))
+            max_iters=10, tol_jump=1e-12, tol_move=1e-12))
         drift = float(np.max(np.abs(phi.phi - phi0.phi)))
         elapsed = time.time() - tb
         worst_jump = max(worst_jump, float(report.jump_history[-1]))
@@ -325,8 +320,7 @@ def criterion_branch_ordering(ctx, out_dir=None) -> CriterionResult:
     """Radial solutions for nested moduli m < M keep the printed radius and
     profile ordering at 100 interior radii."""
     t0 = time.time()
-    ok, witness = ordering_check(1.0, 1.2, mu=1.0, omega=1.0, sigma=8.0,
-                                 samples=100)
+    ok, witness = ordering_check(1.0, 1.2, mu=1.0, omega=1.0, sigma=8.0)
     detail = "radius and pointwise ordering hold" if ok \
         else f"violated at r = {witness}"
     return CriterionResult("branch_ordering", ok, True, detail,

@@ -2,14 +2,13 @@
 self-verification suite and re-asserting the stated tolerance directly."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+import fblab.fbiter
 from fblab import verify
+from fblab.cli import main
 from fblab.fields import all_interface_points, interface_extract
 from fblab.prandtl import jump_threshold
 
@@ -75,18 +74,20 @@ class TestCriteria:
         res = verify.criterion_branch_ordering(ctx)
         assert res.passed, res.detail
 
-    def test_11_negative_control(self, ctx, tmp_path):
+    def test_11_negative_control(self, ctx, tmp_path, monkeypatch, capsys):
         res = verify.criterion_negative_control(ctx)
         assert res.passed, res.detail
-        # end to end: the broken-measurement harness run must fail the
-        # stationarity criterion and exit 1 naming it
-        env = dict(os.environ, FBLAB_BREAK_JUMP_SIGN="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "fblab", "verify", "--level", "quick",
-             "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=900)
-        assert proc.returncode == 1
-        assert "two_plane_stationarity" in proc.stderr
+        # end to end: with the jump measurement broken, `fblab verify` must
+        # fail the stationarity criterion and exit 1 naming it
+        jump = fblab.fbiter._jump_at_points
+
+        def flipped(*args, flip_sign=False):
+            return jump(*args, flip_sign=not flip_sign)
+
+        monkeypatch.setattr(fblab.fbiter, "_jump_at_points", flipped)
+        assert main(["verify", "--level", "quick",
+                     "--out", str(tmp_path)]) == 1
+        assert "two_plane_stationarity" in capsys.readouterr().err
 
     def test_12_open_question_audits(self, ctx, tmp_path):
         res = verify.criterion_open_question_audits(ctx, str(tmp_path))

@@ -1,13 +1,18 @@
 import fcntl
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fblab
 import fblab.cli
 import fblab.diagnostics
 from fblab.cli import main
+from fblab.errors import SolverError
 from fblab.fields import (
     LevelSet,
     ScalarField,
@@ -75,6 +80,13 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def bad_outer_config(tmp_path, content):
+    """A config whose ``outer`` field file holds ``content``."""
+    (tmp_path / "outer.csv").write_text(content)
+    return write(tmp_path, "run.ini", TWO_PLANE_INI.replace(
+        "outer = two_plane 0.5 0 0", "outer = file outer.csv"))
+
+
 class TestSolve:
     def test_stationary_profile_exits_zero(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
@@ -126,6 +138,52 @@ class TestSolve:
                     TWO_PLANE_INI.replace("nx = 65", "nx = 4"))
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("content", [
+        "x,y,value\nabc\n",     # not a number
+        "x,y,value\n0,0,1\n",   # one row: not a grid
+    ], ids=["garbage", "one_row"])
+    def test_unreadable_field_file_exits_three(self, tmp_path, capsys,
+                                               content):
+        cfg = bad_outer_config(tmp_path, content)
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: outer: ") and "outer.csv" in err
+
+    def test_toolkit_error_exits_three(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise SolverError("residual 1e-3 above contract")
+
+        monkeypatch.setattr(fblab.cli, "fbiter_run", failing)
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err \
+            == "error: residual 1e-3 above contract\n"
+
+    def test_defect_propagates(self, tmp_path, monkeypatch):
+        # only toolkit errors become exit codes; a defect keeps its traceback
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("defect")
+
+        monkeypatch.setattr(fblab.cli, "fbiter_run", broken)
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
+        with pytest.raises(ZeroDivisionError):
+            main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    def test_entry_point_reports_error_without_traceback(self, tmp_path):
+        cfg = bad_outer_config(tmp_path, "x,y,value\nabc\n")
+        src = os.path.dirname(os.path.dirname(fblab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fblab", "solve", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_phase_collapse_exits_four(self, tmp_path):
         # negative phase starts with no interior nodes
@@ -253,6 +311,24 @@ radii = 0.2
         assert main(["diagnose", "--u", out + "/u.csv",
                      "--phi", out + "/iterations.csv", "--config", cfg,
                      "--out", str(tmp_path / "d")]) == 3
+
+    @pytest.mark.parametrize("content", [None, "x,y,value\nabc\n"],
+                             ids=["missing", "garbage"])
+    def test_unreadable_u_exits_three(self, tmp_path, capsys, content):
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2
+""")
+        grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
+        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
+                    str(tmp_path / "phi.csv"))
+        if content is not None:
+            (tmp_path / "u.csv").write_text(content)
+        assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_diagnostics_block_exit_three(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)

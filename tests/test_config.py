@@ -61,6 +61,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.ini"))
 
+    def test_binary_file_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_config(str(path))
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        # the format has no interpolation: '%' is an ordinary character
+        text = BASE.replace("outer = two_plane 0.5 0 0",
+                            "outer = two_plane 0.5 0 0%")
+        with pytest.raises(ConfigError, match="outer"):
+            load_config(write_config(tmp_path, text))
+
     def test_schema_version_checked(self, tmp_path):
         text = BASE.replace("schema_version = 1", "schema_version = 2")
         with pytest.raises(ConfigError, match="schema_version"):
@@ -117,6 +130,22 @@ kappa = 0.25
         with pytest.raises(ConfigError, match="does not match"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("content", [
+        "x,y,value\nabc\n",     # not a number
+        "x,y,value\n0,0,1\n",   # one row: not a grid
+    ], ids=["garbage", "one_row"])
+    @pytest.mark.parametrize("line, spec", [
+        ("outer = two_plane 0.5 0 0", "outer = file bad.csv"),
+        ("interface = flat 0 0", "interface = file bad.csv"),
+        ("coefficients = identity",
+         "coefficients = file bad.csv bad.csv bad.csv"),
+    ], ids=["outer", "interface", "coefficients"])
+    def test_unreadable_field_file(self, tmp_path, content, line, spec):
+        (tmp_path / "bad.csv").write_text(content)
+        text = BASE.replace(line, spec)
+        with pytest.raises(ConfigError, match="bad.csv"):
+            load_config(write_config(tmp_path, text))
+
     def test_missing_referenced_file(self, tmp_path):
         text = BASE.replace("jump_target = constant 1",
                             "jump_target = file nothere.csv")
@@ -149,6 +178,15 @@ radii = 0.5
         with pytest.raises(ConfigError, match="leave the domain"):
             load_config(write_config(tmp_path, text))
 
+    def test_diagnostics_radii_must_be_numbers(self, tmp_path):
+        text = BASE + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2, abc
+"""
+        with pytest.raises(ConfigError, match="radii"):
+            load_config(write_config(tmp_path, text))
+
     def test_diagnostics_radii_must_increase(self, tmp_path):
         text = BASE + """
 [diagnostics]
@@ -164,6 +202,12 @@ radii = 0.4, 0.2
         cfg = load_config(write_config(tmp_path, text))
         assert np.allclose(cfg.problem.A.a11, 2.0)
         assert np.allclose(cfg.problem.A.a12, 0.5)
+
+    def test_non_elliptic_coefficients_rejected(self, tmp_path):
+        text = BASE.replace("coefficients = identity",
+                            "coefficients = constant 1 2 1")
+        with pytest.raises(ConfigError, match="elliptic"):
+            load_config(write_config(tmp_path, text))
 
     def test_mask_radius(self, tmp_path):
         text = BASE.replace("[init]", "mask_radius = 0.9\n\n[init]")

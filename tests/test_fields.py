@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fblab.fields
-from fblab.errors import DegenerateInterfaceError, GridError
+from fblab.errors import DegenerateInterfaceError, FieldError, GridError
 from fblab.fields import (
     LevelSet,
     ScalarField,
@@ -331,3 +331,15 @@ class TestCsvRoundTrip:
         v = read_field(path)
         assert v.grid.nx == 17 and v.grid.ny == 17
         assert np.allclose(v.values, u.values, atol=1e-15)
+
+    @pytest.mark.parametrize("content", [
+        None,                        # no such file
+        "x,y,value\nabc\n",         # not a number
+        "x,y,value\n0,0,1\n",       # one row: not a grid
+    ], ids=["missing", "garbage", "one_row"])
+    def test_unreadable_file_names_path(self, tmp_path, content):
+        path = tmp_path / "u.csv"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(FieldError, match="u.csv"):
+            read_field(path)
