@@ -42,6 +42,7 @@ from .fields import (
     read_levelset,
     write_field,
     write_polylines,
+    write_table,
 )
 from .fbiter import run as fbiter_run
 from .prandtl import (
@@ -60,11 +61,6 @@ EXIT_BAD_CONFIG = 3
 EXIT_PHASE_COLLAPSE = 4
 
 _LOCK_NAME = ".fblab.lock"
-
-
-def _g(v) -> str:
-    """17-significant-digit float formatting for reproducible diffs."""
-    return f"{float(v):.17g}"
 
 
 @contextmanager
@@ -101,13 +97,6 @@ def _write_run_json(out_dir, summary, t0):
             fh.write("\n")
 
 
-def _write_iterations_csv(report, path):
-    with open(path, "w") as fh:
-        fh.write("iter,jump_linf,displacement,area_plus\n")
-        for it, jump, disp, area in report.rows():
-            fh.write(f"{it},{_g(jump)},{_g(disp)},{_g(area)}\n")
-
-
 def _flatness_payload(table):
     if table is None:
         return None
@@ -139,8 +128,8 @@ def cmd_solve(args) -> int:
         write_field(phi, os.path.join(out_dir, "phi.csv"))
         write_polylines(interface_extract(phi),
                         os.path.join(out_dir, "interface.csv"))
-        _write_iterations_csv(report,
-                              os.path.join(out_dir, "iterations.csv"))
+        write_table(os.path.join(out_dir, "iterations.csv"),
+                    "iter,jump_linf,displacement,area_plus", report.rows())
 
         fit = monotone = None
         if cfg.diagnostics is not None:
@@ -193,24 +182,17 @@ def cmd_diagnose(args) -> int:
                               tp.alpha, tp.beta, quadrature=quad)
         acf = acf_product(u, phi, spec.center, spec.radii, quadrature=quad)
         table = flatness_table(phi, spec.center, spec.radii)
-        flat_by_r = {float(r): (float(d), dirv)
+        flat_by_r = {float(r): (d, *dirv)
                      for r, d, dirv in zip(table.radii, table.deltas,
                                            table.directions)}
-
-        rows_path = os.path.join(out_dir, "diagnostics.csv")
-        with open(rows_path, "w") as fh:
-            fh.write("r,E,boundary_term,phi_weiss,acf_J,delta_flat,"
-                     "nu_x,nu_y\n")
-            for k, r in enumerate(spec.radii):
-                delta, nu = flat_by_r.get(float(r),
-                                          (float("nan"), (float("nan"),
-                                                          float("nan"))))
-                fh.write(",".join([
-                    _g(r), _g(series.E_values[k]),
-                    _g(series.boundary_terms[k]),
-                    _g(series.phi_values[k]), _g(acf.values[k]),
-                    _g(delta), _g(nu[0]), _g(nu[1]),
-                ]) + "\n")
+        nan3 = (float("nan"),) * 3
+        write_table(
+            os.path.join(out_dir, "diagnostics.csv"),
+            "r,E,boundary_term,phi_weiss,acf_J,delta_flat,nu_x,nu_y",
+            [(r, series.E_values[k], series.boundary_terms[k],
+              series.phi_values[k], acf.values[k],
+              *flat_by_r.get(float(r), nan3))
+             for k, r in enumerate(spec.radii)])
 
         trapping = None
         if spec.levels > 0:
@@ -266,29 +248,25 @@ def cmd_prandtl(args) -> int:
         combos = [dict(c, **{key: float(v)})
                   for c in combos for v in values]
 
-    any_holds = False
+    rows, any_holds = [], False
+    for c in combos:
+        try:
+            z0, rho_star, rho1, rho2 = threshold_roots(
+                c["h"], c["mu"], c["omega"], c["sigma"])
+            holds = True
+        except ConditionError as err:
+            z0 = err.z0
+            _, rho_star = jump_threshold_min(c["h"], c["mu"], c["omega"])
+            rho1 = rho2 = float("nan")
+            holds = False
+        any_holds = any_holds or holds
+        rows.append((c["h"], c["mu"], c["omega"], c["sigma"], z0,
+                     rho_star, holds, rho1, rho2))
+
     with _locked_output(args.out) as out_dir:
-        sweep_path = os.path.join(out_dir, "sweep.csv")
-        with open(sweep_path, "w") as fh:
-            fh.write("h,mu,omega,sigma,z0,rho_star,cond_holds,"
-                     "rho1,rho2\n")
-            for c in combos:
-                try:
-                    z0, rho_star, rho1, rho2 = threshold_roots(
-                        c["h"], c["mu"], c["omega"], c["sigma"])
-                    holds = True
-                except ConditionError as err:
-                    z0 = err.z0
-                    _, rho_star = jump_threshold_min(
-                        c["h"], c["mu"], c["omega"])
-                    rho1 = rho2 = float("nan")
-                    holds = False
-                any_holds = any_holds or holds
-                fh.write(",".join([
-                    _g(c["h"]), _g(c["mu"]), _g(c["omega"]),
-                    _g(c["sigma"]), _g(z0), _g(rho_star),
-                    str(int(holds)), _g(rho1), _g(rho2),
-                ]) + "\n")
+        write_table(os.path.join(out_dir, "sweep.csv"),
+                    "h,mu,omega,sigma,z0,rho_star,cond_holds,rho1,rho2",
+                    rows)
 
         if args.profiles and base["omega"] > 0:
             try:
@@ -296,12 +274,9 @@ def cmd_prandtl(args) -> int:
                 for branch in (1, 2):
                     sol = radial_solution(params, branch)
                     rs = np.linspace(0.0, 1.0, 201)
-                    path = os.path.join(
-                        out_dir, f"profile_branch{branch}.csv")
-                    with open(path, "w") as fh:
-                        fh.write("r,u\n")
-                        for r, uv in zip(rs, sol.u(rs)):
-                            fh.write(f"{_g(r)},{_g(uv)}\n")
+                    write_table(
+                        os.path.join(out_dir, f"profile_branch{branch}.csv"),
+                        "r,u", np.column_stack([rs, sol.u(rs)]))
             except ConditionError:
                 pass  # no admissible radii: sweep rows already say so
 

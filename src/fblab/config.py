@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .elliptic import CoefficientField
-from .errors import FblabError, FieldError, GridError
+from .errors import FblabError, FieldError
 from .fbiter import IterationOptions, PhaseProblem
 from .fields import (
     Grid2,
@@ -82,7 +82,7 @@ def _same_grid_field(path: str, grid: Grid2, what: str) -> ScalarField:
     place where a field file enters the configuration."""
     try:
         f = read_field(path)
-    except (FieldError, GridError) as err:
+    except FieldError as err:
         raise ConfigError(f"{what}: {err}") from err
     if not grid.same_layout(f.grid):
         raise ConfigError(f"{what} grid does not match the run grid")

@@ -326,21 +326,19 @@ def interface_normal_gradient(u: ScalarField, A: CoefficientField,
                               phi: LevelSet, points, side: int):
     """One-sided gradient of u at interface points and its A-energy.
 
-    ``points`` is one point ``(2,)`` or many ``(m, 2)``.  The gradient is
+    ``points`` has shape ``(m, 2)``.  The gradient is
     evaluated at probe points offset 1.5h and 2.5h along the interface
     normal into the requested side and extrapolated linearly back to the
     interface; each probe blends the one-sided node gradients of
     :func:`~fblab.fields.one_sided_gradient`, computed once per call.
-    Returns ``(grad, q_A)`` with ``q_A = <A grad, grad>``: shapes ``(2,)``
-    and float for one point, ``(m, 2)`` and ``(m,)`` for many.  Raises
+    Returns ``(grad, q_A)`` with ``q_A = <A grad, grad>``, of shapes
+    ``(m, 2)`` and ``(m,)``.  Raises
     UnderResolvedError naming the first point with a vanishing level-set
     gradient or with no usable corner around a probe.
     """
     if side not in (1, -1):
         raise FieldError("side must be +1 or -1")
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 2)
     x, y = pts[:, 0], pts[:, 1]
     g = u.grid
     h = g.h
@@ -374,6 +372,4 @@ def interface_normal_gradient(u: ScalarField, A: CoefficientField,
     # stacked matmul rounds exactly as the per-point grad @ A @ grad
     Am = np.ascontiguousarray(np.moveaxis(A.matrix_at(x, y), -1, 0))
     q_A = (grad0[:, None, :] @ Am @ grad0[:, :, None])[:, 0, 0]
-    if single:
-        return grad0[0], float(q_A[0])
     return grad0, q_A

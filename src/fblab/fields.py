@@ -524,23 +524,30 @@ def polyline_distance(points: np.ndarray, polylines) -> np.ndarray:
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-_FMT = "%.17g"
+_FMT = "%.17g"  # the one float format of every CSV table
+
+
+def write_table(path, header: str, rows) -> None:
+    """Write ``rows`` as a CSV table under the comma-separated ``header``,
+    every entry as a float with 17 significant digits.  Integers and
+    flags print as integers (``3``, ``1``) and NaN as ``nan``."""
+    data = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
+    np.savetxt(path, data, delimiter=",", header=header, comments="",
+               fmt=_FMT)
 
 
 def write_field(f: ScalarField | LevelSet, path) -> None:
     """Write a full-grid field as CSV ``x,y,value``, row-major by y then x."""
     values = f.values if isinstance(f, ScalarField) else f.phi
-    g = f.grid
-    xx, yy = g.meshgrid()
-    data = np.column_stack([xx.ravel(), yy.ravel(), values.ravel()])
-    np.savetxt(path, data, delimiter=",", header="x,y,value", comments="",
-               fmt=_FMT)
+    xx, yy = f.grid.meshgrid()
+    write_table(path, "x,y,value",
+                np.column_stack([xx.ravel(), yy.ravel(), values.ravel()]))
 
 
 def read_field(path) -> ScalarField:
     """Read a field written by :func:`write_field`, rebuilding its grid.
-    Raises FieldError (or GridError) for a file that cannot be read or
-    does not hold a full grid."""
+    Raises FieldError, naming the file, for a file that cannot be read or
+    does not hold a full uniform grid in ``write_field``'s row order."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as err:
@@ -552,9 +559,16 @@ def read_field(path) -> ScalarField:
     nx, ny = len(xs), len(ys)
     if nx * ny != len(data):
         raise FieldError(f"field file {path} is not a full grid")
-    grid = make_grid(nx, ny, (xs[0], ys[0], xs[-1], ys[-1]))
-    values = data[:, 2].reshape(ny, nx)
-    return ScalarField(grid, values)
+    try:
+        grid = make_grid(nx, ny, (xs[0], ys[0], xs[-1], ys[-1]))
+    except GridError as err:
+        raise FieldError(f"field file {path}: {err}") from err
+    xx, yy = grid.meshgrid()
+    off = np.abs(data[:, :2] - np.column_stack([xx.ravel(), yy.ravel()]))
+    if np.max(off) > 1e-9 * grid.h:
+        raise FieldError(f"field file {path} is not a uniform grid in "
+                         "row-major order (y, then x)")
+    return ScalarField(grid, data[:, 2].reshape(ny, nx))
 
 
 def read_levelset(path) -> LevelSet:
@@ -564,11 +578,6 @@ def read_levelset(path) -> LevelSet:
 
 def write_polylines(polylines, path) -> None:
     """CSV ``component_id,vertex_id,x,y``."""
-    rows = []
-    for cid, pl in enumerate(polylines):
-        for vid, (x, y) in enumerate(pl.points):
-            rows.append((cid, vid, x, y))
-    with open(path, "w") as fh:
-        fh.write("component_id,vertex_id,x,y\n")
-        for cid, vid, x, y in rows:
-            fh.write(f"{cid},{vid},{x:.17g},{y:.17g}\n")
+    write_table(path, "component_id,vertex_id,x,y",
+                [(cid, vid, x, y) for cid, pl in enumerate(polylines)
+                 for vid, (x, y) in enumerate(pl.points)])

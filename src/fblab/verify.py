@@ -30,6 +30,7 @@ from .fields import (
     all_interface_points,
     interface_extract,
     make_grid,
+    write_table,
 )
 from .prandtl import (
     PBParams,
@@ -352,31 +353,32 @@ def criterion_open_question_audits(ctx, out_dir=None) -> CriterionResult:
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
+    div_rows = []
+    for h2w in (0.5, 1.0, 2.0):
+        params = PBParams(mu=1.0, omega=h2w, sigma=8.0, h=1.0)
+        for rho in np.linspace(0.1, 0.9, 9):
+            t = jump_threshold(rho, 1.0, 1.0, h2w)
+            p = profile_jump(rho, params)
+            div_rows.append((h2w, rho, t, p, t - p))
     div_path = os.path.join(out_dir, "jump_divergence_table.csv")
-    with open(div_path, "w") as fh:
-        fh.write("h2omega,rho,threshold,profile,difference\n")
-        for h2w in (0.5, 1.0, 2.0):
-            params = PBParams(mu=1.0, omega=h2w, sigma=8.0, h=1.0)
-            for rho in np.linspace(0.1, 0.9, 9):
-                t = jump_threshold(rho, 1.0, 1.0, h2w)
-                p = profile_jump(rho, params)
-                fh.write(f"{h2w:.17g},{rho:.17g},{t:.17g},{p:.17g},"
-                         f"{t - p:.17g}\n")
+    write_table(div_path, "h2omega,rho,threshold,profile,difference",
+                div_rows)
 
-    sweep_path = os.path.join(out_dir, "large_vorticity_sweep.csv")
+    sweep_rows = []
     n_holds, n_implied = 0, 0
-    with open(sweep_path, "w") as fh:
-        fh.write("mu,omega,cond_holds,z0,z0_nonpositive,implication_ok\n")
-        for mu in np.linspace(0.2, 2.0, 20):
-            for omega in np.linspace(1.0, 25.0, 20):
-                holds = omega >= 4.0 * math.e * mu
-                z0, _ = jump_threshold_min(1.0, mu, omega)
-                nonpos = z0 <= 0.0
-                implied = (not holds) or nonpos
-                n_holds += holds
-                n_implied += holds and implied
-                fh.write(f"{mu:.17g},{omega:.17g},{int(holds)},{z0:.17g},"
-                         f"{int(nonpos)},{int(implied)}\n")
+    for mu in np.linspace(0.2, 2.0, 20):
+        for omega in np.linspace(1.0, 25.0, 20):
+            holds = omega >= 4.0 * math.e * mu
+            z0, _ = jump_threshold_min(1.0, mu, omega)
+            nonpos = z0 <= 0.0
+            implied = (not holds) or nonpos
+            n_holds += holds
+            n_implied += holds and implied
+            sweep_rows.append((mu, omega, holds, z0, nonpos, implied))
+    sweep_path = os.path.join(out_dir, "large_vorticity_sweep.csv")
+    write_table(sweep_path,
+                "mu,omega,cond_holds,z0,z0_nonpositive,implication_ok",
+                sweep_rows)
 
     ok = os.path.isfile(div_path) and os.path.isfile(sweep_path)
     detail = (f"reports written to {out_dir}; condition holds at "

@@ -20,6 +20,7 @@ from fblab.fields import (
     read_field,
     read_levelset,
     write_field,
+    write_table,
 )
 
 TWO_PLANE_INI = """
@@ -330,6 +331,24 @@ radii = 0.2
                      "--out", str(tmp_path / "d")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_too_small_field_names_file(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2
+""")
+        grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
+        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
+                    str(tmp_path / "phi.csv"))
+        xx, yy = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(-1, 1, 4))
+        write_table(tmp_path / "g4.csv", "x,y,value",
+                    np.column_stack([xx.ravel(), yy.ravel(), np.zeros(16)]))
+        assert main(["diagnose", "--u", str(tmp_path / "g4.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "g4.csv" in err
+
     def test_missing_diagnostics_block_exit_three(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
         out = str(tmp_path / "out")
@@ -384,3 +403,63 @@ class TestPrandtl:
         assert main(["prandtl", "--mu", "1", "--omega", "1", "--h", "1",
                      "--sigma", "8", "--sweep", "gamma=1:2:3",
                      "--out", str(tmp_path / "pb")]) == 3
+
+
+class TestArtifactFormat:
+    """Every CSV artifact has its documented header, and every entry is
+    printed with 17 significant digits, as ``'%.17g'`` prints it."""
+
+    HEADERS = {
+        "u.csv": "x,y,value",
+        "phi.csv": "x,y,value",
+        "interface.csv": "component_id,vertex_id,x,y",
+        "iterations.csv": "iter,jump_linf,displacement,area_plus",
+        "diagnostics.csv":
+            "r,E,boundary_term,phi_weiss,acf_J,delta_flat,nu_x,nu_y",
+        "sweep.csv": "h,mu,omega,sigma,z0,rho_star,cond_holds,rho1,rho2",
+        "profile_branch1.csv": "r,u",
+        "profile_branch2.csv": "r,u",
+        "jump_divergence_table.csv":
+            "h2omega,rho,threshold,profile,difference",
+        "large_vorticity_sweep.csv":
+            "mu,omega,cond_holds,z0,z0_nonpositive,implication_ok",
+    }
+
+    def test_every_csv_artifact(self, tmp_path):
+        from fblab.verify import SuiteContext, criterion_open_question_audits
+
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2, 0.4
+levels = 0
+""")
+        solve = str(tmp_path / "solve")
+        assert main(["solve", "--config", cfg, "--out", solve]) == 0
+        assert main(["diagnose", "--u", solve + "/u.csv",
+                     "--phi", solve + "/phi.csv", "--config", cfg,
+                     "--out", str(tmp_path / "diagnose")]) == 0
+        # mu = 1.5 is not admissible: its row holds nan roots
+        assert main(["prandtl", "--mu", "1", "--omega", "1", "--h", "1",
+                     "--sigma", "8", "--sweep", "mu=1:1.5:2", "--profiles",
+                     "--out", str(tmp_path / "prandtl")]) == 0
+        assert criterion_open_question_audits(
+            SuiteContext(), str(tmp_path / "verify")).passed
+
+        paths = sorted(tmp_path.glob("*/*.csv"))
+        assert sorted(p.name for p in paths) == sorted(self.HEADERS)
+        tokens = []
+        for path in paths:
+            text = path.read_text()
+            assert text.endswith("\n")
+            header, *rows = text.splitlines()
+            assert header == self.HEADERS[path.name], path.name
+            assert rows, path.name
+            width = header.count(",") + 1
+            for row in rows:
+                toks = row.split(",")
+                assert len(toks) == width, (path.name, row)
+                tokens += toks
+        assert "nan" in tokens
+        bad = [tok for tok in tokens if "%.17g" % float(tok) != tok]
+        assert not bad, bad[:5]

@@ -367,8 +367,8 @@ class TestInterfaceNormalGradient:
         A = CoefficientField.identity(grid)
         u = ScalarField.from_function(grid, two_plane(0.5))
         phi = LevelSet.from_function(grid, lambda x, y: y)
-        _, qp = interface_normal_gradient(u, A, phi, (0.1, 0.0), +1)
-        _, qm = interface_normal_gradient(u, A, phi, (0.1, 0.0), -1)
+        _, (qp,) = interface_normal_gradient(u, A, phi, [(0.1, 0.0)], +1)
+        _, (qm,) = interface_normal_gradient(u, A, phi, [(0.1, 0.0)], -1)
         assert qp == pytest.approx(1.25, abs=1e-10)
         assert qm == pytest.approx(0.25, abs=1e-10)
 
@@ -385,7 +385,7 @@ class TestInterfaceNormalGradient:
 
         u = ScalarField.from_function(grid, uplus)
         phi = LevelSet.from_function(grid, lambda x, y: np.hypot(x, y) - rho)
-        _, qp = interface_normal_gradient(u, A, phi, (rho, 0.0), +1)
+        _, (qp,) = interface_normal_gradient(u, A, phi, [(rho, 0.0)], +1)
         assert qp == pytest.approx(np.e**2, rel=0.03)
 
     def test_scaled_identity_coefficients(self):
@@ -393,7 +393,7 @@ class TestInterfaceNormalGradient:
         A = CoefficientField.constant(grid, 2.0, 0.0, 2.0)
         u = ScalarField.from_function(grid, two_plane(0.0))
         phi = LevelSet.from_function(grid, lambda x, y: y)
-        _, qp = interface_normal_gradient(u, A, phi, (-0.2, 0.0), +1)
+        _, (qp,) = interface_normal_gradient(u, A, phi, [(-0.2, 0.0)], +1)
         assert qp == pytest.approx(2.0, abs=1e-10)
 
     def check_batched_matches_points(self, u, A, phi, side):
@@ -401,8 +401,9 @@ class TestInterfaceNormalGradient:
         grads, qs = interface_normal_gradient(u, A, phi, pts, side)
         assert grads.shape == (len(pts), 2) and qs.shape == (len(pts),)
         for p, g, q in zip(pts, grads, qs):
-            g1, q1 = interface_normal_gradient(u, A, phi, p, side)
-            assert g1.shape == (2,) and isinstance(q1, float)
+            (g1,), (q1,) = interface_normal_gradient(u, A, phi, p[None],
+                                                     side)
+            assert g1.shape == (2,) and np.ndim(q1) == 0
             np.testing.assert_allclose(g, g1, rtol=1e-14, atol=0)
             assert q == pytest.approx(q1, rel=1e-14, abs=0)
 
@@ -440,4 +441,4 @@ class TestInterfaceNormalGradient:
         with pytest.raises(UnderResolvedError, match="no usable corner"):
             interface_normal_gradient(u, A, phi, pts, +1)
         with pytest.raises(UnderResolvedError):
-            interface_normal_gradient(u, A, phi, pts[0], +1)
+            interface_normal_gradient(u, A, phi, pts[:1], +1)

@@ -14,6 +14,7 @@ from fblab.fields import (
     read_field,
     reinitialize,
     write_field,
+    write_table,
 )
 
 
@@ -342,4 +343,42 @@ class TestCsvRoundTrip:
         if content is not None:
             path.write_text(content)
         with pytest.raises(FieldError, match="u.csv"):
+            read_field(path)
+
+    @pytest.mark.parametrize("n", [129, 257])
+    def test_round_trip_bit_identical(self, tmp_path, n):
+        # the grids and profiles of the benchmark's input files
+        grid = make_grid(n, n, (-1.0, -1.0, 1.0, 1.0))
+        u = ScalarField.from_function(
+            grid, lambda x, y: np.maximum(y + 0.05 * np.sin(np.pi * x), 0))
+        write_field(u, tmp_path / "u.csv")
+        v = read_field(tmp_path / "u.csv")
+        assert v.grid == grid
+        assert np.array_equal(v.values, u.values)
+
+    @staticmethod
+    def grid_rows(n):
+        """``x + 10y`` on n x n nodes of the unit square, in write_field's
+        row order."""
+        xx, yy = np.meshgrid(np.linspace(0.0, 1.0, n),
+                             np.linspace(0.0, 1.0, n))
+        return np.column_stack([xx.ravel(), yy.ravel(),
+                                (xx + 10 * yy).ravel()])
+
+    @pytest.mark.parametrize("case", ["shuffled", "squared_x"])
+    def test_misread_layout_names_path(self, tmp_path, case):
+        rows = self.grid_rows(9)
+        if case == "shuffled":
+            rows = rows[np.random.default_rng(0).permutation(len(rows))]
+        else:
+            rows[:, 0] **= 2  # same end points and count, not uniform
+        path = tmp_path / "u.csv"
+        write_table(path, "x,y,value", rows)
+        with pytest.raises(FieldError, match="u.csv"):
+            read_field(path)
+
+    def test_too_small_grid_names_path(self, tmp_path):
+        path = tmp_path / "u.csv"
+        write_table(path, "x,y,value", self.grid_rows(4))
+        with pytest.raises(FieldError, match="u.csv.*nx=4, ny=4"):
             read_field(path)

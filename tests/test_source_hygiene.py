@@ -4,7 +4,9 @@ Every module-level import must be used, so that dead code does not linger
 behind an import that still looks needed.  No module may read the process
 environment: behaviour is selected by explicit arguments (fault injection
 goes through ``IterationOptions.flip_jump_sign``), never by a variable that
-one caller sets and every other run in the process inherits.
+one caller sets and every other run in the process inherits.  Only
+``fields.py`` spells the 17-digit table format or calls ``savetxt``: every
+CSV table goes through ``fields.write_table``.
 """
 
 import ast
@@ -65,3 +67,16 @@ def test_no_environment_reads(path):
                         for a in node.names):
             reads.append(node.lineno)
     assert not reads, f"{path.name}: environment read at lines {reads}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "fields.py"],
+    ids=lambda p: p.name)
+def test_table_format_only_in_fields(path):
+    text = path.read_text()
+    assert "17g" not in text, f"{path.name}: spells the table format"
+    calls = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and "savetxt" in (getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None))]
+    assert not calls, f"{path.name}: savetxt called at lines {calls}"
