@@ -88,9 +88,10 @@ def _locked_output(out_dir: str):
 
 
 def _write_run_json(out_dir, summary, t0):
-    """Write the deterministic ``summary.json`` and, apart from it, the
-    wall-clock ``timings.json``."""
-    timings = {"seconds": round(time.time() - t0, 3)}
+    """Write the deterministic ``summary.json`` and, apart from it,
+    ``timings.json`` with the seconds since ``t0``, a ``perf_counter``
+    reading: a monotonic clock, which a wall-clock step cannot turn back."""
+    timings = {"seconds": round(time.perf_counter() - t0, 3)}
     for name, obj in (("summary.json", summary), ("timings.json", timings)):
         with open(os.path.join(out_dir, name), "w") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
@@ -119,7 +120,7 @@ def _fit_payload(tp, residual):
 
 
 def cmd_solve(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config)
     with _locked_output(args.out) as out_dir:
         u, phi, report = fbiter_run(cfg.problem, cfg.phi0, cfg.options)
@@ -163,7 +164,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config)
     if cfg.diagnostics is None:
         raise ConfigError("diagnose requires a [diagnostics] section")

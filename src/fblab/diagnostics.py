@@ -346,9 +346,19 @@ def rescale(u: ScalarField, lam: float, center) -> ScalarField:
 
 def _best_offsets(t, uvals, betas, c_max):
     """Minimax offsets in [-c_max, c_max] for node coordinates ``t`` along
-    one direction, one per beta; returns (residuals, offsets).  Deviations
-    profile(t + c) - u rise with c, so the worst, max(top, -bottom), falls
-    until top + bottom > 0 and rises after: bisection on that sign finds it.
+    one direction, one per beta; returns (residuals, offsets).
+
+    Deviations profile(t + c) - u rise with c, so the worst one,
+    max(top, -bottom), falls until F(c) = top + bottom turns positive and
+    rises after.  The offset is where a 48-step bisection on the sign of F
+    over [-c_max, c_max] ends.  F is monotone and piecewise linear, so a
+    bracketed secant (regula falsi with the Illinois halving, the midpoint
+    when the secant point leaves the bracket) is exact once both ends lie
+    on one linear piece: it narrows [a, b], F(a) <= 0 < F(b), to the
+    bisection's final width or to an exact zero in a few evaluations.  The
+    bisection steps are then replayed, evaluating F only at midpoints
+    inside [a, b]; F in floating point is monotone too, so the offsets are
+    the bisection's to the bit.
     A node with larger t and smaller u than another never sets the top, nor
     one with smaller t and larger u the bottom; only the rest are kept."""
     order = np.argsort(t, kind="stable")
@@ -359,15 +369,59 @@ def _best_offsets(t, uvals, betas, c_max):
     t_bot, u_bot = t[bot][:, None], uvals[bot][:, None]
     alphas = np.sqrt(1.0 + betas**2)
 
-    def extremes(c):
-        return (np.max(_profile(t_top + c, alphas, betas) - u_top, axis=0),
-                np.min(_profile(t_bot + c, alphas, betas) - u_bot, axis=0))
+    def extremes(c, k=slice(None)):
+        """(top, bottom) at offsets ``c`` for the betas ``k``."""
+        return (np.max(_profile(t_top + c, alphas[k], betas[k]) - u_top,
+                       axis=0),
+                np.min(_profile(t_bot + c, alphas[k], betas[k]) - u_bot,
+                       axis=0))
+
+    def excess(c, k=slice(None)):
+        """F(c) = top + bottom for the betas ``k``."""
+        top_c, bottom_c = extremes(c, k)
+        return top_c + bottom_c
+
+    width = 2 * c_max * 2.0**-_OFFSET_BISECTIONS
+    lo, hi = np.full(betas.shape, -c_max), np.full(betas.shape, c_max)
+    f_lo, f_hi = excess(lo), excess(hi)
+    # a bisection pinned at an end has a = b there
+    a, b = np.where(f_hi <= 0, hi, lo), np.where(f_lo > 0, lo, hi)
+    k = np.nonzero((f_lo < 0) & (f_hi > 0))[0]
+    lo, hi, f_lo, f_hi = lo[k], hi[k], f_lo[k], f_hi[k]
+    kept = np.zeros(len(k))  # +1: lo kept by the last step, -1: hi kept
+    for _ in range(_OFFSET_BISECTIONS):
+        if not len(k):
+            break
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        f_x = excess(x, k)
+        up = f_x > 0
+        # Illinois: an end kept twice running has its value halved
+        f_lo = np.where(up, np.where(kept > 0, 0.5 * f_lo, f_lo), f_x)
+        f_hi = np.where(up, f_x, np.where(kept < 0, 0.5 * f_hi, f_hi))
+        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
+        kept = np.where(up, 1.0, -1.0)
+        a[k], b[k] = lo, hi
+        live = (f_x != 0) & (hi - lo > width)
+        k, lo, hi, f_lo, f_hi, kept = (
+            v[live] for v in (k, lo, hi, f_lo, f_hi, kept))
+    # an exact zero leaves b far off: one step of the final width closes it
+    k = np.nonzero(b - a > width)[0]
+    if len(k):
+        x = a[k] + width
+        up = excess(x, k) > 0
+        a[k], b[k] = np.where(up, a[k], x), np.where(up, x, b[k])
 
     lo, hi = np.full(betas.shape, -c_max), np.full(betas.shape, c_max)
     for _ in range(_OFFSET_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        high = np.sum(extremes(mid), axis=0) > 0
-        lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
+        k = np.nonzero((a < mid) & (mid < b))[0]
+        if len(k):
+            up = excess(mid[k], k) > 0
+            a[k] = np.where(up, a[k], mid[k])
+            b[k] = np.where(up, mid[k], b[k])
+        up = mid >= b
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     c = 0.5 * (lo + hi)
     return np.max(np.abs(extremes(c)), axis=0), c
 
@@ -379,11 +433,14 @@ def _unit(theta):
 def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
     """Best L-infinity fit of a two-plane profile over nodes in B_r(center).
 
-    The optimal offset in [-r/2, r/2] is solved for each (angle, beta) by
-    bisection (:func:`_best_offsets`).  A 64-angle x 24-beta grid over the
-    circle and beta in [0, 10], then three zoomed 16 x 16 rounds, search on
-    at most 2048 nodes; a simplex polish on every node follows.  Ties prefer
-    smaller beta, then smaller |c|, then direction closest to (0, 1).
+    The optimal offset in [-r/2, r/2] is solved for each (angle, beta) by a
+    bracketed secant on the largest plus the smallest node deviation, which
+    is monotone and piecewise linear in the offset, so the secant is exact
+    once it brackets one linear piece (:func:`_best_offsets`); the offsets
+    are a 48-step bisection's, to the bit.  A 64-angle x 24-beta grid over
+    the circle and beta in [0, 10], then three zoomed 16 x 16 rounds, search
+    on at most 2048 nodes; a simplex polish on every node follows.  Ties
+    prefer smaller beta, then smaller |c|, then direction closest to (0, 1).
     Returns (TwoPlane, residual over every node in the ball).
     """
     grid = u.grid
@@ -419,14 +476,18 @@ def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
         theta_span *= 4.0 / (n_theta - 1)
         beta_span *= 4.0 / (n_beta - 1)
 
-    def plane(z):
+    def clamped(z):
         theta, beta, c = (float(v) for v in z)
-        return TwoPlane(beta=min(max(beta, 0.0), _FIT_BETA_MAX),
-                        nu=_unit(theta), c=min(max(c, -c_max), c_max))
+        return (theta, min(max(beta, 0.0), _FIT_BETA_MAX),
+                min(max(c, -c_max), c_max))
 
     def objective(z):
-        tp = plane(z)
-        return float(np.max(np.abs(tp.height(points @ tp.nu) - uvals)))
+        # TwoPlane(beta, _unit(theta), c)'s residual, same operations,
+        # without building one per evaluation
+        theta, beta, c = clamped(z)
+        return float(np.max(np.abs(_profile(
+            points @ _unit(theta) + c, math.sqrt(1.0 + beta**2), beta)
+            - uvals)))
 
     # the simplex can stall on the non-smooth max objective, and it moves
     # the offset only approximately: restart it from the incumbent, with the
@@ -446,7 +507,8 @@ def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
             z, best_res = (theta, beta, c[0]), res
         if not res < prev * (1 - 1e-3):
             break
-    return plane(z), best_res
+    theta, beta, c = clamped(z)
+    return TwoPlane(beta=beta, nu=_unit(theta), c=c), best_res
 
 
 def flatness_slab(phi: LevelSet, center, r: float, nu):

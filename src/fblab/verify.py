@@ -138,19 +138,19 @@ def _disk_weiss_frame(ctx):
 def criterion_two_plane_stationarity(ctx, out_dir=None) -> CriterionResult:
     """Exact piecewise-linear profiles are fixed points of the interface
     iteration: tiny jump defect, no drift, bounded runtime per slope."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
     h = grid.h
     worst_jump, worst_drift, worst_time = 0.0, 0.0, 0.0
     ok = True
     for beta in (0.0, 0.5, 1.0, 2.0):
-        tb = time.time()
+        tb = time.perf_counter()
         problem = two_plane_problem(grid, beta)
         phi0 = two_plane_levelset(grid)
         _, phi, report = run(problem, phi0, IterationOptions(
             max_iters=10, tol_jump=1e-12, tol_move=1e-12))
         drift = float(np.max(np.abs(phi.phi - phi0.phi)))
-        elapsed = time.time() - tb
+        elapsed = time.perf_counter() - tb
         worst_jump = max(worst_jump, float(report.jump_history[-1]))
         worst_drift = max(worst_drift, drift)
         worst_time = max(worst_time, elapsed)
@@ -161,13 +161,13 @@ def criterion_two_plane_stationarity(ctx, out_dir=None) -> CriterionResult:
               f"max drift {worst_drift:.3g} (limit {h / 10:.3g}), "
               f"max time {worst_time:.1f}s")
     return CriterionResult("two_plane_stationarity", ok, True, detail,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 def criterion_weiss_closed_form(ctx, out_dir=None) -> CriterionResult:
     """Normalized energy of the exact profiles matches the closed form
     (1 + 2 beta^2) pi / 2 and is constant across radii."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
     radii = (0.1, 0.2, 0.3, 0.4, 0.5)
     worst_rel, worst_spread = 0.0, 0.0
@@ -186,13 +186,13 @@ def criterion_weiss_closed_form(ctx, out_dir=None) -> CriterionResult:
     detail = (f"max rel err {worst_rel:.4f} (limit 0.02), "
               f"max spread {worst_spread:.4f} (limit 0.01)")
     return CriterionResult("weiss_closed_form", ok, True, detail,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 def criterion_weiss_rescaling(ctx, out_dir=None) -> CriterionResult:
     """Zooming by lambda then evaluating at r equals evaluating at
     lambda * r, on the converged disk solution."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, u_n, center, alpha, beta = _disk_weiss_frame(ctx)
     lam, r = 0.5, 0.4
     data = ctx.disk()
@@ -206,13 +206,13 @@ def criterion_weiss_rescaling(ctx, out_dir=None) -> CriterionResult:
     detail = (f"zoomed {lhs:.5f} vs direct {rhs:.5f}, "
               f"|diff| {abs(lhs - rhs):.4f} <= {tol:.4f}")
     return CriterionResult("weiss_rescaling", ok, True, detail,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 def criterion_weiss_monotonicity(ctx, out_dir=None) -> CriterionResult:
     """The normalized energy is non-decreasing in the radius around an
     interface point of the converged disk solution."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     data, u_n, center, alpha, beta = _disk_weiss_frame(ctx)
     radii = np.geomspace(0.05, 0.45, 8)
     series = weiss_series(u_n, data["phi"], center, radii, alpha, beta)
@@ -221,17 +221,17 @@ def criterion_weiss_monotonicity(ctx, out_dir=None) -> CriterionResult:
     if not series.monotone:
         detail += f", first violation at {series.first_violation}"
     return CriterionResult("weiss_monotonicity", series.monotone, True,
-                           detail, time.time() - t0)
+                           detail, time.perf_counter() - t0)
 
 
 def criterion_disk_roots(ctx, out_dir=None) -> CriterionResult:
     """Closed-form threshold minimum and root residuals at
     (mu, omega, h, sigma) = (1, 0, 1, 8)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     z0, rho_star, rho1, rho2 = threshold_roots(1.0, 1.0, 0.0, 8.0)
     res1 = abs(jump_threshold(rho1, 1.0, 1.0, 0.0) - 8.0)
     res2 = abs(jump_threshold(rho2, 1.0, 1.0, 0.0) - 8.0)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (abs(z0 - math.e**2) <= 1e-9
           and abs(rho_star - 1.0 / math.e) <= 1e-6
           and abs(rho1 - 0.270) < 5e-3 and abs(rho2 - 0.472) < 5e-3
@@ -246,13 +246,13 @@ def criterion_disk_roots(ctx, out_dir=None) -> CriterionResult:
 def criterion_disk_fixed_point(ctx, out_dir=None) -> CriterionResult:
     """The interface iteration recovers the outer oracle radius of the
     vortex-patch disk within two cells."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     data = ctx.disk()
     pts = all_interface_points(interface_extract(data["phi"]))
     radii = np.hypot(pts[:, 0], pts[:, 1])
     h = data["grid"].h
     err = abs(float(radii.mean()) - data["rho2"])
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = data["report"].converged and err < 2 * h and elapsed < 300.0
     detail = (f"radius {radii.mean():.5f} vs oracle {data['rho2']:.5f}, "
               f"err {err:.5f} < 2h {2 * h:.5f}, "
@@ -263,7 +263,7 @@ def criterion_disk_fixed_point(ctx, out_dir=None) -> CriterionResult:
 def criterion_elliptic_convergence(ctx, out_dir=None) -> CriterionResult:
     """Manufactured product-of-sines problem halves its max error by about
     four when the cell size halves (second order)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     errs = []
     for n in (33, 65):
         grid = make_grid(n, n, (-1.0, -1.0, 1.0, 1.0))
@@ -278,7 +278,7 @@ def criterion_elliptic_convergence(ctx, out_dir=None) -> CriterionResult:
         xx, yy = grid.meshgrid()
         errs.append(float(np.max(np.abs(u.values - star(xx, yy)))))
     ratio = errs[0] / errs[1]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = 3.5 <= ratio <= 4.5 and elapsed < 60.0
     detail = f"error ratio {ratio:.3f} in [3.5, 4.5], {elapsed:.1f}s"
     return CriterionResult("elliptic_convergence", ok, True, detail, elapsed)
@@ -287,7 +287,7 @@ def criterion_elliptic_convergence(ctx, out_dir=None) -> CriterionResult:
 def criterion_flatness_decay(ctx, out_dir=None) -> CriterionResult:
     """The settled perturbed-plane interface flattens geometrically as the
     observation ball shrinks."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     data = ctx.perturbed()
     pts = all_interface_points(interface_extract(data["phi"]))
     center = tuple(pts[np.argmin(np.abs(pts[:, 0]))])
@@ -301,38 +301,38 @@ def criterion_flatness_decay(ctx, out_dir=None) -> CriterionResult:
     detail = (f"delta/r {np.array2string(vals, precision=5)}, "
               f"fitted ratio {fitted:.3f} <= 0.9")
     return CriterionResult("flatness_decay", ok, True, detail,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 def criterion_nondegeneracy(ctx, out_dir=None) -> CriterionResult:
     """The positive phase of the perturbed-plane run grows at least
     linearly away from the interface with slope at least 0.5."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     data = ctx.perturbed()
     c0 = nondegeneracy(data["u"], data["phi"],
                        delta_band=2 * data["grid"].h)
     ok = c0 >= 0.5
     detail = f"c0 estimate {c0:.4f} >= 0.5"
     return CriterionResult("nondegeneracy", ok, True, detail,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 def criterion_branch_ordering(ctx, out_dir=None) -> CriterionResult:
     """Radial solutions for nested moduli m < M keep the printed radius and
     profile ordering at 100 interior radii."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok, witness = ordering_check(1.0, 1.2, mu=1.0, omega=1.0, sigma=8.0)
     detail = "radius and pointwise ordering hold" if ok \
         else f"violated at r = {witness}"
     return CriterionResult("branch_ordering", ok, True, detail,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 def criterion_negative_control(ctx, out_dir=None) -> CriterionResult:
     """Flipping the sign of the measured jump (fault injection through
     ``IterationOptions.flip_jump_sign``) must break stationarity of the
     exact profile."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
     problem = two_plane_problem(grid, 1.0)
     phi0 = two_plane_levelset(grid)
@@ -342,14 +342,14 @@ def criterion_negative_control(ctx, out_dir=None) -> CriterionResult:
     detail = (f"flipped-sign defect {defect:.3f} exceeds the "
               f"stationarity limit {5 * grid.h**2:.2e}")
     return CriterionResult("negative_control", ok, True, detail,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 def criterion_open_question_audits(ctx, out_dir=None) -> CriterionResult:
     """Non-blocking audits: table of the two jump expressions over
     h^2*omega in {0.5, 1, 2}, and a 20x20 sweep testing whether the
     large-vorticity condition implies a non-positive threshold minimum."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
@@ -385,7 +385,7 @@ def criterion_open_question_audits(ctx, out_dir=None) -> CriterionResult:
               f"{n_holds}/400 points, implication observed at "
               f"{n_implied}/{n_holds}")
     return CriterionResult("open_question_audits", ok, False, detail,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 QUICK_CRITERIA = (

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -224,6 +225,33 @@ class TestSolve:
         timings = json.loads((tmp_path / "a" / "timings.json").read_text())
         assert timings["seconds"] >= 0
 
+
+def test_timings_survive_wall_clock_step_back(tmp_path, monkeypatch):
+    # the wall clock steps back by an hour just after each command starts
+    # (an NTP correction, say): seconds taken from it would be negative
+    wall = time.time
+    calls = []
+
+    def stepped():
+        calls.append(None)
+        return wall() - (3600.0 if len(calls) > 1 else 0.0)
+
+    monkeypatch.setattr(fblab.cli.time, "time", stepped)
+    cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2, 0.4
+levels = 0
+""")
+    out = tmp_path / "solve-out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    calls.clear()
+    assert main(["diagnose", "--u", str(out / "u.csv"),
+                 "--phi", str(out / "phi.csv"), "--config", cfg,
+                 "--out", str(tmp_path / "diag-out")]) == 0
+    for run in ("solve-out", "diag-out"):
+        timings = json.loads((tmp_path / run / "timings.json").read_text())
+        assert timings["seconds"] >= 0
 
 class TestDiagnose:
     def test_two_plane_fields(self, tmp_path):

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fblab.diagnostics
 from fblab.diagnostics import (
     ACFSeries,
     FlatnessTable,
     TwoPlane,
     WeissSeries,
+    _best_offsets,
+    _profile,
     acf_product,
     ball_quadrature,
     boundary_square_integral,
@@ -207,6 +212,83 @@ class TestRescale:
             rescale(u, 1.5, (0, 0))
 
 
+def reference_best_offsets(t, uvals, betas, c_max):
+    """The 48-step bisection on the sign of top + bottom over the kept
+    nodes, whose offsets :func:`_best_offsets` must reproduce."""
+    order = np.argsort(t, kind="stable")
+    t, uvals = t[order], uvals[order]
+    top = uvals < np.append(np.minimum.accumulate(uvals[::-1])[-2::-1], np.inf)
+    bot = uvals > np.insert(np.maximum.accumulate(uvals)[:-1], 0, -np.inf)
+    t_top, u_top = t[top][:, None], uvals[top][:, None]
+    t_bot, u_bot = t[bot][:, None], uvals[bot][:, None]
+    alphas = np.sqrt(1.0 + betas**2)
+
+    def extremes(c):
+        return (np.max(_profile(t_top + c, alphas, betas) - u_top, axis=0),
+                np.min(_profile(t_bot + c, alphas, betas) - u_bot, axis=0))
+
+    lo, hi = np.full(betas.shape, -c_max), np.full(betas.shape, c_max)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        high = np.sum(extremes(mid), axis=0) > 0
+        lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
+    c = 0.5 * (lo + hi)
+    return np.max(np.abs(extremes(c)), axis=0), c
+
+
+def check_offsets(t, uvals, betas, c_max):
+    t, uvals, betas = (np.asarray(v, dtype=float) for v in (t, uvals, betas))
+    res, cs = _best_offsets(t, uvals, betas, c_max)
+    ref_res, ref_cs = reference_best_offsets(t, uvals, betas, c_max)
+    assert np.all(np.abs(res - ref_res) <= 1e-12 * (1 + ref_res))
+    # the bisection's steps are replayed: equal to the bit
+    assert np.array_equal(res, ref_res) and np.array_equal(cs, ref_cs)
+    assert np.all((-c_max <= cs) & (cs <= c_max))
+    dev = _profile(t[:, None] + cs, np.sqrt(1 + betas**2), betas) \
+        - uvals[:, None]
+    assert np.array_equal(res, np.max(np.abs(dev), axis=0))
+    return res, cs
+
+
+class TestBestOffsets:
+    @given(nodes=st.lists(st.tuples(st.floats(-1.0, 1.0),
+                                    st.floats(-2.0, 2.0)),
+                          min_size=1, max_size=40),
+           betas=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
+           c_max=st.floats(0.01, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection(self, nodes, betas, c_max):
+        t, uvals = zip(*nodes)
+        check_offsets(t, uvals, betas, c_max)
+
+    def test_zero_beta(self):
+        t = np.linspace(-0.5, 0.5, 21)
+        uvals = np.maximum(t + 0.1, 0) + 0.01 * np.sin(7 * t)
+        res, cs = check_offsets(t, uvals, [0.0, 0.5, 2.0], 0.25)
+        assert res[0] < res[2]
+
+    def test_pinned_at_lower_end(self):
+        t = np.linspace(-0.5, 0.5, 21)
+        res, cs = check_offsets(t, _profile(t - 3.0, math.sqrt(2), 1.0),
+                                [1.0, 3.0], 0.25)
+        assert np.all(cs < -0.25 + 1e-12)
+
+    def test_pinned_at_upper_end(self):
+        t = np.linspace(-0.5, 0.5, 21)
+        res, cs = check_offsets(t, _profile(t + 3.0, math.sqrt(2), 1.0),
+                                [1.0, 3.0], 0.25)
+        assert np.all(cs > 0.25 - 1e-12)
+
+    def test_repeated_t(self):
+        check_offsets([0.1, 0.1, 0.1, -0.2, -0.2, 0.3],
+                      [0.3, -0.1, 0.2, -0.5, 0.4, 0.0], [0.0, 1.0, 4.0], 0.3)
+
+    def test_single_node(self):
+        res, cs = check_offsets([0.2], [0.7], [0.0, 1.0, 5.0], 0.5)
+        # one node is fitted exactly wherever the offset can reach it
+        assert res[1] < 1e-13 and res[2] < 1e-13
+
+
 class TestTwoPlaneFit:
     def test_identity_recovery(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(0.7))
@@ -279,6 +361,37 @@ class TestTwoPlaneFit:
             pts, (0, 0)).reshape(grid257.shape))[inside])
         assert res == pytest.approx(recomputed, abs=1e-15)
 
+
+    def test_diagnose_field_matches_bisection(self, grid257, monkeypatch):
+        # shaped like the diagnose benchmark: a 257^2 generic two-plane
+        # profile plus a smooth perturbation, fitted at r = 0.8
+        theta, beta, c = math.radians(-12.0), 1.37, -0.013
+        nu = np.array([-math.sin(theta), math.cos(theta)])
+        xx, yy = grid257.meshgrid()
+        s = xx * nu[0] + yy * nu[1] + c
+        u = ScalarField(grid257, _profile(s, math.sqrt(1 + beta**2), beta)
+                        + 0.01 * np.sin(5 * xx + 2.1))
+        phi = LevelSet(grid257, s)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _profile(*args)
+
+        monkeypatch.setattr(fblab.diagnostics, "_profile", counted)
+        plane, res = two_plane_fit(u, phi, (0, 0), 0.8)
+        # 12504 with the 48-step bisection
+        assert len(calls) < 5000
+        monkeypatch.setattr(fblab.diagnostics, "_profile", _profile)
+        monkeypatch.setattr(fblab.diagnostics, "_best_offsets",
+                            reference_best_offsets)
+        ref_plane, ref_res = two_plane_fit(u, phi, (0, 0), 0.8)
+        assert res == pytest.approx(ref_res, abs=1e-12)
+        assert plane.beta == pytest.approx(ref_plane.beta, abs=1e-9)
+        assert plane.c == pytest.approx(ref_plane.c, abs=1e-9)
+        assert np.allclose(plane.nu, ref_plane.nu, rtol=0, atol=1e-9)
+        assert (res, plane.beta, plane.c) \
+            == (ref_res, ref_plane.beta, ref_plane.c)
 
 class TestFlatness:
     def test_flat_interface(self, grid65):

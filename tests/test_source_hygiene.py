@@ -4,7 +4,9 @@ Every module-level import must be used, so that dead code does not linger
 behind an import that still looks needed.  No module may read the process
 environment: behaviour is selected by explicit arguments (fault injection
 goes through ``IterationOptions.flip_jump_sign``), never by a variable that
-one caller sets and every other run in the process inherits.  Only
+one caller sets and every other run in the process inherits.  No module
+calls ``time.time``: durations come from a monotonic clock, which a step
+of the wall clock cannot make negative.  Only
 ``fields.py`` spells the 17-digit table format or calls ``savetxt``: every
 CSV table goes through ``fields.write_table``.
 """
@@ -80,3 +82,17 @@ def test_table_format_only_in_fields(path):
              and "savetxt" in (getattr(node.func, "attr", None),
                                getattr(node.func, "id", None))]
     assert not calls, f"{path.name}: savetxt called at lines {calls}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_wall_clock_durations(path):
+    calls = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute) and node.attr == "time" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "time":
+            calls.append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and node.module == "time" \
+                and any(a.name == "time" for a in node.names):
+            calls.append(node.lineno)
+    assert not calls, f"{path.name}: time.time used at lines {calls}"
