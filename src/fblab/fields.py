@@ -525,15 +525,25 @@ def polyline_distance(points: np.ndarray, polylines) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _FMT = "%.17g"  # the one float format of every CSV table
+_WRITE_ROWS = 4096  # rows formatted per string, which bounds its size
 
 
 def write_table(path, header: str, rows) -> None:
     """Write ``rows`` as a CSV table under the comma-separated ``header``,
     every entry as a float with 17 significant digits.  Integers and
-    flags print as integers (``3``, ``1``) and NaN as ``nan``."""
+    flags print as integers (``3``, ``1``) and NaN as ``nan``.
+
+    The bytes are those of ``np.savetxt(path, data, delimiter=",",
+    header=header, comments="", fmt=_FMT)``, but one ``%`` formats a whole
+    block of rows, which writes a 257^2 field about twice as fast as
+    savetxt's one ``%`` per row."""
     data = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
-    np.savetxt(path, data, delimiter=",", header=header, comments="",
-               fmt=_FMT)
+    row_fmt = ",".join([_FMT] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(data), _WRITE_ROWS):
+            block = data[start:start + _WRITE_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_field(f: ScalarField | LevelSet, path) -> None:

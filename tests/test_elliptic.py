@@ -317,7 +317,8 @@ class TestSolvePhaseReference:
                                               monkeypatch):
         # with a12 = 0 the ghost-value scheme gives an exactly symmetric
         # matrix, handed to SuperLU as CSC, and SuperLU keeps the diagonal
-        # pivots of its symmetric ordering
+        # pivots of its symmetric ordering.  No numeric test can tell the
+        # ordering, the mode or the panel size apart, so the spy checks them.
         if geometry == "near":
             A, f, region, _ = near_node_problem(sign)
         else:
@@ -328,12 +329,14 @@ class TestSolvePhaseReference:
 
         def spy(M, **kwargs):
             lu = splu(M, **kwargs)
-            factored.append((M, lu))
+            factored.append((M, kwargs, lu))
             return lu
 
         monkeypatch.setattr(elliptic.spla, "splu", spy)
         u = solve_phase(A, f, region)
-        [(M, lu)] = factored
+        [(M, kwargs, lu)] = factored
+        assert kwargs == dict(permc_spec="MMD_AT_PLUS_A", panel_size=1,
+                              options=dict(SymmetricMode=True))
         assert M.format == "csc"
         assert abs(M - M.T).max() == 0.0
         assert np.array_equal(lu.perm_r, lu.perm_c)

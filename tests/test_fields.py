@@ -377,6 +377,26 @@ class TestCsvRoundTrip:
         with pytest.raises(FieldError, match="u.csv"):
             read_field(path)
 
+    @pytest.mark.parametrize("ncol", [1, 3])
+    @pytest.mark.parametrize("nrow", [0, 1, 4095, 4096, 4097, 9000])
+    def test_table_bytes_match_savetxt(self, tmp_path, nrow, ncol):
+        # block boundaries at 4096 rows, and the entries whose text is
+        # special: nan, +-inf, -0, integer-valued floats and huge values
+        rng = np.random.default_rng(nrow + ncol)
+        data = rng.standard_normal((nrow, ncol)) * 10.0 ** rng.integers(
+            -300, 300, (nrow, ncol))
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 3.0, -7.0, 1e300,
+                   -1e300, 1.0 / 3.0, 5e-324]
+        flat = data.reshape(-1)
+        flat[rng.choice(flat.size, min(flat.size, 40), replace=False)] = \
+            np.resize(special, min(flat.size, 40))
+        header = ",".join(f"c{k}" for k in range(ncol))
+        write_table(tmp_path / "new.csv", header, data)
+        np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=header,
+                   comments="", fmt="%.17g")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
     def test_too_small_grid_names_path(self, tmp_path):
         path = tmp_path / "u.csv"
         write_table(path, "x,y,value", self.grid_rows(4))

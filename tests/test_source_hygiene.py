@@ -7,8 +7,8 @@ goes through ``IterationOptions.flip_jump_sign``), never by a variable that
 one caller sets and every other run in the process inherits.  No module
 calls ``time.time``: durations come from a monotonic clock, which a step
 of the wall clock cannot make negative.  Only
-``fields.py`` spells the 17-digit table format or calls ``savetxt``: every
-CSV table goes through ``fields.write_table``.
+``fields.py`` spells the 17-digit table format, and no module calls
+``savetxt``: every CSV table goes through ``fields.write_table``.
 """
 
 import ast
@@ -77,6 +77,10 @@ def test_no_environment_reads(path):
 def test_table_format_only_in_fields(path):
     text = path.read_text()
     assert "17g" not in text, f"{path.name}: spells the table format"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_savetxt(path):
     calls = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Call)
              and "savetxt" in (getattr(node.func, "attr", None),
