@@ -48,7 +48,6 @@ from .fbiter import run as fbiter_run
 from .prandtl import (
     ConditionError,
     PBParams,
-    jump_threshold_min,
     radial_solution,
     threshold_roots,
 )
@@ -256,8 +255,7 @@ def cmd_prandtl(args) -> int:
                 c["h"], c["mu"], c["omega"], c["sigma"])
             holds = True
         except ConditionError as err:
-            z0 = err.z0
-            _, rho_star = jump_threshold_min(c["h"], c["mu"], c["omega"])
+            z0, rho_star = err.z0, err.rho_star
             rho1 = rho2 = float("nan")
             holds = False
         any_holds = any_holds or holds

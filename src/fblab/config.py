@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .elliptic import CoefficientField
 from .errors import FblabError, FieldError
 from .fbiter import IterationOptions, PhaseProblem
@@ -26,7 +24,7 @@ from .fields import (
     make_grid,
     read_field,
 )
-from .problems import two_plane_field, two_plane_levelset
+from .problems import pb_levelset, two_plane_field, two_plane_levelset
 
 SCHEMA_VERSION = 1
 
@@ -65,9 +63,12 @@ def _floats(value: str, n: Optional[int], what: str):
     if n is not None and len(toks) != n:
         raise ConfigError(f"{what} needs {n} numbers, got {value!r}")
     try:
-        return [float(t) for t in toks]
+        vals = [float(t) for t in toks]
     except ValueError as err:
         raise ConfigError(f"{what}: {err}") from err
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return vals
 
 
 def _existing(path: str, base: str, what: str) -> str:
@@ -155,10 +156,7 @@ def _parse_interface(spec: str, grid: Grid2, base: str) -> LevelSet:
         (radius,) = _floats(" ".join(toks[1:]), 1, "interface")
         if radius <= 0:
             raise ConfigError("interface circle radius must be positive")
-        cx = 0.5 * (grid.x0 + grid.x1)
-        cy = 0.5 * (grid.y0 + grid.y1)
-        return LevelSet.from_function(
-            grid, lambda x, y: np.hypot(x - cx, y - cy) - radius)
+        return pb_levelset(grid, radius)
     if kind == "file":
         if len(toks) != 2:
             raise ConfigError("interface: 'file' takes one path")
@@ -246,6 +244,8 @@ def load_config(path: str) -> RunConfig:
                 kwargs[key] = casts[key](parser.get("iteration", key))
             except ValueError as err:
                 raise ConfigError(f"iteration {key}: {err}") from err
+            if not math.isfinite(kwargs[key]):
+                raise ConfigError(f"iteration {key} must be finite")
     try:
         options = IterationOptions(**kwargs)
     except ValueError as err:
@@ -257,8 +257,8 @@ def load_config(path: str) -> RunConfig:
         radii = _floats(_get(parser, "diagnostics", "radii"), None, "radii")
         if not radii or any(r <= 0 for r in radii):
             raise ConfigError("diagnostics radii must be positive")
-        if sorted(radii) != radii:
-            raise ConfigError("diagnostics radii must be increasing")
+        if any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ConfigError("diagnostics radii must be strictly increasing")
         cx, cy = center
         margin = min(cx - grid.x0, grid.x1 - cx, cy - grid.y0, grid.y1 - cy)
         if max(radii) > margin:

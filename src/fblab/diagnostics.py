@@ -1,7 +1,7 @@
 """Monitor quantities for discrete two-phase fields: weighted energy and its
-scale-normalized combination, slab flatness, two-plane fitting, Hölder
-modulus estimation, non-degeneracy ratios, trapping-offset decay, and the
-two-phase energy product.
+scale-normalized combination, flatness tables, two-plane fitting,
+non-degeneracy ratios, trapping-offset decay, and the two-phase energy
+product.
 
 All routines are pure functions of (u, phi) pairs.  Quadrature is cell-wise
 with linear-cut area fractions; cells crossed by the ball boundary are
@@ -441,12 +441,16 @@ def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
     the circle and beta in [0, 10], then three zoomed 16 x 16 rounds, search
     on at most 2048 nodes; a simplex polish on every node follows.  Ties
     prefer smaller beta, then smaller |c|, then direction closest to (0, 1).
-    Returns (TwoPlane, residual over every node in the ball).
+    Returns (TwoPlane, residual over every node in the ball); raises
+    UnderResolvedError when the ball holds no node.
     """
     grid = u.grid
     _check_ball(grid, center, r)
     xx, yy = grid.meshgrid()
     mask = (xx - center[0])**2 + (yy - center[1])**2 <= r**2
+    if not np.any(mask):
+        raise UnderResolvedError(f"no grid node in the ball of radius {r} "
+                                 f"at {center}")
     points = np.column_stack([xx[mask] - center[0], yy[mask] - center[1]])
     uvals = u.values[mask]
     c_max = r / 2
@@ -511,23 +515,6 @@ def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
     return TwoPlane(beta=beta, nu=_unit(theta), c=c), best_res
 
 
-def flatness_slab(phi: LevelSet, center, r: float, nu):
-    """Minimal half-width of a slab orthogonal to ``nu`` containing the
-    interface inside B_r(center); None if no interface point lies in the
-    ball."""
-    _check_ball(phi.grid, center, r)
-    nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
-    pts = all_interface_points(interface_extract(phi))
-    if pts.size == 0:
-        return None
-    rel = pts - np.asarray(center, dtype=float)
-    inside = np.einsum("ij,ij->i", rel, rel) <= r**2
-    if not np.any(inside):
-        return None
-    return float(np.max(np.abs(rel[inside] @ nu)))
-
-
 def flatness_table(phi: LevelSet, center, radii) -> FlatnessTable:
     """Best-direction slab half-widths over a list of radii; the direction
     per radius comes from the principal normal of the contained interface
@@ -552,53 +539,6 @@ def flatness_table(phi: LevelSet, center, radii) -> FlatnessTable:
     return FlatnessTable(radii=np.asarray(kept),
                          directions=np.asarray(dirs),
                          deltas=np.asarray(deltas))
-
-
-def holder_exponent(u: ScalarField, phi: LevelSet, center, alpha: float,
-                    beta: float, epsilon: float, radii):
-    """Slope of log-deviation vs log-distance around an interface point.
-
-    The deviation is (u - fitted two-plane) / (alpha * epsilon); the fit
-    frame comes from :func:`two_plane_fit` at the innermost radius.  Returns
-    the string 'exact plane' when all deviations vanish to 1e-12.
-    """
-    radii = np.asarray(radii, dtype=float)
-    r_in, r_out = float(radii[0]), float(radii[-1])
-    if r_in < epsilon / 0.1:
-        raise ValueError("inner radius must be at least epsilon / 0.1")
-    # fit at the innermost radius: the reference frame is the tangent plane
-    # at the center, and a wide-window fit would tilt toward a global
-    # compromise and inflate the measured deviations
-    fitted, _ = two_plane_fit(u, phi, center, r_in)
-    # the center sits on the interface, so the reference plane passes
-    # through it; keeping the fitted offset would shift only the positive
-    # side and bias the modulus
-    plane = TwoPlane(beta=fitted.beta, nu=fitted.nu, c=0.0)
-    grid = u.grid
-    xx, yy = grid.meshgrid()
-    dist = np.hypot(xx - center[0], yy - center[1])
-    mask = (dist >= r_in) & (dist <= r_out)
-    pts = np.column_stack([xx[mask], yy[mask]])
-    diffs = np.abs(u.values[mask] - plane.evaluate(pts, center)) \
-        / (alpha * epsilon)
-    if np.max(diffs) < 1e-12:
-        return "exact plane"
-    # modulus of continuity: regress the per-shell supremum, which is
-    # immune to nodes where the deviation happens to change sign
-    edges = np.geomspace(r_in, r_out, 13)
-    logs_r, logs_d = [], []
-    dm = dist[mask]
-    for a, b in zip(edges[:-1], edges[1:]):
-        shell = (dm >= a) & (dm <= b)
-        if not np.any(shell):
-            continue
-        top = float(np.max(diffs[shell]))
-        if top > 1e-14:
-            logs_r.append(math.log(math.sqrt(a * b)))
-            logs_d.append(math.log(top))
-    if len(logs_r) < 3:
-        raise FblabError("too few usable shells for a modulus fit")
-    return float(np.polyfit(logs_r, logs_d, 1)[0])
 
 
 def nondegeneracy(u: ScalarField, phi: LevelSet, delta_band: float) -> float:

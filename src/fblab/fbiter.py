@@ -77,11 +77,6 @@ class PhaseProblem:
         if np.min(self.Q.values) <= 0:
             raise FieldError("jump target Q must be positive everywhere")
 
-    @classmethod
-    def shared_rhs(cls, A, f, Q, outer_data):
-        """Both phases driven by the same right-hand side."""
-        return cls(A=A, f_plus=f, f_minus=f, Q=Q, outer_data=outer_data)
-
     def pinned_mask(self):
         """Boolean node mask held at outer_data (None without a ball)."""
         if self.mask_radius is None:

@@ -127,9 +127,6 @@ class ScalarField:
     def constant(cls, grid: Grid2, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def sample(self, x, y):
         """Bilinear interpolation at point(s) (x, y)."""
         return bilinear_sample(self.grid, self.values, x, y)
@@ -153,9 +150,6 @@ class LevelSet:
     def has_both_signs(self) -> bool:
         return bool(np.any(self.phi > 0) and np.any(self.phi < 0))
 
-    def copy(self) -> "LevelSet":
-        return LevelSet(self.grid, self.phi.copy())
-
     def sample(self, x, y):
         return bilinear_sample(self.grid, self.phi, x, y)
 
@@ -169,13 +163,6 @@ class Polyline:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
-
-    @property
-    def length(self) -> float:
-        pts = self.points
-        if self.closed:
-            pts = np.vstack([pts, pts[:1]])
-        return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
     def segments(self) -> np.ndarray:
         """(m-1, 2, 2) array of segment endpoints (m, 2, 2 if closed)."""

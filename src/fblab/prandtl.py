@@ -33,11 +33,13 @@ _RHO_HI = 1.0 - 1e-8
 
 
 class ConditionError(FblabError):
-    """The existence condition h^2 sigma > max(0, threshold minimum) fails."""
+    """The existence condition h^2 sigma > max(0, threshold minimum) fails.
+    ``z0`` is that minimum and ``rho_star`` its minimizer."""
 
-    def __init__(self, msg, z0=None):
+    def __init__(self, msg, z0=None, rho_star=None):
         super().__init__(msg)
         self.z0 = z0
+        self.rho_star = rho_star
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,6 @@ def jump_threshold_min(h: float, mu: float, omega: float):
     return _golden_min(_threshold_fn(h, mu, omega))
 
 
-def existence_condition(params: PBParams):
-    """Whether h^2 sigma > max(0, threshold minimum).  Returns
-    (holds, z0, rho_star)."""
-    z0, rho_star = jump_threshold_min(params.h, params.mu, params.omega)
-    return params.h**2 * params.sigma > max(0.0, z0), z0, rho_star
-
-
 def _bisect(fn, lo, hi, target):
     flo = fn(lo) - target
     fhi = fn(hi) - target
@@ -136,7 +131,7 @@ def _admissible_radii(fn, target):
     if not target > max(0.0, z0):
         raise ConditionError(
             f"existence condition fails: h^2*sigma = {target} "
-            f"<= max(0, {z0})", z0=z0)
+            f"<= max(0, {z0})", z0=z0, rho_star=rho_star)
     rho1 = _bisect(fn, _RHO_LO, rho_star, target)
     rho2 = _bisect(fn, rho_star, _RHO_HI, target)
     return z0, rho_star, rho1, rho2
@@ -203,11 +198,10 @@ class PBRadialSolution:
         return np.where(r >= rho, outer, inner)
 
 
-def radial_solution(params: PBParams, branch: int,
-                    jump_fn=None) -> PBRadialSolution:
+def radial_solution(params: PBParams, branch: int) -> PBRadialSolution:
     """Build the radial solution on the requested branch (1 = inner root,
     2 = outer root)."""
-    rho1, rho2 = interface_radii(params, jump_fn=jump_fn)
+    rho1, rho2 = interface_radii(params)
     rho = rho1 if branch == 1 else rho2
     return PBRadialSolution(params=params, branch=branch, rho=rho)
 
@@ -221,25 +215,6 @@ def profile_jump(rho: float, params: PBParams) -> float:
     outer = params.mu / (rho * lr)
     inner = params.h**2 * params.omega * rho / 2.0
     return outer**2 - inner**2
-
-
-def classify_comparison(sol: PBRadialSolution, h_test: float) -> str:
-    """Compare a radial solution against the disk problem with modulus
-    ``h_test``: returns 'strict_sub', 'strict_super' or 'neither'.
-
-    The interior equation of the test problem has right-hand side
-    h_test^2*omega in the patch; the jump target is h_test^2*sigma.  A strict
-    subsolution must exceed both, a strict supersolution fall below both.
-    """
-    tol = 1e-12
-    p = sol.params
-    eq_delta = p.h**2 * p.omega - h_test**2 * p.omega
-    jump_delta = profile_jump(sol.rho, p) - h_test**2 * p.sigma
-    if eq_delta > tol and jump_delta > tol:
-        return "strict_sub"
-    if eq_delta < -tol and jump_delta < -tol:
-        return "strict_super"
-    return "neither"
 
 
 def ordering_check(m: float, M: float, mu: float, omega: float,

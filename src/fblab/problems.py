@@ -11,7 +11,7 @@ from .diagnostics import _profile
 from .elliptic import CoefficientField
 from .fbiter import PhaseProblem
 from .fields import Grid2, LevelSet, ScalarField
-from .prandtl import PBParams, PBRadialSolution
+from .prandtl import PBParams
 
 
 def two_plane_values(beta: float, nu=(0.0, 1.0), c: float = 0.0):
@@ -72,16 +72,3 @@ def pb_levelset(grid: Grid2, rho: float) -> LevelSet:
     cy = 0.5 * (grid.y0 + grid.y1)
     return LevelSet.from_function(
         grid, lambda x, y: np.hypot(x - cx, y - cy) - rho)
-
-
-def pb_exact_fields(grid: Grid2, sol: PBRadialSolution):
-    """Node-sampled exact radial solution and its level set."""
-    cx = 0.5 * (grid.x0 + grid.x1)
-    cy = 0.5 * (grid.y0 + grid.y1)
-
-    def ufn(x, y):
-        return sol.u(np.hypot(x - cx, y - cy))
-
-    u = ScalarField.from_function(grid, ufn)
-    phi = pb_levelset(grid, sol.rho)
-    return u, phi

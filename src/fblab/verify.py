@@ -37,6 +37,7 @@ from .prandtl import (
     interface_radii,
     jump_threshold,
     jump_threshold_min,
+    large_vorticity_condition,
     ordering_check,
     profile_jump,
     threshold_roots,
@@ -368,7 +369,7 @@ def criterion_open_question_audits(ctx, out_dir=None) -> CriterionResult:
     n_holds, n_implied = 0, 0
     for mu in np.linspace(0.2, 2.0, 20):
         for omega in np.linspace(1.0, 25.0, 20):
-            holds = omega >= 4.0 * math.e * mu
+            holds = large_vorticity_condition(1.0, mu, omega)
             z0, _ = jump_threshold_min(1.0, mu, omega)
             nonpos = z0 <= 0.0
             implied = (not holds) or nonpos
@@ -414,13 +415,12 @@ FULL_CRITERIA = (
 )
 
 
-def run_suite(level: str = "quick", out_dir: Optional[str] = None,
-              ctx: Optional[SuiteContext] = None):
+def run_suite(level: str = "quick", out_dir: Optional[str] = None):
     """Run the requested criteria list and return CriterionResult objects."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")
     criteria = QUICK_CRITERIA if level == "quick" else FULL_CRITERIA
-    ctx = ctx or SuiteContext()
+    ctx = SuiteContext()
     results = []
     for fn in criteria:
         try:

@@ -23,6 +23,7 @@ from fblab.fields import (
     write_field,
     write_table,
 )
+from fblab.prandtl import jump_threshold_min
 
 TWO_PLANE_INI = """
 [meta]
@@ -377,6 +378,25 @@ radii = 0.2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "g4.csv" in err
 
+    @pytest.mark.parametrize("spec", [
+        "center = 0.0, 0.0\nradii = 0.2, 0.2, 0.4",
+        "center = nan, 0\nradii = 0.2",
+        "center = 0.999, 0\nradii = 0.001",
+    ], ids=["repeated-radii", "nan-center", "ball-without-nodes"])
+    def test_invalid_diagnostics_spec_exits_three(self, tmp_path, capsys,
+                                                  spec):
+        cfg = write(tmp_path, "run.ini",
+                    TWO_PLANE_INI + "\n[diagnostics]\n" + spec + "\n")
+        grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
+        write_field(ScalarField.from_function(grid, lambda x, y: y),
+                    str(tmp_path / "u.csv"))
+        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
+                    str(tmp_path / "phi.csv"))
+        assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_diagnostics_block_exit_three(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
         out = str(tmp_path / "out")
@@ -415,8 +435,11 @@ class TestPrandtl:
         assert rows.shape == (4, 9)
         assert np.all(rows[:, 6] == 0)
         assert np.all(np.isnan(rows[:, 7]))
-        # z0 column still reports the threshold minimum e^2
+        # z0 and rho_star still report the threshold minimum e^2 and its
+        # minimizer, near 1/e
         assert np.allclose(rows[:, 4], math.e**2)
+        assert np.all(rows[:, 5] == jump_threshold_min(1, 1, 0)[1])
+        assert rows[0, 5] == pytest.approx(1 / math.e, abs=1e-7)
 
     def test_sweep_straddling_threshold_flags_rows(self, tmp_path):
         out = str(tmp_path / "pb")

@@ -102,6 +102,8 @@ kappa = 0.25
         assert cfg.options.kappa == 0.25
         # circle: negative inside, positive outside
         assert cfg.phi0.sample(0.0, 0.0) < 0 < cfg.phi0.sample(0.9, 0.0)
+        xx, yy = cfg.grid.meshgrid()
+        assert np.array_equal(cfg.phi0.phi, np.hypot(xx, yy) - 0.4)
 
     def test_unknown_iteration_option(self, tmp_path):
         text = BASE + "\n[iteration]\nmomentum = 0.9\n"
@@ -194,6 +196,28 @@ center = 0.0, 0.0
 radii = 0.4, 0.2
 """
         with pytest.raises(ConfigError, match="increasing"):
+            load_config(write_config(tmp_path, text))
+
+    def test_diagnostics_radii_must_increase_strictly(self, tmp_path):
+        text = BASE + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2, 0.2, 0.4
+"""
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("text", [
+        BASE + "\n[diagnostics]\ncenter = nan, 0\nradii = 0.2\n",
+        BASE + "\n[diagnostics]\ncenter = 0, 0\nradii = 0.2, nan\n",
+        BASE.replace("[init]", "mask_radius = nan\n\n[init]"),
+        BASE + "\n[iteration]\ntol_jump = nan\n",
+        BASE + "\n[iteration]\ntol_move = nan\n",
+        BASE + "\n[iteration]\ntol_move = inf\n",
+    ], ids=["center-nan", "radii-nan", "mask_radius-nan", "tol_jump-nan",
+            "tol_move-nan", "tol_move-inf"])
+    def test_non_finite_numbers_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="finite"):
             load_config(write_config(tmp_path, text))
 
     def test_constant_coefficients(self, tmp_path):

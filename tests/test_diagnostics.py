@@ -16,9 +16,7 @@ from fblab.diagnostics import (
     acf_product,
     ball_quadrature,
     boundary_square_integral,
-    flatness_slab,
     flatness_table,
-    holder_exponent,
     nondegeneracy,
     oscillation_decay,
     rescale,
@@ -290,6 +288,11 @@ class TestBestOffsets:
 
 
 class TestTwoPlaneFit:
+    def test_ball_without_nodes_raises(self, grid65):
+        u = ScalarField.from_function(grid65, two_plane_fn(0.5))
+        with pytest.raises(UnderResolvedError, match="no grid node"):
+            two_plane_fit(u, flat_phi(grid65), (0.999, 0.0), 0.001)
+
     def test_identity_recovery(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(0.7))
         plane, res = two_plane_fit(u, flat_phi(grid65), (0, 0), 0.5)
@@ -395,36 +398,17 @@ class TestTwoPlaneFit:
 
 class TestFlatness:
     def test_flat_interface(self, grid65):
-        delta = flatness_slab(flat_phi(grid65), (0, 0), 0.5, (0, 1))
-        assert delta is not None
-        assert delta <= grid65.h / 2
-
-    def test_sinusoidal_graph(self, grid129):
-        phi = LevelSet.from_function(
-            grid129, lambda x, y: y - 0.05 * np.sin(np.pi * x))
-        delta = flatness_slab(phi, (0, 0), 0.9, (0, 1))
-        assert delta == pytest.approx(0.05, abs=grid129.h)
-
-    def test_tilted_line(self, grid65):
-        theta = math.radians(10)
-        phi = LevelSet.from_function(
-            grid65,
-            lambda x, y: -x * math.sin(theta) + y * math.cos(theta))
-        delta = flatness_slab(phi, (0, 0), 0.5, (0, 1))
-        assert delta == pytest.approx(0.5 * math.sin(theta), abs=grid65.h)
+        table = flatness_table(flat_phi(grid65), (0, 0), [0.5])
+        assert np.allclose(np.abs(table.directions), [[0.0, 1.0]])
+        assert table.deltas[0] <= grid65.h / 2
 
     def test_no_interface_in_ball(self, grid65):
+        # the interface y = 0.8 meets the ball of radius 0.9 but not 0.3
         phi = LevelSet.from_function(grid65, lambda x, y: y - 0.8 + 0 * x)
-        assert flatness_slab(phi, (0, 0), 0.3, (0, 1)) is None
-
-    def test_monotone_in_radius(self, grid65):
-        theta = math.radians(10)
-        phi = LevelSet.from_function(
-            grid65,
-            lambda x, y: -x * math.sin(theta) + y * math.cos(theta))
-        deltas = [flatness_slab(phi, (0, 0), r, (0, 1))
-                  for r in (0.2, 0.35, 0.5)]
-        assert deltas[0] <= deltas[1] <= deltas[2]
+        table = flatness_table(phi, (0, 0), [0.3, 0.9])
+        assert list(table.radii) == [0.9]
+        assert table.directions.shape == (1, 2)
+        assert table.deltas[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_table_directions(self, grid65):
         theta = math.radians(10)
@@ -437,42 +421,6 @@ class TestFlatness:
         for nu in table.directions:
             assert abs(-nu[0] / nu[1] - math.tan(theta)) < 0.02
         assert np.all(table.deltas < grid65.h)
-
-
-class TestHolderExponent:
-    def test_exact_plane_flag(self, grid129):
-        u = ScalarField.from_function(grid129, two_plane_fn(0.7))
-        result = holder_exponent(u, flat_phi(grid129), np.array([0.0, 0.0]),
-                                 math.sqrt(1.49), 0.7, 0.01, [0.1, 0.5])
-        assert result == "exact plane"
-
-    def test_smooth_interface_lipschitz(self, grid129):
-        u = ScalarField.from_function(
-            grid129, lambda x, y: np.maximum(y - 0.05 * np.sin(np.pi * x), 0))
-        phi = LevelSet.from_function(
-            grid129, lambda x, y: y - 0.05 * np.sin(np.pi * x))
-        gamma = holder_exponent(u, phi, np.array([0.0, 0.0]), 1.0, 0.0,
-                                0.01, [0.1, 0.5])
-        assert gamma >= 0.9
-
-    def test_planted_exponent(self, grid129):
-        # square-root deviation with angular oscillation the plane fit
-        # cannot absorb
-        def planted(x, y):
-            d = np.hypot(x, y)
-            ang = np.arctan2(y, x)
-            return np.maximum(y, 0) + 0.01 * d**0.5 * np.cos(6 * ang)
-
-        u = ScalarField.from_function(grid129, planted)
-        gamma = holder_exponent(u, flat_phi(grid129), np.array([0.0, 0.0]),
-                                1.0, 0.0, 0.01, [0.1, 0.5])
-        assert gamma == pytest.approx(0.5, abs=0.05)
-
-    def test_inner_radius_precondition(self, grid129):
-        u = ScalarField.from_function(grid129, two_plane_fn(0.0))
-        with pytest.raises(ValueError):
-            holder_exponent(u, flat_phi(grid129), np.array([0.0, 0.0]),
-                            1.0, 0.0, 0.05, [0.1, 0.5])
 
 
 class TestNondegeneracy:

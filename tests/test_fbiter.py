@@ -75,14 +75,6 @@ class TestPhaseProblem:
                 outer_data=ScalarField.constant(grid65, 1.0),
             )
 
-    def test_shared_rhs_copies_both_phases(self, grid65):
-        f = ScalarField.constant(grid65, 2.0)
-        prob = PhaseProblem.shared_rhs(
-            CoefficientField.identity(grid65), f,
-            ScalarField.constant(grid65, 1.0),
-            ScalarField.constant(grid65, 1.0))
-        assert prob.f_plus is f and prob.f_minus is f
-
     def test_pinned_mask_and_domain_radius(self, grid65):
         prob = two_plane_problem(grid65, 1.0)
         assert prob.pinned_mask() is None
@@ -352,10 +344,11 @@ class TestAndersonMix:
         def interface(x, y):
             return y + 0.05 * np.sin(np.pi * x + 1.3)
 
-        prob = PhaseProblem.shared_rhs(
-            CoefficientField.identity(grid), ScalarField.constant(grid, 0.0),
-            ScalarField.constant(grid, 1.0),
-            ScalarField.from_function(
+        zero = ScalarField.constant(grid, 0.0)
+        prob = PhaseProblem(
+            A=CoefficientField.identity(grid), f_plus=zero, f_minus=zero,
+            Q=ScalarField.constant(grid, 1.0),
+            outer_data=ScalarField.from_function(
                 grid, lambda x, y: np.maximum(interface(x, y), 0.0)))
         _, _, rep = run(prob, LevelSet.from_function(grid, interface),
                         IterationOptions(max_iters=60, tol_jump=0.04,

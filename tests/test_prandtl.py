@@ -9,8 +9,6 @@ from fblab.prandtl import (
     ConditionError,
     PBParams,
     PBRadialSolution,
-    classify_comparison,
-    existence_condition,
     interface_radii,
     jump_threshold,
     jump_threshold_min,
@@ -18,6 +16,7 @@ from fblab.prandtl import (
     ordering_check,
     profile_jump,
     radial_solution,
+    threshold_roots,
 )
 
 # Reference roots computed independently with scipy.optimize (brentq /
@@ -28,6 +27,12 @@ THRESHOLD_ROOTS_8 = (0.26759369095126356, 0.4848731729265295)
 PROFILE_ROOTS_8 = (0.2652507090881292, 0.4943549144236452)
 
 PARAMS_8 = PBParams(mu=1.0, omega=2.0, sigma=8.0, h=1.0)
+
+
+def profile_root_solution():
+    """Outer radial solution at the root of the profile-consistent jump."""
+    rho = interface_radii(PARAMS_8, jump_fn=profile_jump)[1]
+    return PBRadialSolution(PARAMS_8, 2, rho)
 
 
 class TestJumpThreshold:
@@ -84,12 +89,13 @@ class TestInterfaceRadii:
         assert err.value.z0 == pytest.approx(THRESHOLD_MIN_8, rel=1e-8)
 
     def test_existence_condition_flags(self):
-        holds, z0, rho_star = existence_condition(PARAMS_8)
-        assert holds
+        z0, rho_star, _, _ = threshold_roots(1.0, 1.0, 2.0, 8.0)
         assert z0 == pytest.approx(THRESHOLD_MIN_8, rel=1e-10)
         assert rho_star == pytest.approx(THRESHOLD_RHO_STAR_8, abs=1e-8)
-        assert not existence_condition(
-            PBParams(mu=1.0, omega=2.0, sigma=2.0, h=1.0))[0]
+        # a failing condition reports the same minimum and minimizer
+        with pytest.raises(ConditionError) as err:
+            threshold_roots(1.0, 1.0, 2.0, 2.0)
+        assert (err.value.z0, err.value.rho_star) == (z0, rho_star)
 
     @given(
         mu=st.floats(0.5, 2.0),
@@ -136,7 +142,7 @@ class TestRadialSolution:
                 p.h**2 * p.omega, rel=1e-7)
 
     def test_profile_jump_matches_one_sided_slopes(self):
-        sol = radial_solution(PARAMS_8, branch=2, jump_fn=profile_jump)
+        sol = profile_root_solution()
         eps = 1e-9
         a = float(sol.du(sol.rho + eps))
         b = float(sol.du(sol.rho - eps))
@@ -144,7 +150,7 @@ class TestRadialSolution:
             profile_jump(sol.rho, PARAMS_8), rel=1e-7)
 
     def test_profile_jump_at_root_equals_target(self):
-        sol = radial_solution(PARAMS_8, branch=2, jump_fn=profile_jump)
+        sol = profile_root_solution()
         assert profile_jump(sol.rho, PARAMS_8) == pytest.approx(8.0, abs=1e-9)
 
     def test_branch_selection(self):
@@ -173,20 +179,6 @@ class TestJumpExpressionDivergence:
             t = jump_threshold(rho, 1.0, 1.0, 1.0)
             p = profile_jump(rho, params)
             assert t == pytest.approx(p, rel=1e-14)
-
-
-class TestComparison:
-    def test_smaller_test_modulus_gives_strict_sub(self):
-        sol = radial_solution(PARAMS_8, branch=2, jump_fn=profile_jump)
-        assert classify_comparison(sol, h_test=0.9) == "strict_sub"
-
-    def test_larger_test_modulus_gives_strict_super(self):
-        sol = radial_solution(PARAMS_8, branch=2, jump_fn=profile_jump)
-        assert classify_comparison(sol, h_test=1.1) == "strict_super"
-
-    def test_equal_modulus_is_neither(self):
-        sol = radial_solution(PARAMS_8, branch=2, jump_fn=profile_jump)
-        assert classify_comparison(sol, h_test=1.0) == "neither"
 
 
 class TestOrdering:

@@ -8,11 +8,15 @@ one caller sets and every other run in the process inherits.  No module
 calls ``time.time``: durations come from a monotonic clock, which a step
 of the wall clock cannot make negative.  Only
 ``fields.py`` spells the 17-digit table format, and no module calls
-``savetxt``: every CSV table goes through ``fields.write_table``.
+``savetxt``: every CSV table goes through ``fields.write_table``.  Every
+public function, class and method is named by the package or the
+benchmark, apart from a few kept for a stated reason: an API that only
+tests reach is code nothing needs.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -100,3 +104,81 @@ def test_no_wall_clock_durations(path):
                 and any(a.name == "time" for a in node.names):
             calls.append(node.lineno)
     assert not calls, f"{path.name}: time.time used at lines {calls}"
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+# the production paths: the package and the benchmark's non-test modules
+PRODUCTION = MODULES + [PERFBENCH / f"{name}.py"
+                        for name in ("run", "child", "workloads", "tracer")]
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+# Public names that no production path reaches, each kept for a reason.
+REACHED_BY_TESTS_ONLY = {
+    # builds variable-coefficient fields, for Hölder coefficient studies
+    "from_functions",
+    # the oracle profile's derivative: tests check that it solves its ODE
+    "du",
+    # evaluates the plane two_plane_fit returns; tests check the residual
+    "evaluate",
+}
+
+
+def _public_definitions(tree):
+    """(name, line) of the module's public top-level functions and classes
+    and of the public methods of its top-level classes."""
+    defs = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        defs.append(node)
+        if isinstance(node, ast.ClassDef):
+            defs.extend(item for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+    return [(d.name, d.lineno) for d in defs if not d.name.startswith("_")]
+
+
+class _References(ast.NodeVisitor):
+    """Names used through ``Name`` and ``Attribute`` nodes and as parts of
+    dotted string constants (``"fblab.cli.main"``), except inside the
+    definition that binds the same name."""
+
+    def __init__(self):
+        self.names = set()
+        self._enclosing = []
+
+    def _use(self, name):
+        if name not in self._enclosing:
+            self.names.add(name)
+
+    def _definition(self, node):
+        self._enclosing.append(node.name)
+        self.generic_visit(node)
+        self._enclosing.pop()
+
+    visit_FunctionDef = visit_ClassDef = _definition
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            for part in node.value.split("."):
+                self._use(part)
+
+
+def test_public_names_reached():
+    refs = _References()
+    for path in PRODUCTION:
+        refs.visit(_tree(path))
+    defs = [(path.name, line, name) for path in MODULES
+            for name, line in _public_definitions(_tree(path))]
+    unreached = [f"{module}:{line} {name}" for module, line, name in defs
+                 if name not in refs.names | REACHED_BY_TESTS_ONLY]
+    assert not unreached, \
+        f"public names no production path reaches: {unreached}"
+    assert REACHED_BY_TESTS_ONLY <= {name for _, _, name in defs}, \
+        "stale exemption"
