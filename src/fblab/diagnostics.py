@@ -7,6 +7,13 @@ All routines are pure functions of (u, phi) pairs.  Quadrature is cell-wise
 with linear-cut area fractions; cells crossed by the ball boundary are
 subdivided with exact signed distances at subcell corners so that constancy
 checks are not polluted by staircase noise.
+
+The two-plane fit skips only work that cannot change its result, so it is
+the exhaustive search's fit to the bit: a grid candidate is solved only if
+a cheap lower bound on its residual does not exceed the incumbent's, and
+the polish evaluates every node only where the few nodes near the max
+deviation cannot be certified to hold it.  Both bounds rest on deviations
+rising with the offset and being Lipschitz in the parameters.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ _FIT_NODES = 2048  # node budget of the two-plane grid search
 _FIT_ROUNDS = ((64, 24), (16, 16), (16, 16), (16, 16))  # (angles, betas)
 _FIT_BETA_MAX = 10.0
 _OFFSET_BISECTIONS = 48
+_BOUND_STRIDE = 64  # search nodes per node of the offset lower bound
+_BOUND_OFFSETS = 32  # intervals of its coarse offset grid
+_POLISH_ACTIVE_BAND = 0.02  # relative band below the max of active nodes
 
 
 def _profile(s, alpha, beta):
@@ -426,8 +436,87 @@ def _best_offsets(t, uvals, betas, c_max):
     return np.max(np.abs(extremes(c)), axis=0), c
 
 
+def _offset_lower_bound(t, uvals, betas, c_max):
+    """Per beta, a lower bound on the residual :func:`_best_offsets` returns
+    for any node set that holds these nodes, with the same floats ``t``.
+
+    Deviations rise with the offset, in floating point too, since every
+    rounding step is monotone.  So on [c_k, c_k+1] of a coarse offset grid
+    over [-c_max, c_max] the worst deviation is at least max(top(c_k),
+    -bottom(c_k+1)), and the least of these over k bounds the residual at
+    any offset in [-c_max, c_max].  The deviations are the very operations
+    :func:`_best_offsets` does, so the bound holds to the bit."""
+    c = np.linspace(-c_max, c_max, _BOUND_OFFSETS + 1)[:, None, None]
+    dev = _profile(t[:, None] + c, np.sqrt(1.0 + betas**2), betas) \
+        - uvals[:, None]
+    top, bottom = np.max(dev, axis=1), np.min(dev, axis=1)
+    return np.min(np.maximum(top[:-1], -bottom[1:]), axis=0)
+
+
 def _unit(theta):
     return np.array([-math.sin(theta), math.cos(theta)])
+
+
+class _PolishObjective:
+    """The polish objective: max |profile(t + c) - u| over every node at the
+    clamped z = (theta, beta, c), to the bit, certified from the active
+    nodes where it can be.
+
+    The centre is the best point evaluated on every node; its active nodes
+    are those within 2% of the max there, and ``rest`` is the max over the
+    others.  Moving to z changes a node's deviation by at most (alpha_c +
+    |dbeta|)(r |dtheta| + |dc|) + |dbeta|(r + |c_c|): the profile is
+    alpha-Lipschitz, a unit normal turned by dtheta moves a node at
+    distance r by at most r |dtheta|, and |dalpha| <= |dbeta|.  When the
+    max over the active nodes exceeds ``rest`` plus that, plus a rounding
+    slack, it is the max over every node.  The active nodes take their t
+    from the same ``points @ nu`` as every node (BLAS rounds a one-row
+    product differently), so the value is the same float."""
+
+    def __init__(self, points, uvals, r, c_max):
+        self.points, self.uvals, self.r, self.c_max = points, uvals, r, c_max
+        # rounding error of a deviation is a few ulps of its largest term
+        self.slack = 1e-12 * (1.0 + np.max(np.abs(uvals)) + math.sqrt(
+            1.0 + _FIT_BETA_MAX**2) * (r + c_max))
+        self.centre = None
+
+    def clamped(self, z):
+        theta, beta, c = (float(v) for v in z)
+        return (theta, min(max(beta, 0.0), _FIT_BETA_MAX),
+                min(max(c, -self.c_max), self.c_max))
+
+    def deviations(self, z, nodes=slice(None)):
+        """Deviations at clamped z of the nodes indexed by ``nodes``."""
+        theta, beta, c = z
+        return _profile((self.points @ _unit(theta))[nodes] + c,
+                        math.sqrt(1.0 + beta**2), beta) - self.uvals[nodes]
+
+    def bound(self, z):
+        """Upper bound on |deviation| at clamped z over the inactive nodes."""
+        (theta, beta, c), (theta_c, beta_c, c_c) = z, self.centre
+        d_beta = abs(beta - beta_c)
+        return (self.rest + (math.sqrt(1.0 + beta_c**2) + d_beta)
+                * (self.r * abs(theta - theta_c) + abs(c - c_c))
+                + d_beta * (self.r + abs(c_c)) + self.slack)
+
+    def recentre(self, z, dev):
+        size = np.abs(dev)
+        self.centre, self.value = z, float(np.max(size))
+        near = size >= (1.0 - _POLISH_ACTIVE_BAND) * self.value
+        self.active = np.flatnonzero(near)
+        self.rest = float(np.max(size[~near], initial=-np.inf))
+
+    def __call__(self, z):
+        z = self.clamped(z)
+        if self.centre is not None:
+            value = float(np.max(np.abs(self.deviations(z, self.active))))
+            if value > self.bound(z):
+                return value
+        dev = self.deviations(z)
+        value = float(np.max(np.abs(dev)))
+        if self.centre is None or value < self.value:
+            self.recentre(z, dev)
+        return value
 
 
 def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
@@ -443,6 +532,17 @@ def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
     prefer smaller beta, then smaller |c|, then direction closest to (0, 1).
     Returns (TwoPlane, residual over every node in the ball); raises
     UnderResolvedError when the ball holds no node.
+
+    Two prunings skip only work that cannot change the result, so the fit
+    is the unpruned search's to the bit.  At each angle, a beta goes to
+    :func:`_best_offsets` only if :func:`_offset_lower_bound` over every
+    64th search node does not exceed the incumbent residual, and an angle
+    with no beta left is skipped.  A dropped beta's residual exceeds the
+    incumbent's, so it could neither win nor tie, and each beta's offset is
+    solved on its own, so the kept betas get the same offsets.  The polish
+    objective (:class:`_PolishObjective`) takes the max over the nodes near
+    the max deviation at its centre when a Lipschitz bound shows that no
+    other node can reach it, and over every node otherwise.
     """
     grid = u.grid
     _check_ball(grid, center, r)
@@ -469,33 +569,26 @@ def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
         betas = np.linspace(max(beta0 - beta_span, 0.0),
                             min(beta0 + beta_span, _FIT_BETA_MAX), n_beta)
         for theta in thetas:
-            res, cs = _best_offsets(cpoints @ _unit(theta), cvals, betas,
-                                    c_max)
+            t = cpoints @ _unit(theta)
+            kept = betas[_offset_lower_bound(
+                t[::_BOUND_STRIDE], cvals[::_BOUND_STRIDE], betas,
+                c_max) <= best[0]]
+            if not len(kept):
+                continue
+            res, cs = _best_offsets(t, cvals, kept, c_max)
             k = int(np.argmin(res))  # first minimum: smallest beta
-            if (res[k], betas[k], abs(cs[k])) < (best[0], best[2],
-                                                 abs(best[3])):
-                best = (res[k], theta, betas[k], cs[k])
+            if (res[k], kept[k], abs(cs[k])) < (best[0], best[2],
+                                                abs(best[3])):
+                best = (res[k], theta, kept[k], cs[k])
         # zoom to two grid steps either side of the incumbent
         theta0, beta0 = best[1], best[2]
         theta_span *= 4.0 / (n_theta - 1)
         beta_span *= 4.0 / (n_beta - 1)
 
-    def clamped(z):
-        theta, beta, c = (float(v) for v in z)
-        return (theta, min(max(beta, 0.0), _FIT_BETA_MAX),
-                min(max(c, -c_max), c_max))
-
-    def objective(z):
-        # TwoPlane(beta, _unit(theta), c)'s residual, same operations,
-        # without building one per evaluation
-        theta, beta, c = clamped(z)
-        return float(np.max(np.abs(_profile(
-            points @ _unit(theta) + c, math.sqrt(1.0 + beta**2), beta)
-            - uvals)))
-
     # the simplex can stall on the non-smooth max objective, and it moves
     # the offset only approximately: restart it from the incumbent, with the
     # offset solved exactly, until it stops improving
+    objective = _PolishObjective(points, uvals, r, c_max)
     opts = {"xatol": 1e-13, "fatol": 1e-16, "maxiter": 2000}
     z, best_res = best[1:], objective(best[1:])
     for _ in range(6):
@@ -511,7 +604,7 @@ def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
             z, best_res = (theta, beta, c[0]), res
         if not res < prev * (1 - 1e-3):
             break
-    theta, beta, c = clamped(z)
+    theta, beta, c = objective.clamped(z)
     return TwoPlane(beta=beta, nu=_unit(theta), c=c), best_res
 
 

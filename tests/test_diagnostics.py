@@ -1,18 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import fblab.diagnostics
 from fblab.diagnostics import (
+    _FIT_BETA_MAX,
+    _FIT_NODES,
+    _FIT_ROUNDS,
     ACFSeries,
     FlatnessTable,
     TwoPlane,
     WeissSeries,
     _best_offsets,
+    _offset_lower_bound,
+    _PolishObjective,
     _profile,
+    _unit,
     acf_product,
     ball_quadrature,
     boundary_square_integral,
@@ -368,13 +376,7 @@ class TestTwoPlaneFit:
     def test_diagnose_field_matches_bisection(self, grid257, monkeypatch):
         # shaped like the diagnose benchmark: a 257^2 generic two-plane
         # profile plus a smooth perturbation, fitted at r = 0.8
-        theta, beta, c = math.radians(-12.0), 1.37, -0.013
-        nu = np.array([-math.sin(theta), math.cos(theta)])
-        xx, yy = grid257.meshgrid()
-        s = xx * nu[0] + yy * nu[1] + c
-        u = ScalarField(grid257, _profile(s, math.sqrt(1 + beta**2), beta)
-                        + 0.01 * np.sin(5 * xx + 2.1))
-        phi = LevelSet(grid257, s)
+        u, phi = diagnose_field(grid257)
         calls = []
 
         def counted(*args):
@@ -395,6 +397,287 @@ class TestTwoPlaneFit:
         assert np.allclose(plane.nu, ref_plane.nu, rtol=0, atol=1e-9)
         assert (res, plane.beta, plane.c) \
             == (ref_res, ref_plane.beta, ref_plane.c)
+
+
+def profile_field(grid, degrees, beta, c=0.0, eps=0.0):
+    """The profile along the unit normal at ``degrees`` from (0, 1), plus
+    ``eps`` times a smooth perturbation."""
+    nu = _unit(math.radians(degrees))
+    xx, yy = grid.meshgrid()
+    s = xx * nu[0] + yy * nu[1] + c
+    u = ScalarField(grid, _profile(s, math.sqrt(1 + beta**2), beta)
+                    + eps * np.sin(5 * xx + 2.1))
+    return u, LevelSet(grid, s)
+
+
+def diagnose_field(grid):
+    """Shaped like the diagnose benchmark's inputs."""
+    return profile_field(grid, -12.0, 1.37, -0.013, 0.01)
+
+
+def reference_two_plane_fit(u, center, r):
+    """:func:`two_plane_fit` without pruning: every (angle, beta) of the
+    grid goes to :func:`_best_offsets`, and the polish evaluates every node
+    at every point."""
+    xx, yy = u.grid.meshgrid()
+    mask = (xx - center[0])**2 + (yy - center[1])**2 <= r**2
+    points = np.column_stack([xx[mask] - center[0], yy[mask] - center[1]])
+    uvals = u.values[mask]
+    c_max = r / 2
+    stride = max(int(np.ceil(len(points) / _FIT_NODES)), 1)
+    cpoints, cvals = points[::stride], uvals[::stride]
+    theta0, theta_span = 0.0, np.pi
+    beta0 = beta_span = _FIT_BETA_MAX / 2
+    best = (np.inf, 0.0, 0.0, 0.0)
+    for n_theta, n_beta in _FIT_ROUNDS:
+        thetas = theta0 + np.linspace(-theta_span, theta_span, n_theta)
+        thetas = thetas[np.argsort(np.abs(thetas), kind="stable")]
+        betas = np.linspace(max(beta0 - beta_span, 0.0),
+                            min(beta0 + beta_span, _FIT_BETA_MAX), n_beta)
+        for theta in thetas:
+            res, cs = _best_offsets(cpoints @ _unit(theta), cvals, betas,
+                                    c_max)
+            k = int(np.argmin(res))
+            if (res[k], betas[k], abs(cs[k])) < (best[0], best[2],
+                                                 abs(best[3])):
+                best = (res[k], theta, betas[k], cs[k])
+        theta0, beta0 = best[1], best[2]
+        theta_span *= 4.0 / (n_theta - 1)
+        beta_span *= 4.0 / (n_beta - 1)
+
+    def clamped(z):
+        theta, beta, c = (float(v) for v in z)
+        return (theta, min(max(beta, 0.0), _FIT_BETA_MAX),
+                min(max(c, -c_max), c_max))
+
+    def objective(z):
+        theta, beta, c = clamped(z)
+        return float(np.max(np.abs(_profile(
+            points @ _unit(theta) + c, math.sqrt(1.0 + beta**2), beta)
+            - uvals)))
+
+    opts = {"xatol": 1e-13, "fatol": 1e-16, "maxiter": 2000}
+    z, best_res = best[1:], objective(best[1:])
+    for _ in range(6):
+        if best_res < 1e-15:
+            break
+        theta, beta, _ = minimize(objective, x0=z, method="Nelder-Mead",
+                                  options=opts).x
+        beta = min(max(float(beta), 0.0), _FIT_BETA_MAX)
+        _, c = _best_offsets(points @ _unit(theta), uvals, np.array([beta]),
+                             c_max)
+        res, prev = objective((theta, beta, c[0])), best_res
+        if res < best_res:
+            z, best_res = (theta, beta, c[0]), res
+        if not res < prev * (1 - 1e-3):
+            break
+    theta, beta, c = clamped(z)
+    return TwoPlane(beta=beta, nu=_unit(theta), c=c), best_res
+
+
+def fit_key(plane, res):
+    return (res, plane.beta, plane.c, tuple(plane.nu))
+
+
+class TestPrunedFit:
+    """The pruned grid search and the certified polish skip only work that
+    cannot change the fit: it equals the unpruned fit to the bit."""
+
+    def test_diagnose_field(self, grid257):
+        u, phi = diagnose_field(grid257)
+        assert fit_key(*two_plane_fit(u, phi, (0, 0), 0.8)) \
+            == fit_key(*reference_two_plane_fit(u, (0, 0), 0.8))
+
+    @pytest.mark.parametrize("degrees, beta, c, eps, r", [
+        (25.0, 0.0, 0.02, 0.005, 0.6),  # one phase: beta = 0
+        (0.0, 0.0, 0.0, 0.0, 0.5),  # exact: the polish stops below 1e-15
+        (179.3, 2.1, -0.03, 0.004, 0.6),  # angle near +-pi
+        (-179.6, 0.8, 0.01, 0.004, 0.6),
+        (-40.0, 3.3, 0.05, 0.01, 0.5),
+    ])
+    def test_matches_unpruned(self, grid65, degrees, beta, c, eps, r):
+        # on 65^2 the ball holds fewer nodes than the search budget, so the
+        # grid search runs on every node (stride 1)
+        u, phi = profile_field(grid65, degrees, beta, c, eps)
+        xx, yy = grid65.meshgrid()
+        assert np.count_nonzero(xx**2 + yy**2 <= r**2) <= _FIT_NODES
+        plane, res = two_plane_fit(u, phi, (0, 0), r)
+        assert fit_key(plane, res) \
+            == fit_key(*reference_two_plane_fit(u, (0, 0), r))
+        if eps == 0.0:
+            assert res < 1e-15
+
+    def test_work_pruned(self, grid257, monkeypatch):
+        # unpruned: 112 grid-search calls of _best_offsets, one per angle,
+        # and 862 objective evaluations on every node of the ball
+        u, phi = diagnose_field(grid257)
+        xx, yy = grid257.meshgrid()
+        n_nodes = np.count_nonzero(xx**2 + yy**2 <= 0.8**2)
+        search_calls, node_evals = [], []
+
+        def offsets(t, *args):
+            if len(t) <= _FIT_NODES:
+                search_calls.append(None)
+            return _best_offsets(t, *args)
+
+        def profile(s, *args):
+            if np.shape(s) == (n_nodes,):
+                node_evals.append(None)
+            return _profile(s, *args)
+
+        monkeypatch.setattr(fblab.diagnostics, "_best_offsets", offsets)
+        monkeypatch.setattr(fblab.diagnostics, "_profile", profile)
+        two_plane_fit(u, phi, (0, 0), 0.8)
+        assert 0 < len(search_calls) <= 60
+        assert 0 < len(node_evals) <= 200
+
+    def test_memory_bounded(self, grid257):
+        # the unpruned fit peaks at 3.28e6 traced bytes; with the lower
+        # bound computed for a whole round of angles at once, 29e6
+        u, phi = diagnose_field(grid257)
+        tracemalloc.start()
+        try:
+            two_plane_fit(u, phi, (0, 0), 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.28e6 + 2 * 2**20
+
+
+class TestOffsetLowerBound:
+    @given(nodes=st.lists(st.tuples(st.floats(-1.0, 1.0),
+                                    st.floats(-2.0, 2.0)),
+                          min_size=1, max_size=60),
+           betas=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
+           c_max=st.floats(0.01, 1.0),
+           step=st.integers(1, 8), start=st.integers(0, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_below_residual(self, nodes, betas, c_max, step, start):
+        t, uvals = (np.array(v) for v in zip(*nodes))
+        betas = np.array(betas)
+        start = min(start, len(t) - 1)
+        bound = _offset_lower_bound(t[start::step], uvals[start::step],
+                                    betas, c_max)
+        assert np.all(bound <= _best_offsets(t, uvals, betas, c_max)[0])
+
+    @pytest.mark.parametrize("shift", [-3.0, 3.0, -0.2500001, 0.2500001])
+    def test_pinned_offsets(self, shift):
+        # the optimal offset lies beyond +-c_max: the residual is the one
+        # at the end of the range
+        t = np.linspace(-0.5, 0.5, 41)
+        betas = np.array([0.0, 1.0, 3.0])
+        uvals = _profile(t + shift, math.sqrt(2), 1.0)
+        res, cs = _best_offsets(t, uvals, betas, 0.25)
+        assert abs(cs[1]) > 0.25 - 1e-12
+        bound = _offset_lower_bound(t[::4], uvals[::4], betas, 0.25)
+        assert np.all(bound <= res)
+        # on every node, tight at the pinned end for the planted beta
+        assert _offset_lower_bound(t, uvals, betas, 0.25)[1] \
+            == pytest.approx(res[1], abs=1e-12)
+
+    def test_tight_on_exact_profile(self):
+        t = np.linspace(-0.5, 0.5, 41)
+        betas = np.array([0.5, 1.0])
+        uvals = _profile(t, math.sqrt(2), 1.0)
+        bound = _offset_lower_bound(t, uvals, betas, 0.25)
+        assert bound[1] == 0.0 and bound[0] > 0.0
+
+
+def polish_case(data):
+    """A random node set in the ball of radius r and a centre z_c, with
+    the objective centred there."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(1, 300))
+    r = data.draw(st.floats(0.1, 1.0))
+    radius = r * np.sqrt(rng.random(n))
+    angle = rng.uniform(-np.pi, np.pi, n)
+    points = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    theta = data.draw(st.floats(-4.0, 4.0))
+    beta = data.draw(st.floats(0.0, _FIT_BETA_MAX))
+    c = data.draw(st.floats(-r / 2, r / 2))
+    eps = data.draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 1.0]))
+    uvals = _profile(points @ _unit(theta) + c, math.sqrt(1 + beta**2),
+                     beta) + eps * rng.standard_normal(n)
+    objective = _PolishObjective(points, uvals, r, r / 2)
+    objective((theta, beta, c))
+    return objective
+
+
+def nearby(data, z, scales=(0.0, 1e-12, 1e-6, 1e-2)):
+    """A point near z: each parameter moved by a draw of one of ``scales``,
+    then a few ulps either way."""
+    out = []
+    for v in z:
+        scale = data.draw(st.sampled_from(scales))
+        v = float(v) + scale * data.draw(st.floats(-1.0, 1.0))
+        toward = data.draw(st.sampled_from([-np.inf, np.inf]))
+        for _ in range(data.draw(st.integers(0, 4))):
+            v = float(np.nextafter(v, toward))
+        out.append(v)
+    return tuple(out)
+
+
+class TestPolishObjective:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_bounds_inactive_nodes(self, data):
+        objective = polish_case(data)
+        z = objective.clamped(nearby(data, objective.centre))
+        outside = np.delete(objective.deviations(z), objective.active)
+        assert np.max(np.abs(outside), initial=-np.inf) <= objective.bound(z)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_covers_rounding(self, data):
+        # moves of a few ulps: rounding, not the Lipschitz terms, sets how
+        # far an inactive node's deviation can rise
+        objective = polish_case(data)
+        z = objective.clamped(nearby(data, objective.centre, scales=(0.0,)))
+        outside = np.delete(objective.deviations(z), objective.active)
+        assert np.max(np.abs(outside), initial=-np.inf) <= objective.bound(z)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_value_is_full_max(self, data):
+        objective = polish_case(data)
+        z = objective.clamped(nearby(data, objective.centre))
+        full = objective.deviations(z)
+        assert np.array_equal(objective.deviations(z, objective.active),
+                              full[objective.active])
+        assert objective(z) == float(np.max(np.abs(full)))
+
+    def test_single_active_node(self):
+        # one node far off the profile: a one-row BLAS product would round
+        # its t differently from the product over every node
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-0.5, 0.5, (195, 2))
+        z = (0.7, 1.5, 0.01)
+        objective = _PolishObjective(points, np.zeros(195), 1.0, 0.5)
+        uvals = objective.deviations(z) + 1e-9 * (np.arange(195) == 17)
+        objective = _PolishObjective(points, uvals, 1.0, 0.5)
+        objective(z)
+        assert list(objective.active) == [17]
+        for ulps in range(1, 6):
+            moved = (z[0], z[1], z[2] + ulps * 2.0**-60)
+            full = objective.deviations(moved)
+            assert objective.deviations(moved, objective.active)[0] \
+                == full[17]
+            assert objective(moved) == float(np.max(np.abs(full)))
+
+    def test_recentres_on_improvement(self):
+        t = np.linspace(-0.5, 0.5, 101)
+        points = np.column_stack([0 * t, t])
+        uvals = _profile(t + 0.01, math.sqrt(2), 1.0)
+        objective = _PolishObjective(points, uvals, 0.5, 0.25)
+        assert objective((0.0, 1.0, 0.2)) > 0
+        assert objective.centre == (0.0, 1.0, 0.2)
+        assert objective((0.0, 1.0, 0.01)) == 0.0
+        assert objective.centre == (0.0, 1.0, 0.01)
+        assert len(objective.active) == len(t)
+        # a worse point leaves the centre where it is
+        objective((0.0, 1.0, 0.1))
+        assert objective.centre == (0.0, 1.0, 0.01)
+
 
 class TestFlatness:
     def test_flat_interface(self, grid65):
