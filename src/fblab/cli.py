@@ -137,8 +137,9 @@ def cmd_solve(args) -> int:
             tp, residual = two_plane_fit(u, phi, spec.center,
                                          max(spec.radii))
             fit = _fit_payload(tp, residual)
-            series = weiss_series(u, phi, spec.center, spec.radii,
-                                  tp.alpha, tp.beta)
+            series = weiss_series(
+                u, spec.center, spec.radii, tp.alpha, tp.beta,
+                ball_quadrature(u, phi, spec.center, spec.radii))
             monotone = bool(series.monotone)
 
         summary = {
@@ -178,9 +179,9 @@ def cmd_diagnose(args) -> int:
     with _locked_output(args.out) as out_dir:
         tp, residual = two_plane_fit(u, phi, spec.center, max(spec.radii))
         quad = ball_quadrature(u, phi, spec.center, spec.radii)
-        series = weiss_series(u, phi, spec.center, spec.radii,
-                              tp.alpha, tp.beta, quadrature=quad)
-        acf = acf_product(u, phi, spec.center, spec.radii, quadrature=quad)
+        series = weiss_series(u, spec.center, spec.radii, tp.alpha, tp.beta,
+                              quad)
+        acf = acf_product(u, phi, spec.center, spec.radii, quad)
         table = flatness_table(phi, spec.center, spec.radii)
         flat_by_r = {float(r): (d, *dirv)
                      for r, d, dirv in zip(table.radii, table.deltas,
@@ -200,7 +201,7 @@ def cmd_diagnose(args) -> int:
                 offsets = oscillation_decay(
                     u, spec.center, max(spec.radii), spec.levels, tp)
                 trapping = [[float(a), float(b)] for a, b in offsets]
-            except (FblabError, ValueError):
+            except FblabError:
                 trapping = None  # scale ladder not resolvable here
 
         summary = {

@@ -3,10 +3,12 @@ scale-normalized combination, flatness tables, two-plane fitting,
 non-degeneracy ratios, trapping-offset decay, and the two-phase energy
 product.
 
-All routines are pure functions of (u, phi) pairs.  Quadrature is cell-wise
-with linear-cut area fractions; cells crossed by the ball boundary are
-subdivided with exact signed distances at subcell corners so that constancy
-checks are not polluted by staircase noise.
+All routines are pure functions of their arguments.  The Weiss and ACF
+monitors read the rows of :func:`ball_quadrature`, which alone integrates
+(u, phi) over the balls: cell-wise with linear-cut area fractions, and cells
+crossed by the ball boundary are subdivided with exact signed distances at
+subcell corners so that constancy checks are not polluted by staircase
+noise.
 
 The two-plane fit skips only work that cannot change its result, so it is
 the exhaustive search's fit to the bit: a grid candidate is solved only if
@@ -55,9 +57,10 @@ def _profile(s, alpha, beta):
 
 @dataclass(frozen=True)
 class TwoPlane:
-    """Piecewise-linear profile alpha*t+ - beta*t- along direction ``nu``
-    with offset ``c``; the positive slope is always derived from beta so
-    alpha^2 - beta^2 = 1 holds exactly."""
+    """Record of the piecewise-linear profile alpha*t+ - beta*t- in
+    t = <x - center, nu> + c about the centre of the fitted ball; the
+    positive slope is always derived from beta so alpha^2 - beta^2 = 1
+    holds exactly."""
 
     beta: float
     nu: np.ndarray
@@ -74,16 +77,6 @@ class TwoPlane:
     @property
     def alpha(self) -> float:
         return math.sqrt(1.0 + self.beta**2)
-
-    def height(self, t):
-        """Profile value at signed coordinate t (offset already applied)."""
-        return _profile(np.asarray(t, dtype=float) + self.c, self.alpha,
-                        self.beta)
-
-    def evaluate(self, points, center):
-        """Evaluate at absolute points (m, 2) relative to ``center``."""
-        pts = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
-        return self.height(pts @ self.nu)
 
 
 @dataclass(frozen=True)
@@ -242,39 +235,35 @@ def _cell_energy(u, phi, i0, j0, cell):
             float(np.sum(cell * f_pos)), float(np.sum(cell * (1.0 - f_pos))))
 
 
-def _cell_quadrature(u, phi, center, r):
-    """Cell contributions inside B_r(center): returns the sums (grad_plus,
-    grad_minus, area_plus, area_minus) over cells, where grad_* are
-    phase-restricted Dirichlet energies and area_* phase areas.  Only cells
-    crossed by the circle are subdivided."""
-    grid = u.grid
-    h = grid.h
-    _check_ball(grid, center, r)
-
-    i_lo = max(int((center[0] - r - grid.x0) / h) - 1, 0)
-    i_hi = min(int((center[0] + r - grid.x0) / h) + 1, grid.nx - 2)
-    j_lo = max(int((center[1] - r - grid.y0) / h) - 1, 0)
-    j_hi = min(int((center[1] + r - grid.y0) / h) + 1, grid.ny - 2)
-
-    # ball clipping via exact signed distances at the block's nodes
-    xs = grid.x0 + np.arange(i_lo, i_hi + 2) * h
-    ys = grid.y0 + np.arange(j_lo, j_hi + 2) * h
-    s = _corners(r - np.hypot(xs[None, :] - center[0],
-                              ys[:, None] - center[1]))
-    w_ball = np.all([c > 0 for c in s], axis=0).astype(float)
-    jc, ic = np.nonzero(np.any([c > 0 for c in s], axis=0) & (w_ball == 0.0))
-    w_ball[jc, ic] = _ball_fraction(grid, ic + i_lo, jc + j_lo, center, r)
-    del s
-    return _cell_energy(u, phi, i_lo, j_lo, w_ball * h * h)
-
-
 def ball_quadrature(u: ScalarField, phi: LevelSet, center,
                     radii) -> np.ndarray:
-    """Rows (grad_plus, grad_minus, area_plus, area_minus) of
-    :func:`_cell_quadrature`, one per radius: the terms both
-    :func:`weiss_series` and :func:`acf_product` are derived from."""
-    return np.array([_cell_quadrature(u, phi, center, r)
-                     for r in radii]).reshape(-1, 4)
+    """Rows (grad_plus, grad_minus, area_plus, area_minus), one per radius:
+    sums over the cells inside B_r(center) of the phase-restricted Dirichlet
+    energies and the phase areas, the terms :func:`weiss_series` and
+    :func:`acf_product` are derived from.  Only cells crossed by the circle
+    are subdivided."""
+    grid = u.grid
+    h = grid.h
+    rows = []
+    for r in radii:
+        _check_ball(grid, center, r)
+        i_lo = max(int((center[0] - r - grid.x0) / h) - 1, 0)
+        i_hi = min(int((center[0] + r - grid.x0) / h) + 1, grid.nx - 2)
+        j_lo = max(int((center[1] - r - grid.y0) / h) - 1, 0)
+        j_hi = min(int((center[1] + r - grid.y0) / h) + 1, grid.ny - 2)
+
+        # ball clipping via exact signed distances at the block's nodes
+        xs = grid.x0 + np.arange(i_lo, i_hi + 2) * h
+        ys = grid.y0 + np.arange(j_lo, j_hi + 2) * h
+        s = _corners(r - np.hypot(xs[None, :] - center[0],
+                                  ys[:, None] - center[1]))
+        w_ball = np.all([c > 0 for c in s], axis=0).astype(float)
+        jc, ic = np.nonzero(np.any([c > 0 for c in s], axis=0)
+                            & (w_ball == 0.0))
+        w_ball[jc, ic] = _ball_fraction(grid, ic + i_lo, jc + j_lo, center, r)
+        del s
+        rows.append(_cell_energy(u, phi, i_lo, j_lo, w_ball * h * h))
+    return np.array(rows).reshape(-1, 4)
 
 
 def _weighted_energy(terms, alpha, beta):
@@ -282,13 +271,6 @@ def _weighted_energy(terms, alpha, beta):
         raise ValueError("weights must satisfy alpha^2 - beta^2 = 1")
     grad_p, grad_m, area_p, area_m = terms
     return grad_p + grad_m + alpha**2 * area_p + beta**2 * area_m
-
-
-def weiss_energy(u: ScalarField, phi: LevelSet, center, r: float,
-                 alpha: float, beta: float) -> float:
-    """Weighted energy over B_r(center): Dirichlet part plus alpha^2 times
-    the positive-phase area plus beta^2 times the negative-phase area."""
-    return _weighted_energy(_cell_quadrature(u, phi, center, r), alpha, beta)
 
 
 def boundary_square_integral(u: ScalarField, center, r: float) -> float:
@@ -302,15 +284,6 @@ def boundary_square_integral(u: ScalarField, center, r: float) -> float:
     return float(np.sum(vals**2) * r * (2 * np.pi / n))
 
 
-def weiss_phi(u: ScalarField, phi: LevelSet, center, r: float,
-              alpha: float, beta: float):
-    """Scale-normalized energy r^-2 E - r^-3 * shell integral of u^2.
-    Returns (value, E, shell integral)."""
-    E = weiss_energy(u, phi, center, r, alpha, beta)
-    bterm = boundary_square_integral(u, center, r)
-    return E / r**2 - bterm / r**3, E, bterm
-
-
 def _monotone_verdict(radii, values):
     slack = _MONOTONE_SLACK * np.max(np.abs(values)) if len(values) else 0.0
     for k in range(len(values) - 1):
@@ -319,15 +292,15 @@ def _monotone_verdict(radii, values):
     return True, None
 
 
-def weiss_series(u: ScalarField, phi: LevelSet, center, radii,
-                 alpha: float, beta: float,
-                 quadrature: Optional[np.ndarray] = None) -> WeissSeries:
-    """Evaluate the normalized energy on an increasing list of radii and
-    report whether it is non-decreasing up to quadrature slack.
-    ``quadrature``, if given, is :func:`ball_quadrature` of the same args."""
+def weiss_series(u: ScalarField, center, radii, alpha: float, beta: float,
+                 quadrature: np.ndarray) -> WeissSeries:
+    """Scale-normalized energy r^-2 E - r^-3 * (shell integral of u^2) on an
+    increasing list of radii, where the weighted energy E is the Dirichlet
+    part plus alpha^2 times the positive-phase area plus beta^2 times the
+    negative-phase area, from the :func:`ball_quadrature` rows
+    ``quadrature`` of the same ball; reports whether the values are
+    non-decreasing up to quadrature slack."""
     radii = np.asarray(radii, dtype=float)
-    if quadrature is None:
-        quadrature = ball_quadrature(u, phi, center, radii)
     Es = np.asarray([_weighted_energy(q, alpha, beta) for q in quadrature])
     bts = np.asarray([boundary_square_integral(u, center, r) for r in radii])
     phis = Es / radii**2 - bts / radii**3
@@ -689,13 +662,12 @@ def oscillation_decay(u: ScalarField, x0, r0: float, levels: int,
 
 
 def acf_product(u: ScalarField, phi: LevelSet, center, radii,
-                quadrature: Optional[np.ndarray] = None) -> ACFSeries:
+                quadrature: np.ndarray) -> ACFSeries:
     """Product monitor r^-4 * (positive-phase Dirichlet energy) *
     (negative-phase Dirichlet energy) over B_r(center), with the cell
-    containing the center excluded.  ``quadrature``: as in weiss_series."""
+    containing the center excluded, from the :func:`ball_quadrature` rows
+    ``quadrature`` of the same ball."""
     radii = np.asarray(radii, dtype=float)
-    if quadrature is None:
-        quadrature = ball_quadrature(u, phi, center, radii)
     # remove the center cell's contribution from both factors
     ci, cj = u.grid.cell_of(center[0], center[1])
     sub_p, sub_m, _, _ = _cell_energy(u, phi, ci, cj,

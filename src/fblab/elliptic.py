@@ -192,7 +192,8 @@ def solve_phase(A: CoefficientField, f: ScalarField,
     unk = status == _UNKNOWN
     n_unknown = int(np.count_nonzero(unk))
     if n_unknown == 0:
-        raise UnderResolvedError("region has no interior nodes")
+        side = "plus" if region.sign > 0 else "minus"
+        raise UnderResolvedError(f"{side} phase has no interior nodes")
 
     idx = -np.ones(g.shape, dtype=np.int64)
     idx[unk] = np.arange(n_unknown)

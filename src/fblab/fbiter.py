@@ -263,9 +263,6 @@ def step(problem: PhaseProblem, phi: LevelSet, opts: IterationOptions):
     """
     grid = problem.A.grid
     plus, minus = _phase_regions(problem, phi)
-    if plus.node_count() == 0 or minus.node_count() == 0:
-        raise PhaseCollapseError("a phase has no interior nodes")
-
     u_plus = solve_phase(problem.A, problem.f_plus, plus)
     u_minus = solve_phase(problem.A, problem.f_minus, minus)
 
@@ -405,7 +402,7 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
     )
     if u is None:
         raise PhaseCollapseError(
-            "iteration aborted before any phase solve completed: "
+            "iteration aborted before its first step completed: "
             + "; ".join(notes))
     if stop_reason == "budget_exhausted":
         log.warning("fixed-point loop did not converge in %d iterations",
@@ -429,6 +426,6 @@ def _final_flatness(problem, phi):
         if not radii:
             return None
         return flatness_table(phi, center, radii)
-    except (FblabError, ValueError):  # diagnostics are best-effort here
+    except FblabError:  # diagnostics are best-effort here
         log.debug("flatness table unavailable", exc_info=True)
         return None

@@ -1,5 +1,6 @@
 """Self-verification suite: each acceptance criterion is a function that
-returns a pass/fail result with a human-readable detail line.
+returns (passed, detail), a pass/fail verdict with a human-readable detail
+line; :func:`run_suite` times each call and builds its result.
 
 Hard criteria gate the build (the CLI exits nonzero when any fails); audit
 criteria only have to execute and emit their report files.
@@ -16,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import (
+    ball_quadrature,
     flatness_table,
     nondegeneracy,
     rescale,
-    weiss_phi,
     weiss_series,
 )
 from .elliptic import CoefficientField, PhaseRegion, solve_phase
@@ -136,10 +137,9 @@ def _disk_weiss_frame(ctx):
     return data, u_n, center, alpha, beta
 
 
-def criterion_two_plane_stationarity(ctx, out_dir=None) -> CriterionResult:
+def criterion_two_plane_stationarity(ctx, out_dir=None) -> tuple[bool, str]:
     """Exact piecewise-linear profiles are fixed points of the interface
     iteration: tiny jump defect, no drift, bounded runtime per slope."""
-    t0 = time.perf_counter()
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
     h = grid.h
     worst_jump, worst_drift, worst_time = 0.0, 0.0, 0.0
@@ -161,14 +161,12 @@ def criterion_two_plane_stationarity(ctx, out_dir=None) -> CriterionResult:
     detail = (f"max jump {worst_jump:.3g} (limit {5 * h**2:.3g}), "
               f"max drift {worst_drift:.3g} (limit {h / 10:.3g}), "
               f"max time {worst_time:.1f}s")
-    return CriterionResult("two_plane_stationarity", ok, True, detail,
-                           time.perf_counter() - t0)
+    return ok, detail
 
 
-def criterion_weiss_closed_form(ctx, out_dir=None) -> CriterionResult:
+def criterion_weiss_closed_form(ctx, out_dir=None) -> tuple[bool, str]:
     """Normalized energy of the exact profiles matches the closed form
     (1 + 2 beta^2) pi / 2 and is constant across radii."""
-    t0 = time.perf_counter()
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
     radii = (0.1, 0.2, 0.3, 0.4, 0.5)
     worst_rel, worst_spread = 0.0, 0.0
@@ -177,8 +175,9 @@ def criterion_weiss_closed_form(ctx, out_dir=None) -> CriterionResult:
         u = two_plane_field(grid, beta)
         phi = two_plane_levelset(grid)
         target = (1.0 + 2.0 * beta**2) * math.pi / 2.0
-        vals = [weiss_phi(u, phi, (0.0, 0.0), r, alpha, beta)[0]
-                for r in radii]
+        vals = weiss_series(u, (0.0, 0.0), radii, alpha, beta,
+                            ball_quadrature(u, phi, (0.0, 0.0), radii)
+                            ).phi_values
         worst_rel = max(worst_rel,
                         max(abs(v - target) / target for v in vals))
         worst_spread = max(worst_spread,
@@ -186,46 +185,47 @@ def criterion_weiss_closed_form(ctx, out_dir=None) -> CriterionResult:
     ok = worst_rel <= 0.02 and worst_spread <= 0.01
     detail = (f"max rel err {worst_rel:.4f} (limit 0.02), "
               f"max spread {worst_spread:.4f} (limit 0.01)")
-    return CriterionResult("weiss_closed_form", ok, True, detail,
-                           time.perf_counter() - t0)
+    return ok, detail
 
 
-def criterion_weiss_rescaling(ctx, out_dir=None) -> CriterionResult:
+def criterion_weiss_rescaling(ctx, out_dir=None) -> tuple[bool, str]:
     """Zooming by lambda then evaluating at r equals evaluating at
     lambda * r, on the converged disk solution."""
-    t0 = time.perf_counter()
-    _, u_n, center, alpha, beta = _disk_weiss_frame(ctx)
+    data, u_n, center, alpha, beta = _disk_weiss_frame(ctx)
     lam, r = 0.5, 0.4
-    data = ctx.disk()
     u_zoom = rescale(u_n, lam, center)
     phi_field = ScalarField(data["grid"], data["phi"].phi)
     phi_zoom = LevelSet(data["grid"], rescale(phi_field, lam, center).values)
-    lhs = weiss_phi(u_zoom, phi_zoom, center, r, alpha, beta)[0]
-    rhs = weiss_phi(u_n, data["phi"], center, lam * r, alpha, beta)[0]
+
+    def weiss_at(v, levelset, radius):
+        return weiss_series(v, center, [radius], alpha, beta,
+                            ball_quadrature(v, levelset, center, [radius])
+                            ).phi_values[0]
+
+    lhs = weiss_at(u_zoom, phi_zoom, r)
+    rhs = weiss_at(u_n, data["phi"], lam * r)
     tol = 0.02 * abs(rhs) + 0.01
     ok = abs(lhs - rhs) <= tol
     detail = (f"zoomed {lhs:.5f} vs direct {rhs:.5f}, "
               f"|diff| {abs(lhs - rhs):.4f} <= {tol:.4f}")
-    return CriterionResult("weiss_rescaling", ok, True, detail,
-                           time.perf_counter() - t0)
+    return ok, detail
 
 
-def criterion_weiss_monotonicity(ctx, out_dir=None) -> CriterionResult:
+def criterion_weiss_monotonicity(ctx, out_dir=None) -> tuple[bool, str]:
     """The normalized energy is non-decreasing in the radius around an
     interface point of the converged disk solution."""
-    t0 = time.perf_counter()
     data, u_n, center, alpha, beta = _disk_weiss_frame(ctx)
     radii = np.geomspace(0.05, 0.45, 8)
-    series = weiss_series(u_n, data["phi"], center, radii, alpha, beta)
+    series = weiss_series(u_n, center, radii, alpha, beta,
+                          ball_quadrature(u_n, data["phi"], center, radii))
     detail = f"8 radii in [{radii[0]:.3f}, {radii[-1]:.3f}], " \
              f"monotone={series.monotone}"
     if not series.monotone:
         detail += f", first violation at {series.first_violation}"
-    return CriterionResult("weiss_monotonicity", series.monotone, True,
-                           detail, time.perf_counter() - t0)
+    return series.monotone, detail
 
 
-def criterion_disk_roots(ctx, out_dir=None) -> CriterionResult:
+def criterion_disk_roots(ctx, out_dir=None) -> tuple[bool, str]:
     """Closed-form threshold minimum and root residuals at
     (mu, omega, h, sigma) = (1, 0, 1, 8)."""
     t0 = time.perf_counter()
@@ -241,10 +241,10 @@ def criterion_disk_roots(ctx, out_dir=None) -> CriterionResult:
     detail = (f"z0 {z0:.12f} (e^2 {math.e**2:.12f}), "
               f"roots ({rho1:.6f}, {rho2:.6f}), "
               f"residuals ({res1:.2e}, {res2:.2e}), {elapsed:.3f}s")
-    return CriterionResult("disk_roots", ok, True, detail, elapsed)
+    return ok, detail
 
 
-def criterion_disk_fixed_point(ctx, out_dir=None) -> CriterionResult:
+def criterion_disk_fixed_point(ctx, out_dir=None) -> tuple[bool, str]:
     """The interface iteration recovers the outer oracle radius of the
     vortex-patch disk within two cells."""
     t0 = time.perf_counter()
@@ -258,10 +258,10 @@ def criterion_disk_fixed_point(ctx, out_dir=None) -> CriterionResult:
     detail = (f"radius {radii.mean():.5f} vs oracle {data['rho2']:.5f}, "
               f"err {err:.5f} < 2h {2 * h:.5f}, "
               f"converged={data['report'].converged}")
-    return CriterionResult("disk_fixed_point", ok, True, detail, elapsed)
+    return ok, detail
 
 
-def criterion_elliptic_convergence(ctx, out_dir=None) -> CriterionResult:
+def criterion_elliptic_convergence(ctx, out_dir=None) -> tuple[bool, str]:
     """Manufactured product-of-sines problem halves its max error by about
     four when the cell size halves (second order)."""
     t0 = time.perf_counter()
@@ -282,13 +282,12 @@ def criterion_elliptic_convergence(ctx, out_dir=None) -> CriterionResult:
     elapsed = time.perf_counter() - t0
     ok = 3.5 <= ratio <= 4.5 and elapsed < 60.0
     detail = f"error ratio {ratio:.3f} in [3.5, 4.5], {elapsed:.1f}s"
-    return CriterionResult("elliptic_convergence", ok, True, detail, elapsed)
+    return ok, detail
 
 
-def criterion_flatness_decay(ctx, out_dir=None) -> CriterionResult:
+def criterion_flatness_decay(ctx, out_dir=None) -> tuple[bool, str]:
     """The settled perturbed-plane interface flattens geometrically as the
     observation ball shrinks."""
-    t0 = time.perf_counter()
     data = ctx.perturbed()
     pts = all_interface_points(interface_extract(data["phi"]))
     center = tuple(pts[np.argmin(np.abs(pts[:, 0]))])
@@ -301,39 +300,33 @@ def criterion_flatness_decay(ctx, out_dir=None) -> CriterionResult:
     ok = len(vals) == 3 and fitted <= 0.9
     detail = (f"delta/r {np.array2string(vals, precision=5)}, "
               f"fitted ratio {fitted:.3f} <= 0.9")
-    return CriterionResult("flatness_decay", ok, True, detail,
-                           time.perf_counter() - t0)
+    return ok, detail
 
 
-def criterion_nondegeneracy(ctx, out_dir=None) -> CriterionResult:
+def criterion_nondegeneracy(ctx, out_dir=None) -> tuple[bool, str]:
     """The positive phase of the perturbed-plane run grows at least
     linearly away from the interface with slope at least 0.5."""
-    t0 = time.perf_counter()
     data = ctx.perturbed()
     c0 = nondegeneracy(data["u"], data["phi"],
                        delta_band=2 * data["grid"].h)
     ok = c0 >= 0.5
     detail = f"c0 estimate {c0:.4f} >= 0.5"
-    return CriterionResult("nondegeneracy", ok, True, detail,
-                           time.perf_counter() - t0)
+    return ok, detail
 
 
-def criterion_branch_ordering(ctx, out_dir=None) -> CriterionResult:
+def criterion_branch_ordering(ctx, out_dir=None) -> tuple[bool, str]:
     """Radial solutions for nested moduli m < M keep the printed radius and
     profile ordering at 100 interior radii."""
-    t0 = time.perf_counter()
     ok, witness = ordering_check(1.0, 1.2, mu=1.0, omega=1.0, sigma=8.0)
     detail = "radius and pointwise ordering hold" if ok \
         else f"violated at r = {witness}"
-    return CriterionResult("branch_ordering", ok, True, detail,
-                           time.perf_counter() - t0)
+    return ok, detail
 
 
-def criterion_negative_control(ctx, out_dir=None) -> CriterionResult:
+def criterion_negative_control(ctx, out_dir=None) -> tuple[bool, str]:
     """Flipping the sign of the measured jump (fault injection through
     ``IterationOptions.flip_jump_sign``) must break stationarity of the
     exact profile."""
-    t0 = time.perf_counter()
     grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
     problem = two_plane_problem(grid, 1.0)
     phi0 = two_plane_levelset(grid)
@@ -342,15 +335,13 @@ def criterion_negative_control(ctx, out_dir=None) -> CriterionResult:
     ok = defect > 5 * grid.h**2
     detail = (f"flipped-sign defect {defect:.3f} exceeds the "
               f"stationarity limit {5 * grid.h**2:.2e}")
-    return CriterionResult("negative_control", ok, True, detail,
-                           time.perf_counter() - t0)
+    return ok, detail
 
 
-def criterion_open_question_audits(ctx, out_dir=None) -> CriterionResult:
+def criterion_open_question_audits(ctx, out_dir=None) -> tuple[bool, str]:
     """Non-blocking audits: table of the two jump expressions over
     h^2*omega in {0.5, 1, 2}, and a 20x20 sweep testing whether the
     large-vorticity condition implies a non-positive threshold minimum."""
-    t0 = time.perf_counter()
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
@@ -385,8 +376,7 @@ def criterion_open_question_audits(ctx, out_dir=None) -> CriterionResult:
     detail = (f"reports written to {out_dir}; condition holds at "
               f"{n_holds}/400 points, implication observed at "
               f"{n_implied}/{n_holds}")
-    return CriterionResult("open_question_audits", ok, False, detail,
-                           time.perf_counter() - t0)
+    return ok, detail
 
 
 QUICK_CRITERIA = (
@@ -416,18 +406,25 @@ FULL_CRITERIA = (
 
 
 def run_suite(level: str = "quick", out_dir: Optional[str] = None):
-    """Run the requested criteria list and return CriterionResult objects."""
+    """Run the requested criteria list and return one CriterionResult per
+    criterion: named after its function, hard unless it is the audit that
+    ran to its end (a crash is hard, the audit's included), and timed over
+    the whole call, a crash included."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")
     criteria = QUICK_CRITERIA if level == "quick" else FULL_CRITERIA
     ctx = SuiteContext()
     results = []
     for fn in criteria:
+        t0 = time.perf_counter()
+        crashed = False
         try:
-            results.append(fn(ctx, out_dir))
+            passed, detail = fn(ctx, out_dir)
         except Exception as err:  # a crash is a failure, not an abort
-            name = fn.__name__.replace("criterion_", "")
-            results.append(CriterionResult(
-                name, False, True, f"raised {type(err).__name__}: {err}",
-                0.0))
+            crashed = True
+            passed, detail = False, f"raised {type(err).__name__}: {err}"
+        results.append(CriterionResult(
+            fn.__name__.removeprefix("criterion_"), passed,
+            crashed or fn is not criterion_open_question_audits, detail,
+            time.perf_counter() - t0))
     return results

@@ -13,7 +13,7 @@ import fblab
 import fblab.cli
 import fblab.diagnostics
 from fblab.cli import main
-from fblab.errors import SolverError
+from fblab.errors import SolverError, UnderResolvedError
 from fblab.fields import (
     LevelSet,
     ScalarField,
@@ -189,7 +189,8 @@ class TestSolve:
         assert "Traceback" not in proc.stderr
 
     def test_phase_collapse_exits_four(self, tmp_path):
-        # negative phase starts with no interior nodes
+        # the negative phase starts as the one node at the origin, too
+        # small for its one-sided interface gradients
         text = TWO_PLANE_INI.replace("interface = flat 0 0",
                                      "interface = circle 0.005")
         cfg = write(tmp_path, "run.ini", text)
@@ -328,6 +329,41 @@ levels = 1
         assert len(calls) == 1
         summary = json.loads((tmp_path / "d" / "summary.json").read_text())
         assert len(summary["trapping_offsets"]) == 2
+
+    def _trapping_run(self, tmp_path, monkeypatch, error):
+        """diagnose with levels = 1 and oscillation_decay raising ``error``;
+        returns the exit code."""
+        grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
+        write_field(ScalarField.from_function(
+            grid, lambda x, y: np.maximum(y, 0) + 0 * x),
+            str(tmp_path / "u.csv"))
+        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
+                    str(tmp_path / "phi.csv"))
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2, 0.4
+levels = 1
+""")
+
+        def failing(*args, **kwargs):
+            raise error("trapping ladder")
+
+        monkeypatch.setattr(fblab.cli, "oscillation_decay", failing)
+        return main(["diagnose", "--u", str(tmp_path / "u.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")])
+
+    def test_unresolved_trapping_is_omitted(self, tmp_path, monkeypatch):
+        assert self._trapping_run(tmp_path, monkeypatch,
+                                  UnderResolvedError) == 0
+        summary = json.loads((tmp_path / "d" / "summary.json").read_text())
+        assert summary["trapping_offsets"] is None
+
+    def test_trapping_value_error_propagates(self, tmp_path, monkeypatch):
+        # only toolkit errors mean "no ladder"; a ValueError is a defect
+        with pytest.raises(ValueError, match="trapping ladder"):
+            self._trapping_run(tmp_path, monkeypatch, ValueError)
 
     def test_mismatched_grids_exit_three(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
@@ -494,8 +530,9 @@ levels = 0
         assert main(["prandtl", "--mu", "1", "--omega", "1", "--h", "1",
                      "--sigma", "8", "--sweep", "mu=1:1.5:2", "--profiles",
                      "--out", str(tmp_path / "prandtl")]) == 0
-        assert criterion_open_question_audits(
-            SuiteContext(), str(tmp_path / "verify")).passed
+        passed, _ = criterion_open_question_audits(
+            SuiteContext(), str(tmp_path / "verify"))
+        assert passed
 
         paths = sorted(tmp_path.glob("*/*.csv"))
         assert sorted(p.name for p in paths) == sorted(self.HEADERS)

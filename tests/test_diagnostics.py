@@ -29,8 +29,6 @@ from fblab.diagnostics import (
     oscillation_decay,
     rescale,
     two_plane_fit,
-    weiss_energy,
-    weiss_phi,
     weiss_series,
 )
 from fblab.errors import FblabError, GridError, UnderResolvedError
@@ -40,6 +38,7 @@ from fblab.fields import (
     make_grid,
     one_sided_gradient,
 )
+from fblab.problems import two_plane_values
 
 
 def two_plane_fn(beta):
@@ -49,6 +48,17 @@ def two_plane_fn(beta):
 
 def flat_phi(grid):
     return LevelSet.from_function(grid, lambda x, y: y + 0 * x)
+
+
+def weiss(u, phi, center, radii, alpha, beta):
+    """Weiss series from the ball quadrature rows, as the CLI computes it."""
+    return weiss_series(u, center, radii, alpha, beta,
+                        ball_quadrature(u, phi, center, radii))
+
+
+def acf(u, phi, center, radii):
+    return acf_product(u, phi, center, radii,
+                       ball_quadrature(u, phi, center, radii))
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +88,13 @@ class TestTwoPlane:
             TwoPlane(beta=-0.1, nu=np.array([0.0, 1.0]))
 
     def test_profile_values(self):
-        tp = TwoPlane(beta=2.0, nu=np.array([0.0, 1.0]))
-        assert float(tp.height(1.0)) == pytest.approx(math.sqrt(5.0))
-        assert float(tp.height(-1.0)) == pytest.approx(-2.0)
+        fn = two_plane_values(2.0)
+        assert float(fn(0.0, 1.0)) == pytest.approx(math.sqrt(5.0))
+        assert float(fn(0.0, -1.0)) == pytest.approx(-2.0)
 
     def test_evaluate_with_offset(self):
-        tp = TwoPlane(beta=0.0, nu=np.array([0.0, 1.0]), c=0.25)
-        pts = np.array([[0.0, 0.0], [0.0, -0.5]])
-        vals = tp.evaluate(pts, (0.0, 0.0))
+        vals = two_plane_values(0.0, c=0.25)(np.array([0.0, 0.0]),
+                                             np.array([0.0, -0.5]))
         assert vals[0] == pytest.approx(0.25)
         assert vals[1] == pytest.approx(0.0)
 
@@ -93,50 +102,51 @@ class TestTwoPlane:
 class TestWeissEnergy:
     def test_one_phase_plane(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(0.0))
-        E = weiss_energy(u, flat_phi(grid65), (0, 0), 0.5, 1.0, 0.0)
+        E = weiss(u, flat_phi(grid65), (0, 0), [0.5], 1.0, 0.0).E_values[0]
         assert E == pytest.approx(math.pi / 4, rel=0.02)
 
     def test_two_phase_plane(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        E = weiss_energy(u, flat_phi(grid65), (0, 0), 0.5, math.sqrt(2), 1.0)
+        E = weiss(u, flat_phi(grid65), (0, 0), [0.5], math.sqrt(2),
+                  1.0).E_values[0]
         assert E == pytest.approx(3 * math.pi / 4, rel=0.02)
 
     def test_zero_field_no_phases(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
         phi = LevelSet(grid65, -np.ones(grid65.shape))
-        assert weiss_energy(u, phi, (0, 0), 0.5, 1.0, 0.0) == pytest.approx(
-            0.0, abs=1e-12)
+        assert weiss(u, phi, (0, 0), [0.5], 1.0, 0.0).E_values[0] \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_ball_must_stay_inside(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
         with pytest.raises(GridError):
-            weiss_energy(u, flat_phi(grid65), (0.8, 0), 0.5, 1.0, 0.0)
+            ball_quadrature(u, flat_phi(grid65), (0.8, 0), [0.5])
 
     def test_weight_constraint(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
         with pytest.raises(ValueError):
-            weiss_energy(u, flat_phi(grid65), (0, 0), 0.5, 1.0, 1.0)
+            weiss(u, flat_phi(grid65), (0, 0), [0.5], 1.0, 1.0)
 
 
 class TestWeissPhi:
     def test_one_phase_constant(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(0.0))
         phi = flat_phi(grid65)
-        for r in (0.1, 0.3, 0.5):
-            val, _, _ = weiss_phi(u, phi, (0, 0), r, 1.0, 0.0)
+        for val in weiss(u, phi, (0, 0), [0.1, 0.3, 0.5], 1.0,
+                         0.0).phi_values:
             assert val == pytest.approx(math.pi / 2, rel=0.02)
 
     def test_two_phase_constant(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(1.0))
         phi = flat_phi(grid65)
-        for r in (0.1, 0.3, 0.5):
-            val, _, _ = weiss_phi(u, phi, (0, 0), r, math.sqrt(2), 1.0)
+        for val in weiss(u, phi, (0, 0), [0.1, 0.3, 0.5], math.sqrt(2),
+                         1.0).phi_values:
             assert val == pytest.approx(3 * math.pi / 2, rel=0.02)
 
     def test_zero_field(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
         phi = LevelSet(grid65, -np.ones(grid65.shape))
-        val, _, _ = weiss_phi(u, phi, (0, 0), 0.4, 1.0, 0.0)
+        val = weiss(u, phi, (0, 0), [0.4], 1.0, 0.0).phi_values[0]
         assert val == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -146,8 +156,8 @@ class TestWeissPhi:
         errs = []
         for grid in (grid65, grid129):
             u = ScalarField.from_function(grid, two_plane_fn(beta))
-            val, _, _ = weiss_phi(u, flat_phi(grid), (0, 0), 0.5, alpha,
-                                  beta)
+            val = weiss(u, flat_phi(grid), (0, 0), [0.5], alpha,
+                        beta).phi_values[0]
             errs.append(abs(val - exact))
         assert errs[1] <= errs[0] / 1.8
 
@@ -155,8 +165,8 @@ class TestWeissPhi:
 class TestWeissSeries:
     def test_constant_series_monotone(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        ws = weiss_series(u, flat_phi(grid65), (0, 0), [0.1, 0.2, 0.3, 0.4],
-                          math.sqrt(2), 1.0)
+        ws = weiss(u, flat_phi(grid65), (0, 0), [0.1, 0.2, 0.3, 0.4],
+                   math.sqrt(2), 1.0)
         assert ws.monotone
         assert ws.first_violation is None
 
@@ -168,8 +178,8 @@ class TestWeissSeries:
             return np.maximum(y, 0) + 5.0 * np.maximum(0.15 - d, 0.0)**2
 
         u = ScalarField.from_function(grid65, bumped)
-        ws = weiss_series(u, flat_phi(grid65), (0, 0),
-                          [0.1, 0.2, 0.3, 0.4, 0.5], 1.0, 0.0)
+        ws = weiss(u, flat_phi(grid65), (0, 0), [0.1, 0.2, 0.3, 0.4, 0.5],
+                   1.0, 0.0)
         assert not ws.monotone
         assert ws.first_violation is not None
         assert ws.first_violation[0] < ws.first_violation[1]
@@ -177,12 +187,12 @@ class TestWeissSeries:
     def test_radii_must_increase(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
         with pytest.raises(ValueError):
-            weiss_series(u, flat_phi(grid65), (0, 0), [0.3, 0.2], 1.0, 0.0)
+            weiss(u, flat_phi(grid65), (0, 0), [0.3, 0.2], 1.0, 0.0)
 
     def test_parts_recomputable(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        ws = weiss_series(u, flat_phi(grid65), (0, 0), [0.2, 0.4],
-                          math.sqrt(2), 1.0)
+        ws = weiss(u, flat_phi(grid65), (0, 0), [0.2, 0.4], math.sqrt(2),
+                   1.0)
         recomputed = ws.E_values / ws.radii**2 \
             - ws.boundary_terms / ws.radii**3
         assert np.max(np.abs(recomputed - ws.phi_values)) < 1e-12
@@ -207,9 +217,9 @@ class TestRescale:
             lambda x, y: np.maximum(y, 0) + 0.05 * np.sin(2 * x) * (y + 1))
         phi = flat_phi(grid129)
         lam, r = 0.5, 0.4
-        left, _, _ = weiss_phi(rescale(u, lam, (0, 0)), phi, (0, 0), r,
-                               1.0, 0.0)
-        right, _, _ = weiss_phi(u, phi, (0, 0), lam * r, 1.0, 0.0)
+        left = weiss(rescale(u, lam, (0, 0)), phi, (0, 0), [r], 1.0,
+                     0.0).phi_values[0]
+        right = weiss(u, phi, (0, 0), [lam * r], 1.0, 0.0).phi_values[0]
         assert abs(left - right) <= 0.02 * abs(right) + 0.01
 
     def test_invalid_lambda(self, grid65):
@@ -353,23 +363,20 @@ class TestTwoPlaneFit:
     def test_perturbed_generic_beats_planted(self, grid257):
         # the diagnose benchmark family: a generic profile plus a smooth
         # perturbation; the planted parameters bound the optimal residual
-        planted = TwoPlane(beta=1.37, nu=np.array([-math.sin(0.31),
-                                                   math.cos(0.31)]), c=0.021)
+        nu, c = np.array([-math.sin(0.31), math.cos(0.31)]), 0.021
         xx, yy = grid257.meshgrid()
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        vals = planted.evaluate(pts, (0, 0)).reshape(grid257.shape) \
-            + 0.01 * np.sin(5 * xx + 0.7)
+        planted = two_plane_values(1.37, nu, c)(xx, yy)
+        vals = planted + 0.01 * np.sin(5 * xx + 0.7)
         u = ScalarField(grid257, vals)
-        phi = LevelSet(grid257, (pts @ planted.nu + planted.c)
-                       .reshape(grid257.shape))
+        phi = LevelSet(grid257, (pts @ nu + c).reshape(grid257.shape))
         inside = np.hypot(xx, yy) <= 0.8
-        planted_res = float(np.max(np.abs(vals - planted.evaluate(
-            pts, (0, 0)).reshape(grid257.shape))[inside]))
+        planted_res = float(np.max(np.abs(vals - planted)[inside]))
         fitted, res = two_plane_fit(u, phi, (0, 0), 0.8)
         assert res <= planted_res + 1e-9
         # the reported residual is the fitted plane's, over every node
-        recomputed = np.max(np.abs(vals - fitted.evaluate(
-            pts, (0, 0)).reshape(grid257.shape))[inside])
+        recomputed = np.max(np.abs(vals - two_plane_values(
+            fitted.beta, fitted.nu, fitted.c)(xx, yy))[inside])
         assert res == pytest.approx(recomputed, abs=1e-15)
 
 
@@ -760,14 +767,13 @@ class TestOscillationDecay:
 class TestACFProduct:
     def test_one_phase_vanishes(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(0.0))
-        series = acf_product(u, flat_phi(grid65), (0, 0), [0.2, 0.4])
+        series = acf(u, flat_phi(grid65), (0, 0), [0.2, 0.4])
         assert np.allclose(series.values, 0.0, atol=1e-14)
 
     def test_two_phase_constant(self, grid65):
         # closed form: (alpha * beta * pi / 2)^2 = pi^2 / 2 for beta = 1
         u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        series = acf_product(u, flat_phi(grid65), (0, 0),
-                             [0.2, 0.3, 0.4, 0.5])
+        series = acf(u, flat_phi(grid65), (0, 0), [0.2, 0.3, 0.4, 0.5])
         exact = math.pi**2 / 2
         assert np.all(np.abs(series.values - exact) < 0.05 * exact)
         assert series.monotone
@@ -775,31 +781,8 @@ class TestACFProduct:
 
     def test_zero_field(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
-        series = acf_product(u, flat_phi(grid65), (0, 0), [0.2, 0.4])
+        series = acf(u, flat_phi(grid65), (0, 0), [0.2, 0.4])
         assert np.allclose(series.values, 0.0, atol=1e-14)
-
-    def test_shared_quadrature_bit_identical(self, grid65):
-        # a tilted interface, so cut cells use the one-sided gradients
-        nu = np.array([-math.sin(0.4), math.cos(0.4)])
-        plane = TwoPlane(beta=0.6, nu=nu, c=0.03)
-        xx, yy = grid65.meshgrid()
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        u = ScalarField(grid65, plane.evaluate(pts, (0, 0))
-                        .reshape(grid65.shape) + 0.01 * np.sin(5 * xx))
-        phi = LevelSet(grid65, (pts @ nu + 0.03).reshape(grid65.shape))
-        center, radii = (0.05, -0.02), [0.2, 0.3, 0.45]
-        quad = ball_quadrature(u, phi, center, radii)
-        shared = weiss_series(u, phi, center, radii, plane.alpha, plane.beta,
-                              quadrature=quad)
-        alone = weiss_series(u, phi, center, radii, plane.alpha, plane.beta)
-        for name in ("E_values", "boundary_terms", "phi_values"):
-            assert np.array_equal(getattr(shared, name), getattr(alone, name))
-        for r, E in zip(radii, alone.E_values):
-            assert E == weiss_energy(u, phi, center, r, plane.alpha,
-                                     plane.beta)
-        assert np.array_equal(
-            acf_product(u, phi, center, radii, quadrature=quad).values,
-            acf_product(u, phi, center, radii).values)
 
 
 def reference_positive_fraction(v):

@@ -6,7 +6,9 @@ from fblab.elliptic import CoefficientField
 from fblab.errors import (
     DegenerateInterfaceError,
     FieldError,
+    GridError,
     PhaseCollapseError,
+    UnderResolvedError,
 )
 from fblab.fbiter import (
     IterationOptions,
@@ -239,8 +241,8 @@ class TestRun:
         assert np.all(np.asarray(flat.deltas) >= 0)
 
     def test_final_flatness_propagates_defects(self, grid65, monkeypatch):
-        # only typed toolkit errors and value errors mean "no table"; any
-        # other exception is a defect and must surface
+        # only typed toolkit errors mean "no table"; any other exception is
+        # a defect and must surface
         def broken(*args, **kwargs):
             raise RuntimeError("defect in flatness_table")
 
@@ -248,6 +250,26 @@ class TestRun:
         with pytest.raises(RuntimeError, match="defect"):
             fblab.fbiter._final_flatness(two_plane_problem(grid65, 0.5),
                                          two_plane_levelset(grid65))
+
+    def test_final_flatness_propagates_value_errors(self, grid65,
+                                                    monkeypatch):
+        # a failed consistency check, FlatnessTable's say, is a defect too
+        def inconsistent(*args, **kwargs):
+            raise ValueError("slab half-widths must lie in [0, r]")
+
+        monkeypatch.setattr(fblab.fbiter, "flatness_table", inconsistent)
+        with pytest.raises(ValueError, match="half-widths"):
+            fblab.fbiter._final_flatness(two_plane_problem(grid65, 0.5),
+                                         two_plane_levelset(grid65))
+
+    def test_final_flatness_toolkit_error_means_no_table(self, grid65,
+                                                         monkeypatch):
+        def unresolved(*args, **kwargs):
+            raise GridError("ball exits the domain")
+
+        monkeypatch.setattr(fblab.fbiter, "flatness_table", unresolved)
+        assert fblab.fbiter._final_flatness(
+            two_plane_problem(grid65, 0.5), two_plane_levelset(grid65)) is None
 
     def test_perturbed_plane_settles(self, perturbed_run):
         rep = perturbed_run["report"]
@@ -286,6 +308,15 @@ class TestStopReason:
         assert rep.stop_reason == "phase_collapse" and not rep.converged
         assert rep.iterations == 1
         assert rep.notes[0].startswith("aborted at iteration 2")
+
+    def test_empty_phase_named(self, grid65):
+        # the minus phase holds only box-border nodes: nothing to solve
+        phi = LevelSet.from_function(grid65, lambda x, y: y + 0.999 + 0 * x)
+        problem = two_plane_problem(grid65, 0.5)
+        with pytest.raises(UnderResolvedError, match="minus phase"):
+            step(problem, phi, IterationOptions())
+        with pytest.raises(PhaseCollapseError, match="minus phase"):
+            run(problem, phi, IterationOptions())
 
     def test_unknown_reason_rejected(self):
         with pytest.raises(ValueError):

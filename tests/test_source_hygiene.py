@@ -17,6 +17,7 @@ tests reach is code nothing needs.
 import ast
 import pathlib
 import re
+import textwrap
 
 import pytest
 
@@ -118,8 +119,6 @@ REACHED_BY_TESTS_ONLY = {
     "from_functions",
     # the oracle profile's derivative: tests check that it solves its ODE
     "du",
-    # evaluates the plane two_plane_fit returns; tests check the residual
-    "evaluate",
 }
 
 
@@ -140,14 +139,17 @@ def _public_definitions(tree):
 class _References(ast.NodeVisitor):
     """Names used through ``Name`` and ``Attribute`` nodes and as parts of
     dotted string constants (``"fblab.cli.main"``), except inside the
-    definition that binds the same name."""
+    definition that binds the same name and inside the definitions named in
+    ``exempt``: what only an exempt definition uses is not reached."""
 
-    def __init__(self):
+    def __init__(self, exempt=frozenset()):
         self.names = set()
         self._enclosing = []
+        self._exempt = exempt
 
     def _use(self, name):
-        if name not in self._enclosing:
+        if name not in self._enclosing \
+                and self._exempt.isdisjoint(self._enclosing):
             self.names.add(name)
 
     def _definition(self, node):
@@ -170,15 +172,40 @@ class _References(ast.NodeVisitor):
                 self._use(part)
 
 
+def _unreached(production, modules, exempt):
+    """``module:line name`` of each public definition of ``modules``, (name,
+    tree) pairs, that no tree of ``production`` reaches and ``exempt`` does
+    not name."""
+    refs = _References(exempt)
+    for tree in production:
+        refs.visit(tree)
+    return [f"{module}:{line} {name}" for module, tree in modules
+            for name, line in _public_definitions(tree)
+            if name not in refs.names | exempt]
+
+
 def test_public_names_reached():
-    refs = _References()
-    for path in PRODUCTION:
-        refs.visit(_tree(path))
-    defs = [(path.name, line, name) for path in MODULES
-            for name, line in _public_definitions(_tree(path))]
-    unreached = [f"{module}:{line} {name}" for module, line, name in defs
-                 if name not in refs.names | REACHED_BY_TESTS_ONLY]
+    modules = [(path.name, _tree(path)) for path in MODULES]
+    unreached = _unreached([_tree(path) for path in PRODUCTION], modules,
+                           REACHED_BY_TESTS_ONLY)
     assert not unreached, \
         f"public names no production path reaches: {unreached}"
-    assert REACHED_BY_TESTS_ONLY <= {name for _, _, name in defs}, \
-        "stale exemption"
+    assert REACHED_BY_TESTS_ONLY <= {
+        name for _, tree in modules for name, _ in _public_definitions(tree)
+    }, "stale exemption"
+
+
+def test_exempt_definition_reaches_nothing():
+    module = ast.parse(textwrap.dedent("""
+        def helper():
+            return 1
+
+        def kept_for_tests():
+            return helper()
+
+        def main():
+            return 0
+    """))
+    caller = ast.parse("main()")
+    assert _unreached([module, caller], [("synthetic.py", module)],
+                      {"kept_for_tests"}) == ["synthetic.py:2 helper"]

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fblab import verify
@@ -23,3 +25,45 @@ class TestSuiteComposition:
         assert len(results) == 1
         assert not results[0].passed
         assert "intentional" in results[0].detail
+
+    def test_crashing_criterion_reports_its_time(self, monkeypatch):
+        def slow_boom(ctx, out_dir=None):
+            time.sleep(0.05)
+            raise RuntimeError("late")
+
+        monkeypatch.setattr(verify, "QUICK_CRITERIA", (slow_boom,))
+        (result,) = verify.run_suite("quick")
+        assert not result.passed
+        assert result.seconds >= 0.05
+
+    def test_results_named_graded_and_timed(self, monkeypatch, tmp_path):
+        def criterion_fine(ctx, out_dir=None):
+            return True, "fine"
+
+        monkeypatch.setattr(verify, "QUICK_CRITERIA", (
+            criterion_fine, verify.criterion_open_question_audits))
+        fine, audit = verify.run_suite("quick", out_dir=str(tmp_path))
+        assert (fine.name, fine.passed, fine.hard, fine.detail) \
+            == ("fine", True, True, "fine")
+        assert (audit.name, audit.passed, audit.hard) \
+            == ("open_question_audits", True, False)
+        assert fine.seconds >= 0 and audit.seconds > 0
+
+    def test_crashing_audit_fails_hard(self, monkeypatch, tmp_path, capsys):
+        from fblab.cli import EXIT_VERIFY_FAIL, main
+
+        # the output directory sits below a regular file, so the audit's
+        # os.makedirs raises before any report is written
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = str(blocker / "reports")
+        monkeypatch.setattr(verify, "QUICK_CRITERIA",
+                            (verify.criterion_open_question_audits,))
+        (audit,) = verify.run_suite("quick", out_dir=out)
+        assert (audit.name, audit.passed, audit.hard) \
+            == ("open_question_audits", False, True)
+        assert audit.detail.startswith("raised ")
+        assert main(["verify", "--level", "quick", "--out", out]) \
+            == EXIT_VERIFY_FAIL
+        assert "hard criteria failed: open_question_audits" \
+            in capsys.readouterr().err
