@@ -238,16 +238,19 @@ def _parse_sweep(specs):
 def cmd_prandtl(args) -> int:
     base = {"mu": args.mu, "omega": args.omega, "h": args.h,
             "sigma": args.sigma}
-    if base["mu"] <= 0 or base["h"] <= 0 or base["omega"] < 0 \
-            or base["sigma"] <= 0:
-        raise ConfigError(
-            "mu, h, sigma must be positive and omega non-negative")
-    sweeps = _parse_sweep(args.sweep)
-
     combos = [dict(base)]
-    for key, values in sweeps:
+    for key, values in _parse_sweep(args.sweep):
         combos = [dict(c, **{key: float(v)})
                   for c in combos for v in values]
+    # the base parameters feed the profiles even where a sweep replaces them
+    for c in (base, *combos):
+        if not (all(math.isfinite(v) for v in c.values())
+                and min(c["mu"], c["h"], c["sigma"]) > 0
+                and c["omega"] >= 0):
+            raise ConfigError(
+                "mu, h, sigma must be finite and positive and omega finite "
+                "and non-negative, got "
+                + ", ".join(f"{k}={v:g}" for k, v in c.items()))
 
     rows, any_holds = [], False
     for c in combos:

@@ -1,9 +1,11 @@
-"""INI run configuration: grid, problem data, initial interface, iteration
-knobs, and optional diagnostics block.
+"""INI run configuration: grid, problem data, initial interface, stopping
+rule, and optional diagnostics block.
 
 The format is deliberately expression-free: every field comes from an enum
 keyword, literal numbers, or a sampled-field CSV file, so runs are
-reproducible byte for byte.
+reproducible byte for byte.  :data:`_SCHEMA` declares every section and key;
+any other section or key is an error, so a misspelled key cannot fall back
+to its default unnoticed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,19 @@ from .problems import pb_levelset, two_plane_field, two_plane_levelset
 
 SCHEMA_VERSION = 1
 
+# section -> key -> default; None marks a required key, "" an optional
+# number left unset.  [iteration] and [diagnostics] may be left out.
+_SCHEMA = {
+    "meta": {"schema_version": None},
+    "grid": {"nx": None, "ny": None, "box": None},
+    "problem": {"coefficients": "identity", "f_plus": "constant 0",
+                "f_minus": "constant 0", "jump_target": "constant 1",
+                "outer": None, "mask_radius": ""},
+    "init": {"interface": None},
+    "iteration": {"tol_jump": "", "tol_move": "0.01", "max_iters": "100"},
+    "diagnostics": {"center": None, "radii": None, "levels": "2"},
+}
+
 
 class ConfigError(FblabError):
     """The configuration file is missing, malformed, or inconsistent."""
@@ -39,7 +54,7 @@ class DiagnosticsSpec:
 
     center: tuple
     radii: list
-    levels: int = 2
+    levels: int
 
 
 @dataclass
@@ -71,111 +86,106 @@ def _floats(value: str, n: Optional[int], what: str):
     return vals
 
 
-def _existing(path: str, base: str, what: str) -> str:
+def _same_grid_values(path: str, grid: Grid2, base: str, what: str):
+    """The values in field file ``path``, which must lie on the run grid;
+    the one place where a field file enters the configuration."""
     full = path if os.path.isabs(path) else os.path.join(base, path)
     if not os.path.isfile(full):
         raise ConfigError(f"{what} file does not exist: {full}")
-    return full
-
-
-def _same_grid_field(path: str, grid: Grid2, what: str) -> ScalarField:
-    """The field in file ``path``, which must lie on the run grid; the one
-    place where a field file enters the configuration."""
     try:
-        f = read_field(path)
+        f = read_field(full)
     except FieldError as err:
         raise ConfigError(f"{what}: {err}") from err
     if not grid.same_layout(f.grid):
         raise ConfigError(f"{what} grid does not match the run grid")
-    return ScalarField(grid, f.values)
+    return f.values
 
 
-def _parse_scalar_spec(spec: str, grid: Grid2, base: str,
-                       what: str) -> ScalarField:
+def _normal(angle: float):
+    th = math.radians(angle)
+    return (-math.sin(th), math.cos(th))
+
+
+def _circle(grid: Grid2, radius: float) -> LevelSet:
+    if radius <= 0:
+        raise ConfigError("interface circle radius must be positive")
+    return pb_levelset(grid, radius)
+
+
+# Kind tables of the ``kind args...`` entries: kind -> (argument count,
+# whether the arguments are field-file paths rather than numbers, builder
+# called with the grid and the numbers or the files' values).
+_SCALAR_KINDS = {
+    "constant": (1, False, ScalarField.constant),
+    "file": (1, True, ScalarField),
+}
+_OUTER_KINDS = {
+    **_SCALAR_KINDS,
+    "two_plane": (3, False, lambda grid, beta, angle, offset:
+                  two_plane_field(grid, beta, _normal(angle), offset)),
+}
+_COEFFICIENT_KINDS = {
+    "identity": (0, False, CoefficientField.identity),
+    "constant": (3, False, CoefficientField.constant),
+    "file": (3, True, CoefficientField),
+}
+_INTERFACE_KINDS = {
+    "flat": (2, False, lambda grid, angle, offset:
+             two_plane_levelset(grid, _normal(angle), offset)),
+    "circle": (1, False, _circle),
+    "file": (1, True, LevelSet),
+}
+
+
+def _parse_spec(spec: str, grid: Grid2, base: str, what: str, kinds):
+    """Build the field named by ``spec``, a ``kind args...`` entry whose
+    kind and argument count ``kinds`` declares."""
     toks = _split(spec)
     if not toks:
         raise ConfigError(f"{what} is empty")
-    kind = toks[0]
-    if kind == "constant":
-        (v,) = _floats(" ".join(toks[1:]), 1, what)
-        return ScalarField.constant(grid, v)
-    if kind == "file":
-        if len(toks) != 2:
-            raise ConfigError(f"{what}: 'file' takes one path")
-        return _same_grid_field(_existing(toks[1], base, what), grid, what)
-    raise ConfigError(f"{what}: unknown kind {kind!r}")
-
-
-def _parse_outer_spec(spec: str, grid: Grid2, base: str) -> ScalarField:
-    toks = _split(spec)
-    if toks and toks[0] == "two_plane":
-        beta, angle, offset = _floats(" ".join(toks[1:]), 3, "outer")
-        th = math.radians(angle)
-        return two_plane_field(grid, beta, (-math.sin(th), math.cos(th)),
-                               offset)
-    return _parse_scalar_spec(spec, grid, base, "outer")
-
-
-def _parse_coefficients(spec: str, grid: Grid2, base: str) -> CoefficientField:
-    toks = _split(spec)
-    if not toks:
-        raise ConfigError("coefficients is empty")
-    kind = toks[0]
-    if kind == "identity":
-        return CoefficientField.identity(grid)
-    try:  # a FieldError here means the matrix is not uniformly elliptic
-        if kind == "constant":
-            a11, a12, a22 = _floats(" ".join(toks[1:]), 3, "coefficients")
-            return CoefficientField.constant(grid, a11, a12, a22)
-        if kind == "file":
-            if len(toks) != 4:
-                raise ConfigError("coefficients: 'file' takes three paths "
-                                  "(a11, a12, a22)")
-            arrs = [
-                _same_grid_field(_existing(p, base, "coefficients"), grid,
-                                 "coefficients").values
-                for p in toks[1:]
-            ]
-            return CoefficientField(grid, *arrs)
+    kind, args = toks[0], toks[1:]
+    if kind not in kinds:
+        raise ConfigError(f"{what}: unknown kind {kind!r}")
+    count, files, build = kinds[kind]
+    if len(args) != count:
+        noun = ("path" if files else "number") + ("" if count == 1 else "s")
+        raise ConfigError(f"{what}: {kind!r} takes {count} {noun}, "
+                          f"got {spec!r}")
+    if files:
+        args = [_same_grid_values(p, grid, base, what) for p in args]
+    else:
+        args = _floats(" ".join(args), None, what)
+    try:  # such as a coefficient matrix that is not uniformly elliptic
+        return build(grid, *args)
     except FieldError as err:
-        raise ConfigError(f"coefficients: {err}") from err
-    raise ConfigError(f"coefficients: unknown kind {kind!r}")
+        raise ConfigError(f"{what}: {err}") from err
 
 
-def _parse_interface(spec: str, grid: Grid2, base: str) -> LevelSet:
-    toks = _split(spec)
-    if not toks:
-        raise ConfigError("interface is empty")
-    kind = toks[0]
-    if kind == "flat":
-        angle, offset = _floats(" ".join(toks[1:]), 2, "interface")
-        th = math.radians(angle)
-        return two_plane_levelset(grid, (-math.sin(th), math.cos(th)),
-                                  offset)
-    if kind == "circle":
-        (radius,) = _floats(" ".join(toks[1:]), 1, "interface")
-        if radius <= 0:
-            raise ConfigError("interface circle radius must be positive")
-        return pb_levelset(grid, radius)
-    if kind == "file":
-        if len(toks) != 2:
-            raise ConfigError("interface: 'file' takes one path")
-        f = _same_grid_field(_existing(toks[1], base, "interface"), grid,
-                             "interface")
-        return LevelSet(grid, f.values)
-    raise ConfigError(f"interface: unknown kind {kind!r}")
-
-
-def _get(parser, section, key, default=None):
+def _get(parser, section, key):
+    """The raw entry, or its default from :data:`_SCHEMA`."""
+    if parser.has_option(section, key):
+        return parser.get(section, key)
+    default = _SCHEMA[section][key]
+    if default is not None:
+        return default
     if not parser.has_section(section):
-        if default is None:
-            raise ConfigError(f"missing [{section}] section")
-        return default
-    if not parser.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing {key} in [{section}]")
-        return default
-    return parser.get(section, key)
+        raise ConfigError(f"missing [{section}] section")
+    raise ConfigError(f"missing {key} in [{section}]")
+
+
+def _number(parser, section, key, cast):
+    """The finite number under ``key`` read by ``cast``; None when the key
+    is optional and unset."""
+    raw = _get(parser, section, key).strip()
+    if not raw and _SCHEMA[section][key] == "":
+        return None
+    try:
+        value = cast(raw)
+    except ValueError as err:
+        raise ConfigError(f"{section} {key}: {err}") from err
+    if not math.isfinite(value):
+        raise ConfigError(f"{section} {key} must be finite, got {raw!r}")
+    return value
 
 
 def load_config(path: str) -> RunConfig:
@@ -189,6 +199,12 @@ def load_config(path: str) -> RunConfig:
         parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
     base = os.path.dirname(os.path.abspath(path))
 
     version = _get(parser, "meta", "schema_version")
@@ -197,57 +213,39 @@ def load_config(path: str) -> RunConfig:
             f"unsupported schema_version {version!r}; this build reads "
             f"version {SCHEMA_VERSION}")
 
-    try:
-        nx = int(_get(parser, "grid", "nx"))
-        ny = int(_get(parser, "grid", "ny"))
-    except ValueError as err:
-        raise ConfigError(f"grid counts: {err}") from err
+    nx = _number(parser, "grid", "nx", int)
+    ny = _number(parser, "grid", "ny", int)
     box = _floats(_get(parser, "grid", "box"), 4, "grid box")
     try:
         grid = make_grid(nx, ny, box)
     except FblabError as err:
         raise ConfigError(f"invalid grid: {err}") from err
 
-    A = _parse_coefficients(
-        _get(parser, "problem", "coefficients", "identity"), grid, base)
-    f_plus = _parse_scalar_spec(
-        _get(parser, "problem", "f_plus", "constant 0"), grid, base, "f_plus")
-    f_minus = _parse_scalar_spec(
-        _get(parser, "problem", "f_minus", "constant 0"), grid, base,
-        "f_minus")
-    Q = _parse_scalar_spec(
-        _get(parser, "problem", "jump_target", "constant 1"), grid, base,
-        "jump_target")
-    outer = _parse_outer_spec(_get(parser, "problem", "outer"), grid, base)
-    mask_radius = None
-    raw_mask = _get(parser, "problem", "mask_radius", "")
-    if raw_mask.strip():
-        (mask_radius,) = _floats(raw_mask, 1, "mask_radius")
-        if mask_radius <= 0:
-            raise ConfigError("mask_radius must be positive")
+    def field(section, key, kinds):
+        return _parse_spec(_get(parser, section, key), grid, base, key,
+                           kinds)
+
+    A = field("problem", "coefficients", _COEFFICIENT_KINDS)
+    f_plus = field("problem", "f_plus", _SCALAR_KINDS)
+    f_minus = field("problem", "f_minus", _SCALAR_KINDS)
+    Q = field("problem", "jump_target", _SCALAR_KINDS)
+    outer = field("problem", "outer", _OUTER_KINDS)
+    mask_radius = _number(parser, "problem", "mask_radius", float)
+    if mask_radius is not None and mask_radius <= 0:
+        raise ConfigError("mask_radius must be positive")
     try:
         problem = PhaseProblem(A=A, f_plus=f_plus, f_minus=f_minus, Q=Q,
                                outer_data=outer, mask_radius=mask_radius)
     except FblabError as err:
         raise ConfigError(f"invalid problem: {err}") from err
 
-    phi0 = _parse_interface(_get(parser, "init", "interface"), grid, base)
+    phi0 = field("init", "interface", _INTERFACE_KINDS)
 
-    kwargs = {}
-    if parser.has_section("iteration"):
-        casts = {"tol_jump": float, "tol_move": float, "max_iters": int,
-                 "kappa": float, "reinit_every": int}
-        for key in parser.options("iteration"):
-            if key not in casts:
-                raise ConfigError(f"unknown iteration option {key!r}")
-            try:
-                kwargs[key] = casts[key](parser.get("iteration", key))
-            except ValueError as err:
-                raise ConfigError(f"iteration {key}: {err}") from err
-            if not math.isfinite(kwargs[key]):
-                raise ConfigError(f"iteration {key} must be finite")
     try:
-        options = IterationOptions(**kwargs)
+        options = IterationOptions(
+            tol_jump=_number(parser, "iteration", "tol_jump", float),
+            tol_move=_number(parser, "iteration", "tol_move", float),
+            max_iters=_number(parser, "iteration", "max_iters", int))
     except ValueError as err:
         raise ConfigError(f"invalid iteration options: {err}") from err
 
@@ -263,10 +261,7 @@ def load_config(path: str) -> RunConfig:
         margin = min(cx - grid.x0, grid.x1 - cx, cy - grid.y0, grid.y1 - cy)
         if max(radii) > margin:
             raise ConfigError("diagnostics radii leave the domain box")
-        try:
-            levels = int(_get(parser, "diagnostics", "levels", "2"))
-        except ValueError as err:
-            raise ConfigError(f"diagnostics levels: {err}") from err
+        levels = _number(parser, "diagnostics", "levels", int)
         if levels < 0:
             raise ConfigError("diagnostics levels must be non-negative")
         diagnostics = DiagnosticsSpec(center=(cx, cy), radii=radii,

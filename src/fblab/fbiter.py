@@ -4,14 +4,18 @@ Alternately solves the two phase problems with zero interface data and moves
 the level set by the squared-gradient jump defect until the interface
 condition q_A(u+) - q_A(u-) = Q holds.  The level-set velocity is a
 Newton-style scaled defect: the displacement at an interface point is
-kappa * J / G with a global slope estimate G, capped at half a cell per step.
+_KAPPA * J / G with a global slope estimate G, capped at half a cell per
+step.
 
 That defect flow alone converges only linearly, so :func:`run` mixes the
 level-set iterates by Anderson acceleration (type II; Anderson 1965, Walker
 & Ni 2011): the next level set is the affine combination of the recent
 post-move candidates whose residuals cancel best in least squares.  The
 history restarts at every reinitialization, which bounds its depth by
-``reinit_every``, and the mixed per-node change of phi is capped at h/2.
+_REINIT_EVERY, and the mixed per-node change of phi is capped at h/2.
+
+The loop has no fault-injection switch: a negative control feeds it wrong
+input data instead, such as a negated level set, which swaps the phases.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ log = logging.getLogger(__name__)
 
 _VELOCITY_BAND = 5  # cells on each side of the interface carrying velocity
 _SMOOTH_PASSES = 8  # moving-average passes along each polyline
+_KAPPA = 0.5  # fraction of the Newton-style displacement applied per step
+_REINIT_EVERY = 5  # iterations between reinitializations of phi
 
 
 @dataclass
@@ -96,26 +102,18 @@ class PhaseProblem:
 
 @dataclass
 class IterationOptions:
-    """Knobs of the fixed-point loop; tol_jump defaults to 1e-3 times the
-    largest jump target when left unset.  ``flip_jump_sign`` is fault
-    injection for negative controls: it measures the jump with the wrong
-    sign, which must break stationarity of exact profiles."""
+    """Stopping rule of the fixed-point loop; tol_jump defaults to 1e-3
+    times the largest jump target when left unset."""
 
     tol_jump: Optional[float] = None
     tol_move: float = 1e-2
     max_iters: int = 100
-    kappa: float = 0.5
-    reinit_every: int = 5
-    flip_jump_sign: bool = False
 
     def __post_init__(self):
         if self.tol_jump is not None and self.tol_jump <= 0:
             raise ValueError("tol_jump must be positive")
-        if self.tol_move <= 0 or self.max_iters <= 0 \
-                or self.reinit_every <= 0:
-            raise ValueError("tolerances and counts must be positive")
-        if not 0 < self.kappa <= 1:
-            raise ValueError("kappa must lie in (0, 1]")
+        if self.tol_move <= 0 or self.max_iters <= 0:
+            raise ValueError("tol_move and max_iters must be positive")
 
     def resolved_tol_jump(self, problem: PhaseProblem) -> float:
         if self.tol_jump is not None:
@@ -162,14 +160,11 @@ class IterationReport:
         ]
 
 
-def _jump_at_points(u_plus, u_minus, A, phi, Q, points, flip_sign=False):
-    """Jump defect and one-sided energies at the given interface points;
-    ``flip_sign`` measures q_A(u-) - q_A(u+) instead (fault injection)."""
+def _jump_at_points(u_plus, u_minus, A, phi, Q, points):
+    """Jump defect and one-sided energies at the given interface points."""
     _, qp = interface_normal_gradient(u_plus, A, phi, points, +1)
     _, qm = interface_normal_gradient(u_minus, A, phi, points, -1)
     target = Q.sample(points[:, 0], points[:, 1])
-    if flip_sign:
-        return qm - qp - target, qp, qm
     return qp - qm - target, qp, qm
 
 
@@ -253,7 +248,7 @@ def _damp_interface_wiggles(phi: LevelSet) -> LevelSet:
     return LevelSet(grid, out)
 
 
-def step(problem: PhaseProblem, phi: LevelSet, opts: IterationOptions):
+def step(problem: PhaseProblem, phi: LevelSet):
     """One fixed-point sweep: solve both phases, measure the jump defect,
     move the level set by the scaled defect.
 
@@ -271,8 +266,7 @@ def step(problem: PhaseProblem, phi: LevelSet, opts: IterationOptions):
     if points.size == 0:
         raise PhaseCollapseError("interface vanished")
     J, qp, qm = _jump_at_points(u_plus, u_minus, problem.A, phi,
-                                problem.Q, points,
-                                flip_sign=opts.flip_jump_sign)
+                                problem.Q, points)
     defect = float(np.max(np.abs(J)))
 
     # damp vertex-to-vertex quadrature noise before it feeds the motion
@@ -289,7 +283,7 @@ def step(problem: PhaseProblem, phi: LevelSet, opts: IterationOptions):
     # one-sided energies varying over the domain radius
     G = 2.0 * (float(np.max(qp + qm)) + float(np.max(problem.Q.values))) \
         / problem.domain_radius()
-    s = opts.kappa * J_smooth / G
+    s = _KAPPA * J_smooth / G
     s = np.clip(s, -grid.h / 2, grid.h / 2)
     displacement = float(np.max(np.abs(s)))
 
@@ -337,7 +331,7 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
 
     The next level set is not the post-move candidate of :func:`step` but
     its Anderson mix with the candidates since the last reinitialization
-    (:func:`_anderson_mix`); every ``reinit_every`` iterations the mix is
+    (:func:`_anderson_mix`); every _REINIT_EVERY iterations the mix is
     reinitialized and the history cleared.  The mix moves no node of phi by
     more than h/2 per iteration.
 
@@ -361,7 +355,7 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
 
     for it in range(1, opts.max_iters + 1):
         try:
-            u, phi_candidate, defect, displacement = step(problem, phi, opts)
+            u, phi_candidate, defect, displacement = step(problem, phi)
         except (PhaseCollapseError, UnderResolvedError) as err:
             # a phase shrunk below what the one-sided stencils can see
             notes.append(f"aborted at iteration {it}: {err}")
@@ -379,7 +373,7 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
         mixed, memory = _anderson_mix(phi.phi, phi_candidate.phi, memory,
                                       grid.h / 2)
         phi = LevelSet(grid, mixed)
-        if it % opts.reinit_every == 0:
+        if it % _REINIT_EVERY == 0:
             phi = reinitialize(phi)
             memory = None
 

@@ -64,7 +64,9 @@ class CriterionResult:
 
 
 def build_disk_run():
-    """Converged vortex-patch disk run on a 193^2 grid (criteria 3, 4, 6)."""
+    """Converged vortex-patch disk run on a 193^2 grid (criteria 3, 4, 6),
+    with the ``seconds`` it took to build."""
+    t0 = time.perf_counter()
     grid = make_grid(193, 193, (-1.1, -1.1, 1.1, 1.1))
     _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
     problem = pb_problem(grid, DISK_PARAMS)
@@ -72,12 +74,14 @@ def build_disk_run():
     opts = IterationOptions(max_iters=80, tol_jump=0.12, tol_move=0.5)
     u, phi, report = run(problem, phi0, opts)
     return {"grid": grid, "params": DISK_PARAMS, "problem": problem,
-            "u": u, "phi": phi, "report": report, "rho2": rho2}
+            "u": u, "phi": phi, "report": report, "rho2": rho2,
+            "seconds": time.perf_counter() - t0}
 
 
 def build_perturbed_run():
     """Converged run with 0.05-amplitude sinusoidal planar boundary data
-    (criteria 8, 9)."""
+    (criteria 8, 9), with the ``seconds`` it took to build."""
+    t0 = time.perf_counter()
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
 
     def outer(x, y):
@@ -95,7 +99,7 @@ def build_perturbed_run():
     opts = IterationOptions(max_iters=60, tol_jump=0.04, tol_move=0.5)
     u, phi, report = run(problem, phi0, opts)
     return {"grid": grid, "problem": problem, "u": u, "phi": phi,
-            "report": report}
+            "report": report, "seconds": time.perf_counter() - t0}
 
 
 class SuiteContext:
@@ -246,18 +250,19 @@ def criterion_disk_roots(ctx, out_dir=None) -> tuple[bool, str]:
 
 def criterion_disk_fixed_point(ctx, out_dir=None) -> tuple[bool, str]:
     """The interface iteration recovers the outer oracle radius of the
-    vortex-patch disk within two cells."""
-    t0 = time.perf_counter()
+    vortex-patch disk within two cells, and the run took under 300 s to
+    build, whichever criterion built it."""
     data = ctx.disk()
     pts = all_interface_points(interface_extract(data["phi"]))
     radii = np.hypot(pts[:, 0], pts[:, 1])
     h = data["grid"].h
     err = abs(float(radii.mean()) - data["rho2"])
-    elapsed = time.perf_counter() - t0
-    ok = data["report"].converged and err < 2 * h and elapsed < 300.0
+    ok = data["report"].converged and err < 2 * h \
+        and data["seconds"] < 300.0
     detail = (f"radius {radii.mean():.5f} vs oracle {data['rho2']:.5f}, "
               f"err {err:.5f} < 2h {2 * h:.5f}, "
-              f"converged={data['report'].converged}")
+              f"converged={data['report'].converged}, "
+              f"built in {data['seconds']:.1f}s")
     return ok, detail
 
 
@@ -324,14 +329,14 @@ def criterion_branch_ordering(ctx, out_dir=None) -> tuple[bool, str]:
 
 
 def criterion_negative_control(ctx, out_dir=None) -> tuple[bool, str]:
-    """Flipping the sign of the measured jump (fault injection through
-    ``IterationOptions.flip_jump_sign``) must break stationarity of the
-    exact profile."""
+    """Flipping the sign of the measured jump must break stationarity of
+    the exact profile.  The fault is injected as input data: stepping on
+    the negated level set swaps the two phases, so the jump is measured as
+    q_A(u-) - q_A(u+)."""
     grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
     problem = two_plane_problem(grid, 1.0)
     phi0 = two_plane_levelset(grid)
-    _, _, defect, _ = step(problem, phi0,
-                           IterationOptions(flip_jump_sign=True))
+    _, _, defect, _ = step(problem, LevelSet(grid, -phi0.phi))
     ok = defect > 5 * grid.h**2
     detail = (f"flipped-sign defect {defect:.3f} exceeds the "
               f"stationarity limit {5 * grid.h**2:.2e}")

@@ -10,7 +10,7 @@ import pytest
 import fblab.fbiter
 from fblab import verify
 from fblab.cli import main
-from fblab.fields import all_interface_points, interface_extract
+from fblab.fields import LevelSet, all_interface_points, interface_extract
 from fblab.prandtl import jump_threshold
 
 
@@ -82,17 +82,26 @@ class TestCriteria:
     def test_11_negative_control(self, ctx, tmp_path, monkeypatch, capsys):
         passed, detail = verify.criterion_negative_control(ctx)
         assert passed, detail
-        # end to end: with the jump measurement broken, `fblab verify` must
-        # fail the stationarity criterion and exit 1 naming it
+        # end to end: with the jump measured with the wrong sign, `fblab
+        # verify` must fail the stationarity criterion on its merits, not by
+        # a crash, and exit 1 naming it.  The original measurement with the
+        # phases swapped reads q_A(u-) - q_A(u+) - Q.
         jump = fblab.fbiter._jump_at_points
 
-        def flipped(*args, flip_sign=False):
-            return jump(*args, flip_sign=not flip_sign)
+        def flipped(u_plus, u_minus, A, phi, Q, points):
+            return jump(u_minus, u_plus, A, LevelSet(phi.grid, -phi.phi), Q,
+                        points)
 
         monkeypatch.setattr(fblab.fbiter, "_jump_at_points", flipped)
         assert main(["verify", "--level", "quick",
                      "--out", str(tmp_path)]) == 1
-        assert "two_plane_stationarity" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "two_plane_stationarity" in err
+        row = next(line for line in out.splitlines()
+                   if line.startswith("two_plane_stationarity "))
+        _, status, _, _, detail = row.split(None, 4)
+        assert status == "FAIL"
+        assert not detail.startswith("raised"), detail
 
     def test_12_open_question_audits(self, ctx, tmp_path):
         passed, detail = verify.criterion_open_question_audits(ctx, str(tmp_path))

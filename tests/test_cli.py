@@ -142,6 +142,22 @@ class TestSolve:
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("coefficients = identity", "coefficents = constant 2 0 1",
+         "unknown key 'coefficents' in [problem]"),
+        ("jump_target = constant 1", "jump_targt = constant 3",
+         "unknown key 'jump_targt' in [problem]"),
+        ("[iteration]", "[iterations]", "unknown section [iterations]"),
+    ], ids=["coefficents", "jump_targt", "iterations"])
+    def test_misspelling_exits_three(self, tmp_path, capsys, old, new,
+                                     named):
+        # a misspelled key or section must not fall back to the default
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI.replace(old, new))
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not os.path.exists(tmp_path / "out")
+
     @pytest.mark.parametrize("content", [
         "x,y,value\nabc\n",     # not a number
         "x,y,value\n0,0,1\n",   # one row: not a grid
@@ -485,6 +501,25 @@ class TestPrandtl:
         rows = np.loadtxt(out + "/sweep.csv", delimiter=",", skiprows=1)
         holds = rows[:, 6].astype(bool)
         assert list(holds) == [s > math.e**2 for s in rows[:, 3]]
+
+    @pytest.mark.parametrize("params", [
+        "--mu 1 --omega 1 --h 1 --sigma 8 --sweep mu=-1:1:3",
+        "--mu 1 --omega 1 --h 1 --sigma 8 --sweep omega=-2:1:2",
+        "--mu 1 --omega 1 --h 1 --sigma 8 --sweep h=0:1:3",
+        "--mu 1 --omega 1 --h 1 --sigma 8 --sweep sigma=nan:8:2",
+        "--mu nan --omega 1 --h 1 --sigma 8",
+        "--mu nan --omega 1 --h 1 --sigma 8 --profiles",
+        "--mu nan --omega 1 --h 1 --sigma 8 --sweep mu=1:2:2 --profiles",
+        "--mu 1 --omega inf --h 1 --sigma 8",
+    ], ids=["mu-sweep", "omega-sweep", "h-sweep", "sigma-nan-sweep",
+            "mu-nan", "mu-nan-profiles", "mu-nan-swept", "omega-inf"])
+    def test_invalid_parameters_exit_three(self, tmp_path, capsys, params):
+        # every combination is checked after the sweep is expanded, and
+        # nothing is written for an invalid one
+        out = tmp_path / "pb"
+        assert main(["prandtl", *params.split(), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: mu, h, sigma")
+        assert not out.exists()
 
     def test_bad_sweep_spec_exits_three(self, tmp_path):
         assert main(["prandtl", "--mu", "1", "--omega", "1", "--h", "1",

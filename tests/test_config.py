@@ -1,9 +1,12 @@
+import configparser
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from fblab.config import ConfigError, load_config
+from fblab.config import _SCHEMA, ConfigError, load_config
 from fblab.fields import ScalarField, make_grid, write_field
 
 BASE = """
@@ -25,6 +28,18 @@ outer = two_plane 0.5 0 0
 [init]
 interface = flat 0 0
 """
+
+# BASE with every optional section present
+FULL = BASE + """
+[iteration]
+max_iters = 3
+
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2
+"""
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -95,11 +110,12 @@ class TestLoadConfig:
                             "interface = circle 0.4") + """
 [iteration]
 max_iters = 7
-kappa = 0.25
+tol_move = 0.25
 """
         cfg = load_config(write_config(tmp_path, text))
         assert cfg.options.max_iters == 7
-        assert cfg.options.kappa == 0.25
+        assert cfg.options.tol_move == 0.25
+        assert cfg.options.tol_jump is None
         # circle: negative inside, positive outside
         assert cfg.phi0.sample(0.0, 0.0) < 0 < cfg.phi0.sample(0.9, 0.0)
         xx, yy = cfg.grid.meshgrid()
@@ -111,8 +127,8 @@ kappa = 0.25
             load_config(write_config(tmp_path, text))
 
     def test_invalid_iteration_value(self, tmp_path):
-        text = BASE + "\n[iteration]\nkappa = 2.0\n"
-        with pytest.raises(ConfigError):
+        text = BASE + "\n[iteration]\nmax_iters = 0\n"
+        with pytest.raises(ConfigError, match="max_iters"):
             load_config(write_config(tmp_path, text))
 
     def test_field_from_file(self, tmp_path):
@@ -238,3 +254,56 @@ radii = 0.2, 0.2, 0.4
         cfg = load_config(write_config(tmp_path, text))
         assert cfg.problem.mask_radius == 0.9
         assert cfg.problem.pinned_mask() is not None
+
+    @pytest.mark.parametrize("section, line", [
+        ("meta", "schema_verison = 1"),
+        ("grid", "nz = 65"),
+        ("problem", "coefficents = constant 2 0 1"),
+        ("init", "interfce = circle 0.4"),
+        ("iteration", "max_iter = 50"),
+        ("diagnostics", "level = 1"),
+    ], ids=lambda v: v.split(" ")[0])
+    def test_misspelled_key_rejected(self, tmp_path, section, line):
+        text = FULL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError,
+                           match=rf"unknown key '{key}' in \[{section}\]"):
+            load_config(write_config(tmp_path, text))
+
+    def test_unknown_section_rejected(self, tmp_path):
+        text = BASE + "\n[iterations]\nmax_iters = 3\n"
+        with pytest.raises(ConfigError,
+                           match=r"unknown section \[iterations\]"):
+            load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("line, spec", [
+        ("coefficients = identity", "coefficients = identity 3"),
+        ("coefficients = identity", "coefficients = constant 2 0"),
+        ("f_plus = constant 0", "f_plus = constant 0 1"),
+        ("outer = two_plane 0.5 0 0", "outer = file a.csv b.csv"),
+        ("interface = flat 0 0", "interface = circle"),
+    ], ids=["identity", "constant", "scalar", "file", "circle"])
+    def test_argument_count_checked(self, tmp_path, line, spec):
+        kind = spec.split()[2]
+        with pytest.raises(ConfigError, match=f"'{kind}' takes"):
+            load_config(write_config(tmp_path, BASE.replace(line, spec)))
+
+    def test_circle_radius_positive(self, tmp_path):
+        text = BASE.replace("interface = flat 0 0", "interface = circle 0")
+        with pytest.raises(ConfigError, match="radius must be positive"):
+            load_config(write_config(tmp_path, text))
+
+
+def test_readme_example_names_every_key(tmp_path):
+    """README's example configuration loads and names every key of the
+    schema, so the documented format and the parser cannot drift."""
+    example = re.search(r"```ini\n(.*?)```", README.read_text(),
+                        re.S).group(1)
+    load_config(write_config(tmp_path, example))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    parser.read_string(example)
+    named = {(sec, key) for sec in parser.sections()
+             for key in parser.options(sec)}
+    assert named == {(sec, key) for sec, keys in _SCHEMA.items()
+                     for key in keys}

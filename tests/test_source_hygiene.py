@@ -2,9 +2,10 @@
 
 Every module-level import must be used, so that dead code does not linger
 behind an import that still looks needed.  No module may read the process
-environment: behaviour is selected by explicit arguments (fault injection
-goes through ``IterationOptions.flip_jump_sign``), never by a variable that
-one caller sets and every other run in the process inherits.  No module
+environment: behaviour is selected by explicit arguments, never by a
+variable that one caller sets and every other run in the process inherits;
+fault injection is input data, such as the negated level set of
+``verify``'s negative control, not an option.  No module
 calls ``time.time``: durations come from a monotonic clock, which a step
 of the wall clock cannot make negative.  Only
 ``fields.py`` spells the 17-digit table format, and no module calls

@@ -67,3 +67,18 @@ class TestSuiteComposition:
             == EXIT_VERIFY_FAIL
         assert "hard criteria failed: open_question_audits" \
             in capsys.readouterr().err
+
+
+def test_disk_fixed_point_gates_on_build_time(pb_run):
+    # the gate times the disk run itself, whichever criterion built it
+    assert verify.criterion_disk_fixed_point(
+        verify.SuiteContext(disk=pb_run))[0]
+    passed, detail = verify.criterion_disk_fixed_point(
+        verify.SuiteContext(disk=dict(pb_run, seconds=301.0)))
+    assert not passed
+    assert detail.endswith("built in 301.0s")
+
+
+def test_runs_record_their_build_seconds(pb_run, perturbed_run):
+    assert 0 < pb_run["seconds"] < 300
+    assert 0 < perturbed_run["seconds"] < 300
