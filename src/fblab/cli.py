@@ -229,6 +229,8 @@ def _parse_sweep(specs):
             raise ConfigError(f"bad sweep spec {spec!r}: {err}") from err
         if key not in ("mu", "omega", "h", "sigma"):
             raise ConfigError(f"unknown sweep key {key!r}")
+        if key in dict(sweeps):
+            raise ConfigError(f"sweep key {key!r} given twice")
         if len(values) < 1:
             raise ConfigError(f"empty sweep {spec!r}")
         sweeps.append((key, values))
@@ -251,6 +253,8 @@ def cmd_prandtl(args) -> int:
                 "mu, h, sigma must be finite and positive and omega finite "
                 "and non-negative, got "
                 + ", ".join(f"{k}={v:g}" for k, v in c.items()))
+    if args.profiles and base["omega"] == 0:
+        raise ConfigError("--profiles needs omega > 0, got omega=0")
 
     rows, any_holds = [], False
     for c in combos:
@@ -271,7 +275,7 @@ def cmd_prandtl(args) -> int:
                     "h,mu,omega,sigma,z0,rho_star,cond_holds,rho1,rho2",
                     rows)
 
-        if args.profiles and base["omega"] > 0:
+        if args.profiles:
             try:
                 params = PBParams(**base)
                 for branch in (1, 2):

@@ -248,18 +248,33 @@ def one_sided_gradient(u: ScalarField, phi: LevelSet, side: int):
 # marching squares
 # ---------------------------------------------------------------------------
 
-def _edge_crossing(pa, pb, a, b):
-    """Zero of the linear interpolant between endpoint values pa, pb located
-    at points a, b."""
-    t = pa / (pa - pb)
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+# Crossed-edge pairs of a cell, indexed by its code, the inside-corner
+# bitmask (1 = node 00, 2 = 10, 4 = 11, 8 = 01).  Edges are numbered
+# b = 0, r = 1, t = 2, l = 3 and -1 pads.  Rows 16 and 17 are the saddles 5
+# and 10 whose cell-center average is positive.
+_MS_PAIRS = np.array([
+    [-1, -1, -1, -1], [3, 0, -1, -1], [0, 1, -1, -1], [3, 1, -1, -1],
+    [1, 2, -1, -1], [3, 0, 2, 1], [0, 2, -1, -1], [3, 2, -1, -1],
+    [2, 3, -1, -1], [2, 0, -1, -1], [0, 1, 3, 2], [2, 1, -1, -1],
+    [1, 3, -1, -1], [1, 0, -1, -1], [0, 3, -1, -1], [-1, -1, -1, -1],
+    [3, 2, 0, 1], [3, 0, 2, 1],
+]).reshape(18, 2, 2)
+# node offsets (di, dj) of the ends of edges b, r, t and l; the crossing is
+# interpolated from the first end
+_EDGE_NODES = np.array([[[0, 0], [1, 0]], [[1, 0], [1, 1]],
+                        [[0, 1], [1, 1]], [[0, 0], [0, 1]]])
 
 
 def interface_extract(phi: LevelSet) -> list[Polyline]:
     """Marching-squares zero contour of ``phi`` as ordered polylines.
 
-    Saddle cells are disambiguated by the sign of the cell-center average.
-    Returns an empty list (and logs) when phi is single-signed.
+    A node is inside when ``phi > 0``.  Each vertex is the linear crossing
+    of a cell edge whose two nodes differ in that test, and consecutive
+    vertices share a cell.  Saddle cells are disambiguated by the sign of
+    the cell-center average.  Open components come first, each starting and
+    ending at the box boundary; closed loops follow and do not repeat their
+    first vertex at their end.  Returns an empty list (and logs) when phi
+    is single-signed.
     """
     p = phi.phi
     g = phi.grid
@@ -267,125 +282,58 @@ def interface_extract(phi: LevelSet) -> list[Polyline]:
         logger.warning("interface_extract: single-signed phi, empty interface")
         return []
 
-    h = g.h
-    inside = p > 0.0
-
-    # segments[cell] -> list of (edge_key_a, point_a, edge_key_b, point_b)
-    # edge keys: ('h', i, j) = horizontal edge from node (i,j) to (i+1,j)
-    #            ('v', i, j) = vertical edge from node (i,j) to (i,j+1)
-    b = inside.view(np.uint8)
+    b = (p > 0.0).view(np.uint8)
     code = (b[:-1, :-1] | b[:-1, 1:] << 1 | b[1:, 1:] << 2 | b[1:, :-1] << 3)
-    seg_list = []
-    for j, i in zip(*np.nonzero((code != 0) & (code != 15))):
-        i, j, c = int(i), int(j), int(code[j, i])
-        x = g.x0 + i * h
-        y = g.y0 + j * h
-        n00 = (x, y)
-        n10 = (x + h, y)
-        n11 = (x + h, y + h)
-        n01 = (x, y + h)
-        p00, p10 = p[j, i], p[j, i + 1]
-        p11, p01 = p[j + 1, i + 1], p[j + 1, i]
+    j, i = np.nonzero((code != 0) & (code != 15))
+    row = code[j, i]
+    center = 0.25 * (p[j, i] + p[j, i + 1] + p[j + 1, i + 1] + p[j + 1, i])
+    saddle = ((row == 5) | (row == 10)) & (center > 0.0)
+    row[saddle] = 16 + (row[saddle] == 10)
+    pairs = _MS_PAIRS[row]
+    cell, pair = np.nonzero(pairs[:, :, 0] >= 0)
 
-        edge_key = {
-            "b": ("h", i, j),
-            "t": ("h", i, j + 1),
-            "l": ("v", i, j),
-            "r": ("v", i + 1, j),
-        }
-        edge_point = {
-            "b": lambda: _edge_crossing(p00, p10, n00, n10),
-            "t": lambda: _edge_crossing(p01, p11, n01, n11),
-            "l": lambda: _edge_crossing(p00, p01, n00, n01),
-            "r": lambda: _edge_crossing(p10, p11, n10, n11),
-        }
+    # segment k, in cell order, has the ends 2k and 2k + 1.  Each end's point
+    # is computed from its own cell: the neighbour sharing the edge rounds
+    # its node coordinates differently.
+    off = _EDGE_NODES[pairs[cell, pair].ravel()]
+    ij = np.column_stack([i, j])[np.repeat(cell, 2)]
+    node = ij[:, None, :] + off
+    xy = (np.array([g.x0, g.y0]) + ij * g.h)[:, None, :] + off * g.h
+    val = p[node[..., 1], node[..., 0]]
+    t = val[:, 0] / (val[:, 0] - val[:, 1])
+    pts = xy[:, 0] + t[:, None] * (xy[:, 1] - xy[:, 0])
 
-        pairs = _MS_TABLE.get(c)
-        if pairs is None:
-            # saddle: 5 = corners 00 and 11 inside, 10 = corners 10 and 01
-            center = 0.25 * (p00 + p10 + p11 + p01)
-            if c == 5:
-                pairs = [("l", "b"), ("t", "r")] if center <= 0 else \
-                    [("l", "t"), ("b", "r")]
-            else:  # c == 10
-                pairs = [("b", "r"), ("l", "t")] if center <= 0 else \
-                    [("l", "b"), ("t", "r")]
-        for ea, ebb in pairs:
-            seg_list.append((edge_key[ea], edge_point[ea](),
-                             edge_key[ebb], edge_point[ebb]()))
+    # an edge is numbered by its first node, doubled, plus 1 if vertical.
+    # Ends on the same edge are partners; an end without one is on the box
+    # boundary.
+    vertical = off[:, 0, 0] == off[:, 1, 0]
+    edge = 2 * (node[:, 0, 1] * g.nx + node[:, 0, 0]) + vertical
+    order = np.argsort(edge, kind="stable")
+    first, second = order[:-1], order[1:]
+    shared = edge[first] == edge[second]
+    partner = np.full(len(edge), -1)
+    partner[first[shared]] = second[shared]
+    partner[second[shared]] = first[shared]
 
-    return _stitch_segments(seg_list)
-
-
-# Case table keyed by the inside-corner bitmask (1=00, 2=10, 4=11, 8=01);
-# each entry lists crossed-edge pairs by short name.  Saddles (5, 10) are
-# resolved at runtime.
-_MS_TABLE = {
-    1: [("l", "b")],
-    2: [("b", "r")],
-    3: [("l", "r")],
-    4: [("r", "t")],
-    6: [("b", "t")],
-    7: [("l", "t")],
-    8: [("t", "l")],
-    9: [("t", "b")],
-    11: [("t", "r")],
-    12: [("r", "l")],
-    13: [("r", "b")],
-    14: [("b", "l")],
-}
-
-
-def _stitch_segments(seg_list) -> list[Polyline]:
-    """Chain per-cell segments into ordered polylines by shared edge keys."""
-    # adjacency: edge key -> list of (segment index, end 0/1)
-    adj: dict = {}
-    for k, (ea, _, eb, _) in enumerate(seg_list):
-        adj.setdefault(ea, []).append((k, 0))
-        adj.setdefault(eb, []).append((k, 1))
-
-    used = [False] * len(seg_list)
+    # entering a segment at end n, the walk leaves by end n ^ 1 and enters
+    # its partner.  Open components start at their first boundary end, then
+    # each loop at end 0 of its first segment.
+    ends = len(edge)
+    follow = partner[np.arange(ends) ^ 1].tolist()
+    used = bytearray(ends // 2)
+    starts = np.flatnonzero(partner < 0).tolist() + list(range(0, ends, 2))
     polylines = []
-
-    def walk(start_seg, start_end):
-        """Follow the chain starting by exiting segment start_seg through the
-        end opposite to start_end.  Returns list of (edge_key, point)."""
-        chain = []
-        seg, entry = start_seg, start_end
-        while True:
-            used[seg] = True
-            ea, pa, eb, pb = seg_list[seg]
-            if entry == 0:
-                chain.append((ea, pa))
-                exit_key, exit_pt = eb, pb
-            else:
-                chain.append((eb, pb))
-                exit_key, exit_pt = ea, pa
-            nxt = [(k, e) for (k, e) in adj.get(exit_key, [])
-                   if k != seg and not used[k]]
-            if not nxt:
-                chain.append((exit_key, exit_pt))
-                return chain, exit_key
-            seg, entry = nxt[0]
-
-    # open curves first: start from edges of degree 1
-    degree_one = [items[0] for key, items in adj.items() if len(items) == 1]
-    for seg, end in degree_one:
-        if used[seg]:
+    for start in starts:
+        chain, n = [], start
+        while n >= 0 and not used[n >> 1]:
+            used[n >> 1] = 1
+            chain.append(n)
+            n = follow[n]
+        if not chain:
             continue
-        chain, _ = walk(seg, end)
-        polylines.append(Polyline(np.array([pt for _, pt in chain]),
-                                  closed=False))
-    # remaining are loops
-    for k in range(len(seg_list)):
-        if used[k]:
-            continue
-        chain, last_key = walk(k, 0)
-        pts = [pt for _, pt in chain]
-        closed = last_key == chain[0][0]
-        if closed:
-            pts = pts[:-1]
-        polylines.append(Polyline(np.array(pts), closed=closed))
+        if n < 0:
+            chain.append(chain[-1] ^ 1)
+        polylines.append(Polyline(pts[chain], closed=n >= 0))
     return polylines
 
 

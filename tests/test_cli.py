@@ -526,6 +526,19 @@ class TestPrandtl:
                      "--sigma", "8", "--sweep", "gamma=1:2:3",
                      "--out", str(tmp_path / "pb")]) == 3
 
+    @pytest.mark.parametrize("params, named", [
+        ("--omega 1 --sweep mu=1:2:2 --sweep mu=3:4:2", "'mu'"),
+        ("--omega 0 --profiles", "omega"),
+    ], ids=["repeated-sweep-key", "profiles-omega-0"])
+    def test_rejected_before_writing(self, tmp_path, capsys, params, named):
+        out = tmp_path / "pb"
+        assert main(["prandtl", "--mu", "1", "--h", "1", "--sigma", "8",
+                     *params.split(), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
 
 class TestArtifactFormat:
     """Every CSV artifact has its documented header, and every entry is

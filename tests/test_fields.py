@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import fblab.fields
 from fblab.errors import DegenerateInterfaceError, FieldError, GridError
@@ -157,6 +158,197 @@ class TestOneSidedGradient:
         self.check_against_reference(u, phi)
 
 
+def _edge_crossings(phi):
+    """Linear crossing of every grid edge whose two nodes differ in
+    ``phi > 0``, computed independently of interface_extract."""
+    p = phi.phi
+    xx, yy = phi.grid.meshgrid()
+    out = []
+    for a, b in (np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]):
+        cut = (p[a] > 0) != (p[b] > 0)
+        pa, pb = p[a][cut], p[b][cut]
+        t = pa / (pa - pb)
+        out.append(np.column_stack([
+            xx[a][cut] + t * (xx[b][cut] - xx[a][cut]),
+            yy[a][cut] + t * (yy[b][cut] - yy[a][cut])]))
+    return np.vstack(out)
+
+
+def _check_contour(phi, pls):
+    """The contract of interface_extract's polylines."""
+    g = phi.grid
+    tol = 1e-12
+    crossings = _edge_crossings(phi)
+    verts = np.vstack([pl.points for pl in pls])
+    # every vertex is the crossing of a cut edge, and every cut edge gives
+    # exactly one vertex: so no polyline, closed or open, repeats a vertex
+    assert len(verts) == len(crossings)
+    assert np.max(cKDTree(crossings).query(verts)[0]) <= tol
+    assert np.max(cKDTree(verts).query(crossings)[0]) <= tol
+    origin = np.array([g.x0, g.y0])
+    seen_closed = False
+    for pl in pls:
+        pts = pl.points
+        # open components come first and run from the box boundary to the
+        # box boundary
+        assert not (seen_closed and not pl.closed)
+        seen_closed = pl.closed
+        if not pl.closed:
+            for x, y in pts[[0, -1]]:
+                assert min(x - g.x0, g.x1 - x, y - g.y0, g.y1 - y) <= tol
+        elif not np.any(phi.phi == 0.0):
+            assert np.any(pts[0] != pts[-1])
+        # consecutive vertices lie in one closed cell
+        seg = pl.segments()
+        lo = (np.min(seg, axis=1) - origin) / g.h
+        hi = (np.max(seg, axis=1) - origin) / g.h
+        assert np.all(np.ceil(hi - 1 - 1e-9) <= np.floor(lo + 1e-9))
+
+
+# The per-cell marching squares with an edge-keyed stitch that
+# interface_extract replaced, kept as the reference it must match bit for
+# bit.  Edges by name: the node offsets of their ends, crossing from the
+# first; pairs by cell code, saddles by (code, center average > 0).
+_REF_EDGES = {"b": ((0, 0), (1, 0)), "r": ((1, 0), (1, 1)),
+              "t": ((0, 1), (1, 1)), "l": ((0, 0), (0, 1))}
+_REF_PAIRS = {1: "lb", 2: "br", 3: "lr", 4: "rt", 6: "bt", 7: "lt", 8: "tl",
+              9: "tb", 11: "tr", 12: "rl", 13: "rb", 14: "bl",
+              (5, False): "lbtr", (5, True): "ltbr",
+              (10, False): "brlt", (10, True): "lbtr"}
+
+
+def _reference_extract(phi):
+    """[(closed, (m, 2) points)] of the zero contour, one cell at a time."""
+    p, g = phi.phi, phi.grid
+    segs = []  # per segment: [(edge key, point), (edge key, point)]
+    for j in range(g.ny - 1):
+        for i in range(g.nx - 1):
+            corners = [p[j, i], p[j, i + 1], p[j + 1, i + 1], p[j + 1, i]]
+            code = sum(1 << k for k, v in enumerate(corners) if v > 0)
+            center = 0.25 * (corners[0] + corners[1] + corners[2]
+                             + corners[3])
+            names = _REF_PAIRS.get(
+                (code, center > 0) if code in (5, 10) else code, "")
+            x, y = g.x0 + i * g.h, g.y0 + j * g.h
+            ends = []
+            for name in names:
+                (ai, aj), (bi, bj) = _REF_EDGES[name]
+                ax, ay = (x + g.h if ai else x), (y + g.h if aj else y)
+                bx, by = (x + g.h if bi else x), (y + g.h if bj else y)
+                pa, pb = p[j + aj, i + ai], p[j + bj, i + bi]
+                t = pa / (pa - pb)
+                ends.append(((ai == bi, i + ai, j + aj),
+                             (ax + t * (bx - ax), ay + t * (by - ay))))
+            segs += [ends[k:k + 2] for k in range(0, len(ends), 2)]
+
+    adj = {}
+    for k, seg in enumerate(segs):
+        for end, (key, _) in enumerate(seg):
+            adj.setdefault(key, []).append((k, end))
+    used = [False] * len(segs)
+
+    def walk(k, end):
+        first_key, pts = segs[k][end][0], []
+        while True:
+            used[k] = True
+            pts.append(segs[k][end][1])
+            key, last = segs[k][1 - end]
+            nxt = [(m, e) for m, e in adj[key] if not used[m]]
+            if not nxt:
+                return pts, last, key == first_key
+            k, end = nxt[0]
+
+    out = []
+    for k, end in [items[0] for items in adj.values() if len(items) == 1]:
+        if not used[k]:
+            pts, last, _ = walk(k, end)
+            out.append((False, np.array(pts + [last])))
+    for k in range(len(segs)):
+        if not used[k]:
+            pts, last, closed = walk(k, 0)
+            out.append((closed, np.array(pts if closed else pts + [last])))
+    return out
+
+
+def _open_and_loop(x, y):
+    """Zero set: an open curve across the box and a circle below it."""
+    return np.maximum(y - 0.6 - 0.1 * np.sin(3 * x),
+                      0.3 - np.hypot(x, y + 0.2))
+
+
+def _noise(x, y):
+    return np.random.default_rng(7).standard_normal(x.shape)
+
+
+_CONTOUR_FIELDS = {
+    "circle": lambda x, y: x**2 + y**2 - 0.25,
+    "perturbed": lambda x, y: y - 0.1 * np.sin(np.pi * x),
+    "sin_cos": lambda x, y: np.sin(7 * x) * np.cos(5 * y),
+    "open_and_loop": _open_and_loop,
+    "noise": _noise,
+    "rounded_noise": lambda x, y: np.round(_noise(x, y)),
+    # every cell a saddle, with center averages of both signs
+    "saddles": lambda x, y: np.where(np.indices(x.shape).sum(axis=0) % 2,
+                                     -1.0, 1.0) + 0.3 * np.sin(3 * x + 2 * y),
+}
+
+# A field with saddles of code 5 (cells (1, 5) and (4, 1)) and code 10
+# (cells (1, 2), (4, 0) and (5, 5)), center averages 0 and positive, a zero
+# node and two open components; its polylines as the dict-based extractor
+# wrote them, bit for bit.
+_SADDLE_FIELD = [
+    [3, 2, -1, -1, -1, 3, -1, -1],
+    [2, -1, -1, -1, 3, -1, -1, -1],
+    [-1, -1, 1, 0, -1, 1, -1, -1],
+    [-1, 1, -1, -1, -1, -1, -1, -1],
+    [-1, -1, -1, -1, -1, -1, -1, -1],
+    [-1, 1, -1, -1, -1, -1, 2, -1],
+    [-1, -1, 1, -1, -1, 2, -1, -1],
+    [-1, -1, -1, -1, -1, -1, -1, -1],
+]
+_SADDLE_POLYLINES = [
+    (False, [[-0.5238095238095238, -1.0],
+             [-0.7142857142857143, -0.8095238095238095],
+             [-0.8095238095238095, -0.7142857142857143],
+             [-1.0, -0.5238095238095238]]),
+    (False, [[0.21428571428571422, -1.0],
+             [0.1428571428571428, -0.9285714285714286],
+             [-0.07142857142857148, -0.7142857142857143],
+             [0.1428571428571428, -0.5],
+             [0.28571428571428564, -0.4285714285714286],
+             [0.4285714285714284, -0.28571428571428575],
+             [0.5714285714285712, -0.4285714285714286],
+             [0.4285714285714285, -0.5714285714285714],
+             [0.3571428571428571, -0.7142857142857143],
+             [0.4285714285714284, -0.7857142857142857],
+             [0.6428571428571427, -1.0]]),
+    (True, [[-0.4285714285714286, -0.5714285714285714],
+            [-0.5714285714285714, -0.4285714285714286],
+            [-0.4285714285714286, -0.28571428571428575],
+            [-0.1428571428571429, -0.4285714285714286]]),
+    (True, [[-0.7142857142857143, -0.28571428571428575],
+            [-0.8571428571428572, -0.1428571428571429],
+            [-0.7142857142857143, -5.551115123125783e-17],
+            [-0.5714285714285714, -0.1428571428571429]]),
+    (True, [[-0.7142857142857143, 0.28571428571428564],
+            [-0.8571428571428572, 0.4285714285714284],
+            [-0.7142857142857143, 0.5714285714285712],
+            [-0.5714285714285714, 0.4285714285714285]]),
+    (True, [[0.7142857142857141, 0.23809523809523803],
+            [0.5238095238095236, 0.4285714285714284],
+            [0.4285714285714285, 0.5238095238095236],
+            [0.23809523809523803, 0.7142857142857142],
+            [0.4285714285714284, 0.9047619047619047],
+            [0.6190476190476188, 0.7142857142857141],
+            [0.7142857142857142, 0.6190476190476188],
+            [0.9047619047619047, 0.4285714285714285]]),
+    (True, [[-0.5714285714285714, 0.7142857142857141],
+            [-0.4285714285714286, 0.5714285714285712],
+            [-0.28571428571428575, 0.7142857142857142],
+            [-0.4285714285714286, 0.857142857142857]]),
+]
+
+
 class TestInterfaceExtract:
     def test_flat_line_exact(self):
         grid = make_grid(33, 33, (-1, -1, 1, 1))
@@ -188,6 +380,73 @@ class TestInterfaceExtract:
         for pl in pls:
             gaps = np.linalg.norm(np.diff(pl.points, axis=0), axis=1)
             assert np.all(gaps <= 2 * grid.h + 1e-12)
+
+    @pytest.mark.parametrize("code", [5, 10])
+    @pytest.mark.parametrize("high, loops", [
+        (0.5, [4, 4]), (1.0, [4, 4]), (1.5, [8])])
+    def test_saddle_cell(self, code, high, loops):
+        # cell (3, 3) has code 5 (nodes 00 and 11 inside) or 10 (nodes 10
+        # and 01 inside) and the center average (high - 1) / 2: at most 0
+        # separates the two inside nodes, positive joins them
+        grid = make_grid(8, 8, (0, 0, 7, 7))
+        values = -np.ones(grid.shape)
+        inside = [(3, 3), (4, 4)] if code == 5 else [(3, 4), (4, 3)]
+        for j, i in inside:
+            values[j, i] = high
+        phi = LevelSet(grid, values)
+        pls = interface_extract(phi)
+        assert all(pl.closed for pl in pls)
+        assert [len(pl.points) for pl in pls] == loops
+        if len(pls) == 2:
+            centers = sorted(tuple(pl.points.mean(axis=0)) for pl in pls)
+            assert np.allclose(centers, sorted((i, j) for j, i in inside))
+        _check_contour(phi, pls)
+
+    def test_exact_zero_nodes_count_as_outside(self):
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        values = grid.meshgrid()[1].copy()  # the row j = 16 is y = 0
+        values[24, 8] = 0.0  # a zero node inside the positive phase
+        pls = interface_extract(LevelSet(grid, values))
+        assert [pl.closed for pl in pls] == [False, True]
+        # a crossing from a zero node to a positive one lies on the node
+        line = pls[0].points
+        assert np.array_equal(line[np.argsort(line[:, 0])],
+                              np.column_stack([grid.xs, np.zeros(33)]))
+        assert np.array_equal(pls[1].points,
+                              np.tile([grid.xs[8], grid.ys[24]], (4, 1)))
+
+    def test_open_component_then_loop(self):
+        grid = make_grid(65, 65, (-1, -1, 1, 1))
+        phi = LevelSet.from_function(grid, _open_and_loop)
+        pls = interface_extract(phi)
+        assert [pl.closed for pl in pls] == [False, True]
+        ends = pls[0].points[[0, -1]]
+        assert sorted(np.abs(ends[:, 0])) == [1.0, 1.0]
+        x, y = pls[1].points.T
+        assert np.allclose(np.hypot(x, y + 0.2), 0.3, atol=grid.h)
+
+    @pytest.mark.parametrize("n", [9, 17, 33, 65])
+    @pytest.mark.parametrize("name", sorted(_CONTOUR_FIELDS))
+    def test_contour_contract(self, name, n):
+        grid = make_grid(n, n, (-1, -1, 1, 1))
+        phi = LevelSet.from_function(grid, _CONTOUR_FIELDS[name])
+        pls = interface_extract(phi)
+        _check_contour(phi, pls)
+        ref = _reference_extract(phi)
+        assert [pl.closed for pl in pls] == [closed for closed, _ in ref]
+        assert [pl.points.tobytes() for pl in pls] == \
+            [pts.tobytes() for _, pts in ref]
+
+    def test_saddle_field_frozen(self):
+        phi = LevelSet(make_grid(8, 8, (-1, -1, 1, 1)),
+                       np.array(_SADDLE_FIELD, dtype=float))
+        pls = interface_extract(phi)
+        assert [(pl.closed, pl.points.tolist()) for pl in pls] == \
+            _SADDLE_POLYLINES
+        assert [(closed, pts.tolist())
+                for closed, pts in _reference_extract(phi)] == \
+            _SADDLE_POLYLINES
+        _check_contour(phi, pls)
 
 
 class TestReinitialize:
