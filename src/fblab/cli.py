@@ -270,22 +270,22 @@ def cmd_prandtl(args) -> int:
         rows.append((c["h"], c["mu"], c["omega"], c["sigma"], z0,
                      rho_star, holds, rho1, rho2))
 
+    profiles = []  # computed first: a failed search must write nothing
+    if args.profiles:
+        rs = np.linspace(0.0, 1.0, 201)
+        try:
+            profiles = [radial_solution(PBParams(**base), branch).u(rs)
+                        for branch in (1, 2)]
+        except ConditionError:
+            pass  # no admissible radii: sweep rows already say so
+
     with _locked_output(args.out) as out_dir:
         write_table(os.path.join(out_dir, "sweep.csv"),
                     "h,mu,omega,sigma,z0,rho_star,cond_holds,rho1,rho2",
                     rows)
-
-        if args.profiles:
-            try:
-                params = PBParams(**base)
-                for branch in (1, 2):
-                    sol = radial_solution(params, branch)
-                    rs = np.linspace(0.0, 1.0, 201)
-                    write_table(
-                        os.path.join(out_dir, f"profile_branch{branch}.csv"),
-                        "r,u", np.column_stack([rs, sol.u(rs)]))
-            except ConditionError:
-                pass  # no admissible radii: sweep rows already say so
+        for branch, u in enumerate(profiles, start=1):
+            write_table(os.path.join(out_dir, f"profile_branch{branch}.csv"),
+                        "r,u", np.column_stack([rs, u]))
 
     if not any_holds:
         print("no sweep point satisfies the existence condition",

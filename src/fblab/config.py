@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from .diagnostics import deepest_level
 from .elliptic import CoefficientField
 from .errors import FblabError, FieldError
 from .fbiter import IterationOptions, PhaseProblem
@@ -40,7 +41,7 @@ _SCHEMA = {
                 "outer": None, "mask_radius": ""},
     "init": {"interface": None},
     "iteration": {"tol_jump": "", "tol_move": "0.01", "max_iters": "100"},
-    "diagnostics": {"center": None, "radii": None, "levels": "2"},
+    "diagnostics": {"center": None, "radii": None, "levels": ""},
 }
 
 
@@ -50,7 +51,9 @@ class ConfigError(FblabError):
 
 @dataclass
 class DiagnosticsSpec:
-    """Center, radii and trapping depth for the post-run diagnostics."""
+    """Center, radii and trapping depth for the post-run diagnostics; an
+    unset depth is the deepest level the grid resolves at the largest
+    radius (:func:`~fblab.diagnostics.deepest_level`)."""
 
     center: tuple
     radii: list
@@ -262,7 +265,9 @@ def load_config(path: str) -> RunConfig:
         if max(radii) > margin:
             raise ConfigError("diagnostics radii leave the domain box")
         levels = _number(parser, "diagnostics", "levels", int)
-        if levels < 0:
+        if levels is None:
+            levels = max(0, deepest_level(max(radii), grid.h))
+        elif levels < 0:
             raise ConfigError("diagnostics levels must be non-negative")
         diagnostics = DiagnosticsSpec(center=(cx, cy), radii=radii,
                                       levels=levels)

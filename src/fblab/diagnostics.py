@@ -623,6 +623,16 @@ def nondegeneracy(u: ScalarField, phi: LevelSet, delta_band: float) -> float:
     return float(np.min(u.values[mask] / dist[mask]))
 
 
+def deepest_level(r0: float, h: float) -> int:
+    """Deepest trapping level k that a grid of spacing h resolves: the scale
+    r0 / 20^k spans at least four cells, r0 / 20^k >= 4h.  Returns -1 when
+    r0 itself is under-resolved."""
+    k = -1
+    while r0 / 20**(k + 1) >= 4 * h:
+        k += 1
+    return k
+
+
 def oscillation_decay(u: ScalarField, x0, r0: float, levels: int,
                       plane: TwoPlane):
     """Tightest two-plane trapping offsets (a_k, b_k) at the shrinking
@@ -630,7 +640,7 @@ def oscillation_decay(u: ScalarField, x0, r0: float, levels: int,
     ``plane``, the profile :func:`two_plane_fit` fitted at r0."""
     grid = u.grid
     _check_ball(grid, x0, r0)
-    if r0 / 20**levels < 4 * grid.h:
+    if levels > deepest_level(r0, grid.h):
         raise UnderResolvedError(
             "deepest level is under-resolved: r0/20^levels < 4h")
     nu, alpha, beta = plane.nu, plane.alpha, plane.beta

@@ -348,7 +348,6 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
     jumps, moves, areas = [], [], []
     notes = []
     stop_reason = "budget_exhausted"
-    u = None
     best = None  # (defect, u, phi) of the best pre-move iterate
     memory = None  # Anderson history since the last reinitialization
     cell_area = grid.h**2
@@ -377,7 +376,11 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
             phi = reinitialize(phi)
             memory = None
 
-    if stop_reason != "tolerances_met" and best is not None:
+    if best is None:
+        raise PhaseCollapseError(
+            "iteration aborted before its first step completed: "
+            + "; ".join(notes))
+    if stop_reason != "tolerances_met":
         # hand back the best-seen iterate rather than the last one: the
         # defect flow can stagnate in a noisy neighborhood of the root
         _, u, phi = best
@@ -394,10 +397,6 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
         flatness=flatness,
         notes=notes,
     )
-    if u is None:
-        raise PhaseCollapseError(
-            "iteration aborted before its first step completed: "
-            + "; ".join(notes))
     if stop_reason == "budget_exhausted":
         log.warning("fixed-point loop did not converge in %d iterations",
                     opts.max_iters)

@@ -3,20 +3,17 @@ problem.
 
 The transformed disk problem asks for u with u = mu on the unit circle,
 harmonic where u > 0, Laplacian h^2 * omega where u < 0, and squared-speed
-jump h^2 * sigma across the free boundary.  Radial solutions have a circular
-free boundary r = rho whose admissible radii are the roots of a scalar
-threshold function; two branches exist whenever h^2 * sigma exceeds the
-threshold minimum.
-
-Two jump expressions coexist deliberately:
-
-* :func:`jump_threshold` is the printed threshold whose level set defines the
-  admissible radii;
-* :func:`profile_jump` differentiates the explicit radial profiles.
-
-They agree exactly when h^2 * omega = 1 and differ otherwise (the second
-term carries h^2*omega vs (h^2*omega)^2 / h^2...); both are exported and the
-divergence is reported, never silently corrected.
+jump h^2 * sigma across the free boundary, a circle r = rho.  The admissible
+radii rho1 < rho2 are the roots of a jump expression at level h^2 * sigma on
+either side of its minimum z0; they exist when h^2 * sigma > max(0, z0).
+On rho in (1e-8, 1 - 1e-8), scipy's bounded Brent minimizer finds z0 and
+``brentq`` each root.  A root outside that interval or a float overflow
+raises an FblabError (exit 3 in the CLI); a failed existence condition
+raises ConditionError.  Two jump expressions coexist deliberately:
+:func:`jump_threshold`, the printed threshold, and :func:`profile_jump`,
+built from the profiles' one-sided slopes (:func:`radial_slopes`).  They
+agree exactly when h^2 * omega = 1; both are exported and the divergence is
+reported, never silently corrected.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import FblabError
 
@@ -67,90 +65,67 @@ def jump_threshold(rho: float, h: float, mu: float, omega: float) -> float:
     return mu**2 / (rho**2 * lr**2) - 0.25 * h**2 * omega * rho**2
 
 
-def _threshold_fn(h: float, mu: float, omega: float):
-    """:func:`jump_threshold` as a function of rho alone."""
+def _search(jump, h, mu, omega, sigma=None):
+    """Minimum z0 of ``jump(rho)`` over (_RHO_LO, _RHO_HI) and its minimizer
+    rho_star, by scipy's bounded Brent minimizer.  Given ``sigma``, also the
+    roots rho1 < rho_star < rho2 of jump = h^2 sigma, by Brent's method;
+    raises ConditionError when h^2 sigma does not exceed max(0, z0)."""
     if mu <= 0 or h <= 0 or omega < 0:
         raise ValueError("h, mu must be positive and omega non-negative")
-    return lambda rho: jump_threshold(rho, h, mu, omega)
+    where = f"h={h:g}, mu={mu:g}, omega={omega:g}" + (
+        "" if sigma is None else f", sigma={sigma:g}")
+    overflow = f"float overflow in the disk threshold for {where}"
 
+    def level(rho, s=0.0):  # jump(rho) - h^2 s, checked for overflow
+        try:
+            value = jump(float(rho)) - h**2 * s
+        except OverflowError:
+            value = math.nan
+        if not value > -math.inf:  # +inf passes: it lies above every level
+            raise FblabError(overflow)
+        return value
 
-def _golden_min(fn):
-    """Minimum of ``fn`` over (0, 1) by golden-section search.  Returns
-    (minimum value, minimizer)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = _RHO_LO, _RHO_HI
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = fn(c)
-    fd = fn(d)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    rho_star = 0.5 * (a + b)
-    return fn(rho_star), rho_star
+    with np.errstate(invalid="ignore"):  # +inf samples: no parabolic step
+        res = minimize_scalar(level, bounds=(_RHO_LO, _RHO_HI),
+                              method="bounded", options={"xatol": 1e-15})
+    z0, rho_star = float(res.fun), float(res.x)
+    if not z0 < math.inf:
+        raise FblabError(overflow)
+    if sigma is None:
+        return z0, rho_star
+    if not level(rho_star, sigma) < 0 < h**2 * sigma:
+        raise ConditionError(f"existence condition fails for {where}",
+                             z0=z0, rho_star=rho_star)
+    roots = []
+    for side, lo, hi in (("inner", _RHO_LO, rho_star),
+                         ("outer", rho_star, _RHO_HI)):
+        if max(level(lo, sigma), level(hi, sigma)) < 0:
+            raise FblabError(f"the {side} admissible radius for {where} lies "
+                             f"outside ({_RHO_LO:g}, 1 - {_RHO_LO:g})")
+        root, info = brentq(level, lo, hi, args=(sigma,), xtol=1e-24,
+                            maxiter=200, full_output=True, disp=False)
+        if not info.converged:
+            raise FblabError(f"no {side} root converged for {where}")
+        roots.append(root)
+    return z0, rho_star, *roots
 
 
 def jump_threshold_min(h: float, mu: float, omega: float):
-    """Minimum of :func:`jump_threshold` over (0, 1) by golden-section
-    search.  Returns (minimum value, minimizer)."""
-    return _golden_min(_threshold_fn(h, mu, omega))
-
-
-def _bisect(fn, lo, hi, target):
-    flo = fn(lo) - target
-    fhi = fn(hi) - target
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise FblabError("bisection bracket does not straddle the target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid) - target
-        if abs(fm) < 1e-10 and hi - lo < 1e-13:
-            return mid
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _admissible_radii(fn, target):
-    """Roots of ``fn = target`` on either side of the minimum of ``fn``.
-    Returns (z0, rho_star, rho1, rho2); raises ConditionError when
-    ``target`` does not exceed max(0, z0)."""
-    z0, rho_star = _golden_min(fn)
-    if not target > max(0.0, z0):
-        raise ConditionError(
-            f"existence condition fails: h^2*sigma = {target} "
-            f"<= max(0, {z0})", z0=z0, rho_star=rho_star)
-    rho1 = _bisect(fn, _RHO_LO, rho_star, target)
-    rho2 = _bisect(fn, rho_star, _RHO_HI, target)
-    return z0, rho_star, rho1, rho2
+    """Minimum of :func:`jump_threshold` over (1e-8, 1 - 1e-8).  Returns
+    (minimum value, minimizer)."""
+    return _search(lambda rho: jump_threshold(rho, h, mu, omega),
+                   h, mu, omega)
 
 
 def interface_radii(params: PBParams, jump_fn=None):
     """Ordered pair (rho1, rho2) of admissible free-boundary radii: the roots
-    of the jump expression equalling h^2*sigma on either side of its minimum.
-
-    ``jump_fn(rho, params)`` defaults to the printed threshold; pass
-    :func:`profile_jump` for the profile-consistent variant.  Raises
-    ConditionError when the existence condition fails.
-    """
-    if jump_fn is None:
-        def jump_fn(rho, p):
-            return jump_threshold(rho, p.h, p.mu, p.omega)
-    _, _, rho1, rho2 = _admissible_radii(lambda rho: jump_fn(rho, params),
-                                         params.h**2 * params.sigma)
-    return rho1, rho2
+    of ``jump_fn(rho, params)`` = h^2*sigma on either side of its minimum.
+    ``jump_fn`` defaults to the printed threshold; pass :func:`profile_jump`
+    for the profile-consistent variant.  Raises ConditionError when the
+    existence condition fails."""
+    p = params
+    jump = jump_fn or (lambda rho, p: jump_threshold(rho, p.h, p.mu, p.omega))
+    return _search(lambda rho: jump(rho, p), p.h, p.mu, p.omega, p.sigma)[2:]
 
 
 def threshold_roots(h: float, mu: float, omega: float, sigma: float):
@@ -158,7 +133,16 @@ def threshold_roots(h: float, mu: float, omega: float, sigma: float):
     values (omega may be zero, unlike :class:`PBParams`).  Returns
     (z0, rho_star, rho1, rho2); raises ConditionError when the level does
     not exceed max(0, z0)."""
-    return _admissible_radii(_threshold_fn(h, mu, omega), h**2 * sigma)
+    return _search(lambda rho: jump_threshold(rho, h, mu, omega),
+                   h, mu, omega, sigma)
+
+
+def radial_slopes(r, rho: float, params: PBParams):
+    """Radial derivatives at ``r`` of the outer logarithmic and the inner
+    paraboloid profile with free boundary at ``rho``; at r = rho they are
+    the two one-sided slopes at the free boundary."""
+    return (-params.mu / (r * math.log(rho)),
+            params.h**2 * params.omega * r / 2.0)
 
 
 @dataclass(frozen=True)
@@ -190,20 +174,16 @@ class PBRadialSolution:
     def du(self, r):
         """Radial derivative of the profile (one-sided at r = rho)."""
         r = np.asarray(r, dtype=float)
-        p = self.params
-        rho = self.rho
-        rr = np.maximum(r, 1e-300)
-        outer = -p.mu / (rr * math.log(rho))
-        inner = p.h**2 * p.omega * r / 2.0
-        return np.where(r >= rho, outer, inner)
+        with np.errstate(divide="ignore"):  # outer slope at r = 0, unused
+            outer, inner = radial_slopes(r, self.rho, self.params)
+        return np.where(r >= self.rho, outer, inner)
 
 
 def radial_solution(params: PBParams, branch: int) -> PBRadialSolution:
     """Build the radial solution on the requested branch (1 = inner root,
     2 = outer root)."""
     rho1, rho2 = interface_radii(params)
-    rho = rho1 if branch == 1 else rho2
-    return PBRadialSolution(params=params, branch=branch, rho=rho)
+    return PBRadialSolution(params, branch, rho1 if branch == 1 else rho2)
 
 
 def profile_jump(rho: float, params: PBParams) -> float:
@@ -211,9 +191,7 @@ def profile_jump(rho: float, params: PBParams) -> float:
     mu^2 rho^-2 (log rho)^-2 - h^4 omega^2 rho^2 / 4."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    lr = math.log(rho)
-    outer = params.mu / (rho * lr)
-    inner = params.h**2 * params.omega * rho / 2.0
+    outer, inner = radial_slopes(rho, rho, params)
     return outer**2 - inner**2
 
 
@@ -237,13 +215,10 @@ def ordering_check(m: float, M: float, mu: float, omega: float,
     if not (r2M > r2m > r1m > r1M):
         return False, None
 
-    um1 = PBRadialSolution(pm, 1, r1m)
-    um2 = PBRadialSolution(pm, 2, r2m)
-    uM2 = PBRadialSolution(pM, 2, r2M)
     rs = np.linspace(0.0, 1.0, 102)[1:-1]  # 100 interior radii
-    vM2 = uM2.u(rs)
-    vm2 = um2.u(rs)
-    vm1 = um1.u(rs)
+    vM2 = PBRadialSolution(pM, 2, r2M).u(rs)
+    vm2 = PBRadialSolution(pm, 2, r2m).u(rs)
+    vm1 = PBRadialSolution(pm, 1, r1m).u(rs)
     bad = (vM2 >= vm2) | (vm2 >= vm1)
     if np.any(bad):
         return False, float(rs[np.argmax(bad)])

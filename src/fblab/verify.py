@@ -41,6 +41,7 @@ from .prandtl import (
     large_vorticity_condition,
     ordering_check,
     profile_jump,
+    radial_slopes,
     threshold_roots,
 )
 from .problems import (
@@ -130,8 +131,7 @@ def _disk_weiss_frame(ctx):
     data = ctx.disk()
     p = data["params"]
     rho2 = data["rho2"]
-    a = -p.mu / (rho2 * math.log(rho2))
-    b = p.h**2 * p.omega * rho2 / 2.0
+    a, b = radial_slopes(rho2, rho2, p)
     scale = math.sqrt(a * a - b * b)
     beta = b / scale
     alpha = math.sqrt(1.0 + beta**2)

@@ -1,4 +1,6 @@
+import contextlib
 import fcntl
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fblab
 import fblab.cli
@@ -346,6 +350,27 @@ levels = 1
         summary = json.loads((tmp_path / "d" / "summary.json").read_text())
         assert len(summary["trapping_offsets"]) == 2
 
+    def test_unset_levels_runs_deepest_resolved(self, tmp_path):
+        # 257^2 nodes on [-1, 1]^2 resolve r0/20 >= 4h at r0 = 0.9 but not
+        # r0/400, so the unset depth is level 1: two trapping pairs
+        grid = make_grid(257, 257, (-1.0, -1.0, 1.0, 1.0))
+        write_field(ScalarField.from_function(
+            grid, lambda x, y: math.sqrt(1.25) * np.maximum(y, 0)
+            + 0.5 * np.minimum(y, 0)), str(tmp_path / "u.csv"))
+        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
+                    str(tmp_path / "phi.csv"))
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI.replace(
+            "nx = 65\nny = 65", "nx = 257\nny = 257") + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.45, 0.9
+""")
+        assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 0
+        summary = json.loads((tmp_path / "d" / "summary.json").read_text())
+        assert len(summary["trapping_offsets"]) == 2
+
     def _trapping_run(self, tmp_path, monkeypatch, error):
         """diagnose with levels = 1 and oscillation_decay raising ``error``;
         returns the exit code."""
@@ -538,6 +563,52 @@ class TestPrandtl:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
         assert not out.exists()
+
+
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestPrandtlSearchFailures:
+    """Every failure of the root search is an input error: exit 3 with one
+    ``error:`` line, and nothing written."""
+
+    @pytest.mark.parametrize("params, named", [
+        ("--h 1e200", "overflow"),
+        ("--sweep h=1:1e200:2", "overflow"),
+        ("--sweep h=1:2:2 --h 1e200 --profiles", "overflow"),
+        ("--mu 5e153", "overflow"),
+        ("--mu 1e-6 --omega 0 --h 0.1 --sigma 1e6",
+         "inner admissible radius for h=0.1, mu=1e-06, omega=0, sigma=1e+06 "
+         "lies outside (1e-08, 1 - 1e-08)"),
+    ], ids=["h-overflow", "swept-h-overflow", "profile-overflow",
+            "infinite-minimum", "root-below-interval"])
+    def test_exit_three_before_writing(self, tmp_path, capsys, params,
+                                       named):
+        out = tmp_path / "pb"
+        assert main(["prandtl", "--mu", "1", "--omega", "1", "--h", "1",
+                     "--sigma", "1", *params.split(), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
+    @given(mu=LOG_UNIFORM, h=LOG_UNIFORM, sigma=LOG_UNIFORM,
+           omega=st.just(0.0) | LOG_UNIFORM)
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_parameters(self, tmp_path_factory, mu, omega, h,
+                                   sigma):
+        out = tmp_path_factory.mktemp("pb") / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["prandtl", "--mu", repr(mu), "--omega", repr(omega),
+                         "--h", repr(h), "--sigma", repr(sigma),
+                         "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 3:
+            assert stderr.getvalue().startswith("error: ")
+            assert not out.exists()
+        else:
+            assert (out / "sweep.csv").is_file()
 
 
 class TestArtifactFormat:

@@ -187,6 +187,20 @@ levels = 1
         assert cfg.diagnostics.radii == [0.1, 0.2, 0.4]
         assert cfg.diagnostics.levels == 1
 
+    @pytest.mark.parametrize("nodes, radii, deepest", [
+        (65, "0.1, 0.2, 0.4", 0), (257, "0.3, 0.8", 1), (65, "0.1", 0)])
+    def test_unset_levels_is_deepest_resolved(self, tmp_path, nodes, radii,
+                                              deepest):
+        # r0 / 20^levels >= 4h at the largest radius r0; never negative
+        text = BASE.replace("nx = 65\nny = 65",
+                            f"nx = {nodes}\nny = {nodes}") + f"""
+[diagnostics]
+center = 0.0, 0.0
+radii = {radii}
+"""
+        cfg = load_config(write_config(tmp_path, text))
+        assert cfg.diagnostics.levels == deepest
+
     def test_diagnostics_radii_must_fit_box(self, tmp_path):
         text = BASE + """
 [diagnostics]

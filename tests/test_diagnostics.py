@@ -24,6 +24,7 @@ from fblab.diagnostics import (
     acf_product,
     ball_quadrature,
     boundary_square_integral,
+    deepest_level,
     flatness_table,
     nondegeneracy,
     oscillation_decay,
@@ -762,6 +763,23 @@ class TestOscillationDecay:
         with pytest.raises(UnderResolvedError):
             oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 2,
                               TwoPlane(beta=0.0, nu=np.array([0.0, 1.0])))
+
+    @pytest.mark.parametrize("r0, h, deepest", [
+        (0.8, 2 / 256, 1), (0.8, 0.01, 1), (0.8, 0.0101, 0),
+        (0.4, 0.1, 0), (0.1, 0.1, -1), (1.0, 1e-4, 2)])
+    def test_deepest_level(self, r0, h, deepest):
+        # the scale r0 / 20^k must span four cells, equality included
+        assert deepest_level(r0, h) == deepest
+
+    def test_deepest_level_is_the_precondition(self, grid257):
+        u = ScalarField.from_function(grid257, two_plane_fn(0.7))
+        plane = TwoPlane(beta=0.7, nu=np.array([0.0, 1.0]))
+        deepest = deepest_level(0.8, grid257.h)
+        assert len(oscillation_decay(u, np.array([0.0, 0.0]), 0.8, deepest,
+                                     plane)) == deepest + 1
+        with pytest.raises(UnderResolvedError):
+            oscillation_decay(u, np.array([0.0, 0.0]), 0.8, deepest + 1,
+                              plane)
 
 
 class TestACFProduct:

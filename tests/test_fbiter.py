@@ -316,6 +316,21 @@ class TestStopReason:
         with pytest.raises(PhaseCollapseError, match="minus phase"):
             run(problem, phi, IterationOptions())
 
+    def test_no_step_aborts_before_final_work(self, grid65, monkeypatch):
+        # with no completed step there is nothing to report: run raises
+        # before it measures the start level set's flatness
+        def collapsing(problem, phi):
+            raise PhaseCollapseError("a phase has no interior nodes")
+
+        def unexpected(problem, phi):
+            raise AssertionError("final flatness of an aborted run")
+
+        monkeypatch.setattr(fblab.fbiter, "step", collapsing)
+        monkeypatch.setattr(fblab.fbiter, "_final_flatness", unexpected)
+        with pytest.raises(PhaseCollapseError, match="aborted at iteration 1"):
+            run(two_plane_problem(grid65, 0.5), two_plane_levelset(grid65),
+                IterationOptions())
+
     def test_unknown_reason_rejected(self):
         with pytest.raises(ValueError):
             IterationReport(iterations=0, jump_history=np.array([]),

@@ -55,21 +55,30 @@ class TestJumpThreshold:
         # the basin is flat to machine precision within ~1e-8 of 1/e
         assert rho_star == pytest.approx(1 / math.e, abs=1e-7)
 
+    def test_min_with_infinite_samples(self):
+        # mu^2 / (rho log rho)^2 overflows to +inf near both ends of the
+        # interval but not at its minimum e^2 mu^2 near 1/e
+        mu = 4.6593652304831e153
+        z0, rho_star = jump_threshold_min(1.5243069677674909e-49, mu,
+                                          2.3765958650293625e-133)
+        assert z0 == pytest.approx(math.e**2 * mu**2, rel=1e-12)
+        assert rho_star == pytest.approx(1 / math.e, abs=1e-7)
+
     def test_min_scales_with_mu_squared(self):
         z0, _ = jump_threshold_min(h=1.0, mu=3.0, omega=0.0)
         assert z0 == pytest.approx(9 * math.e**2, rel=1e-12)
 
     def test_min_with_vorticity(self):
         z0, rho_star = jump_threshold_min(h=1.0, mu=1.0, omega=2.0)
-        assert z0 == pytest.approx(THRESHOLD_MIN_8, rel=1e-10)
+        assert z0 == pytest.approx(THRESHOLD_MIN_8, abs=1e-15)
         assert rho_star == pytest.approx(THRESHOLD_RHO_STAR_8, abs=1e-8)
 
 
 class TestInterfaceRadii:
     def test_frozen_roots(self):
         rho1, rho2 = interface_radii(PARAMS_8)
-        assert rho1 == pytest.approx(THRESHOLD_ROOTS_8[0], abs=1e-10)
-        assert rho2 == pytest.approx(THRESHOLD_ROOTS_8[1], abs=1e-10)
+        assert rho1 == pytest.approx(THRESHOLD_ROOTS_8[0], abs=1e-15)
+        assert rho2 == pytest.approx(THRESHOLD_ROOTS_8[1], abs=1e-15)
 
     def test_roots_hit_target(self):
         rho1, rho2 = interface_radii(PARAMS_8)
@@ -79,8 +88,8 @@ class TestInterfaceRadii:
 
     def test_profile_variant_roots(self):
         rho1, rho2 = interface_radii(PARAMS_8, jump_fn=profile_jump)
-        assert rho1 == pytest.approx(PROFILE_ROOTS_8[0], abs=1e-10)
-        assert rho2 == pytest.approx(PROFILE_ROOTS_8[1], abs=1e-10)
+        assert rho1 == pytest.approx(PROFILE_ROOTS_8[0], abs=1e-15)
+        assert rho2 == pytest.approx(PROFILE_ROOTS_8[1], abs=1e-15)
 
     def test_condition_failure_raises(self):
         weak = PBParams(mu=1.0, omega=2.0, sigma=2.0, h=1.0)
@@ -114,6 +123,15 @@ class TestInterfaceRadii:
                        - h**2 * sigma) < 1e-8
 
 
+    def test_subnormal_threshold_converges(self):
+        # mu^2 and h^2 sigma are subnormal here, so Brent's method needs
+        # more than scipy's default 100 iterations for the inner root
+        z0, rho_star, rho1, rho2 = threshold_roots(
+            3.319090719736611e-156, 4.226991272146919e-160,
+            1.6154961341421478e-06, 691.321091318841)
+        assert 0.0 < rho1 < rho_star < rho2 < 1.0
+
+
 class TestRadialSolution:
     def test_boundary_and_interface_values(self):
         sol = radial_solution(PARAMS_8, branch=2)
@@ -140,6 +158,14 @@ class TestRadialSolution:
             flux = (r + eps) * sol.du(r + eps) - (r - eps) * sol.du(r - eps)
             assert flux / (2 * eps * r) == pytest.approx(
                 p.h**2 * p.omega, rel=1e-7)
+
+    def test_du_is_the_derivative_of_u(self):
+        sol = radial_solution(PARAMS_8, branch=2)
+        eps = 1e-6
+        for r in (0.1, 0.2, 0.3, 0.55, 0.7, 0.9):
+            slope = float(sol.u(r + eps) - sol.u(r - eps)) / (2 * eps)
+            assert float(sol.du(r)) == pytest.approx(slope, rel=1e-6)
+        assert float(sol.du(0.0)) == 0.0  # the patch center, no warning
 
     def test_profile_jump_matches_one_sided_slopes(self):
         sol = profile_root_solution()
