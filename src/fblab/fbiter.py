@@ -2,8 +2,9 @@
 
 Alternately solves the two phase problems with zero interface data and moves
 the level set by the squared-gradient jump defect until the interface
-condition q_A(u+) - q_A(u-) = Q holds.  The level-set velocity is a
-Newton-style scaled defect: the displacement at an interface point is
+condition q_A(u+) - q_A(u-) = Q holds.  The defect J is smoothed along each
+interface component over a fixed number of vertices, about ten cells on any
+grid.  The displacement at an interface point is then the Newton-style
 _KAPPA * J / G with a global slope estimate G, capped at half a cell per
 step.
 
@@ -54,6 +55,7 @@ from .fields import (
 log = logging.getLogger(__name__)
 
 _VELOCITY_BAND = 5  # cells on each side of the interface carrying velocity
+_SMOOTH_WINDOW = 11  # vertices in each moving average along a polyline
 _SMOOTH_PASSES = 8  # moving-average passes along each polyline
 _KAPPA = 0.5  # fraction of the Newton-style displacement applied per step
 _REINIT_EVERY = 5  # iterations between reinitializations of phi
@@ -207,24 +209,24 @@ def _gradient_norm(phi: LevelSet):
     return np.clip(_centered_gradient_norm(phi.grid, phi.phi), 0.8, 1.25)
 
 
-def _smooth_along(values: np.ndarray, closed: bool, window: int):
+def _smooth_along(values: np.ndarray, closed: bool):
     """Repeated moving average along a polyline, wrap-aware for closed
-    curves.  Several passes are needed: short-wavelength components of the
-    defect drive an unstable feedback through the one-sided gradients."""
+    curves and edge-padded on open ones; a curve of at most _SMOOTH_WINDOW
+    vertices becomes its mean.  Short-wavelength components of the defect
+    drive an unstable feedback through the one-sided gradients.  That noise
+    is a length in h and vertices are about a cell apart, so the window is
+    11 vertices on any grid, as a twelfth of the curve was on 129^2, where
+    the verify bounds were set.  One box pass keeps up to 22% of some short
+    waves (its sidelobes); eight passes keep less than 1e-5 of them."""
     out = np.asarray(values, dtype=float)
-    window |= 1  # the kernel must be odd to preserve length
     m = len(out)
-    if m <= window:
+    if m <= _SMOOTH_WINDOW:
         return np.full(m, out.mean())
-    k = window // 2
-    kernel = np.ones(window) / window
+    k = _SMOOTH_WINDOW // 2
+    kernel = np.ones(_SMOOTH_WINDOW) / _SMOOTH_WINDOW
+    pad = "wrap" if closed else "edge"
     for _ in range(_SMOOTH_PASSES):
-        if closed:
-            padded = np.concatenate([out[-k:], out, out[:k]])
-        else:
-            padded = np.concatenate([np.repeat(out[0], k), out,
-                                     np.repeat(out[-1], k)])
-        out = np.convolve(padded, kernel, mode="valid")
+        out = np.convolve(np.pad(out, k, mode=pad), kernel, mode="valid")
     return out
 
 
@@ -270,14 +272,10 @@ def step(problem: PhaseProblem, phi: LevelSet):
     defect = float(np.max(np.abs(J)))
 
     # damp vertex-to-vertex quadrature noise before it feeds the motion
-    J_smooth = np.empty_like(J)
-    start = 0
-    for pl in polylines:
-        m = len(pl.points)
-        window = max(5, m // 12)
-        J_smooth[start:start + m] = _smooth_along(J[start:start + m],
-                                                  pl.closed, window=window)
-        start += m
+    ends = np.cumsum([len(pl.points) for pl in polylines])[:-1]
+    J_smooth = np.concatenate([
+        _smooth_along(Jp, pl.closed)
+        for Jp, pl in zip(np.split(J, ends), polylines)])
 
     # Newton-style scale: a conservative global estimate of dJ/ds, from the
     # one-sided energies varying over the domain radius

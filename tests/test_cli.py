@@ -483,6 +483,25 @@ radii = 0.2
                      "--out", str(tmp_path / "d")]) == 3
 
 
+def assert_same_artifacts(a, b, names):
+    """The CSV artifacts in directories ``a`` and ``b`` are exactly
+    ``names``, byte-identical (the run lock holds a process id)."""
+    assert sorted(p.name for p in a.glob("*.csv")) == sorted(names)
+    assert sorted(p.name for p in b.glob("*.csv")) == sorted(names)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_verify_deterministic_outputs(tmp_path, capsys):
+    for name in ("a", "b"):
+        assert main(["verify", "--level", "quick",
+                     "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert_same_artifacts(tmp_path / "a", tmp_path / "b",
+                          ["jump_divergence_table.csv",
+                           "large_vorticity_sweep.csv"])
+
+
 class TestPrandtl:
     def test_single_point_roots(self, tmp_path):
         out = str(tmp_path / "pb")
@@ -498,6 +517,16 @@ class TestPrandtl:
                           skiprows=1)
         assert prof.shape == (201, 2)
         assert prof[-1, 1] == pytest.approx(1.0)  # boundary value
+
+    def test_deterministic_outputs(self, tmp_path):
+        # mu = 1.5 is not admissible: its row holds nan roots
+        for name in ("a", "b"):
+            assert main(["prandtl", "--mu", "1", "--omega", "1", "--h", "1",
+                         "--sigma", "8", "--sweep", "mu=1:1.5:2",
+                         "--profiles", "--out", str(tmp_path / name)]) == 0
+        assert_same_artifacts(tmp_path / "a", tmp_path / "b",
+                              ["profile_branch1.csv", "profile_branch2.csv",
+                               "sweep.csv"])
 
     def test_negative_mu_exits_three(self, tmp_path):
         assert main(["prandtl", "--mu", "-1", "--omega", "1", "--h", "1",

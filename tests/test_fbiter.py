@@ -14,8 +14,11 @@ from fblab.fbiter import (
     IterationOptions,
     IterationReport,
     PhaseProblem,
+    _SMOOTH_PASSES,
+    _SMOOTH_WINDOW,
     _anderson_mix,
     _jump_at_points,
+    _smooth_along,
     extend_velocity,
     run,
     step,
@@ -27,10 +30,13 @@ from fblab.fields import (
     interface_extract,
     make_grid,
 )
+from fblab.prandtl import interface_radii, profile_jump
 from fblab.problems import (
+    pb_problem,
     two_plane_levelset,
     two_plane_problem,
 )
+from fblab.verify import DISK_PARAMS
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +214,55 @@ class TestExtendVelocity:
             extend_velocity(np.empty((0, 2)), np.empty(0), phi)
 
 
+class TestSmoothAlong:
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_preserves_constant(self, closed):
+        out = _smooth_along(np.full(50, 0.3), closed)
+        np.testing.assert_allclose(out, 0.3, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 5, _SMOOTH_WINDOW])
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_short_curve_becomes_its_mean(self, m, closed):
+        values = np.random.default_rng(m).normal(size=m)
+        out = _smooth_along(values, closed)
+        assert out.shape == (m,)
+        assert np.all(out == values.mean())
+
+    def test_commutes_with_roll_on_closed_curves(self):
+        values = np.random.default_rng(1).normal(size=97)
+        for shift in (1, 17, 60):
+            assert np.array_equal(
+                _smooth_along(np.roll(values, shift), True),
+                np.roll(_smooth_along(values, True), shift))
+
+    def test_open_curve_is_repeated_edge_padded_box(self):
+        values = np.random.default_rng(2).normal(size=64)
+        k = _SMOOTH_WINDOW // 2
+        expected = values.copy()
+        for _ in range(8):
+            padded = np.concatenate([np.full(k, expected[0]), expected,
+                                     np.full(k, expected[-1])])
+            expected = np.array([padded[i:i + _SMOOTH_WINDOW].mean()
+                                 for i in range(len(values))])
+        assert _SMOOTH_PASSES == 8
+        np.testing.assert_allclose(_smooth_along(values, False), expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_result_is_local_whatever_the_curve_length(self):
+        # the smoothed value at i reads only the 8 * 5 = 40 vertices on
+        # each side of i, so it does not depend on the rest of the curve
+        rng = np.random.default_rng(3)
+        reach = _SMOOTH_PASSES * (_SMOOTH_WINDOW // 2)
+        short = rng.normal(size=120)
+        i = 60
+        long = np.concatenate([rng.normal(size=300), short,
+                               rng.normal(size=500)])
+        long[300 + i - reach:300 + i + reach + 1] = \
+            short[i - reach:i + reach + 1]
+        assert _smooth_along(short, False)[i] == pytest.approx(
+            _smooth_along(long, False)[300 + i], rel=0, abs=1e-12)
+
+
 class TestRun:
     def test_single_signed_level_set_rejected(self, grid65):
         prob = two_plane_problem(grid65, 1.0)
@@ -268,6 +323,23 @@ class TestRun:
         monkeypatch.setattr(fblab.fbiter, "flatness_table", unresolved)
         assert fblab.fbiter._final_flatness(
             two_plane_problem(grid65, 0.5), two_plane_levelset(grid65)) is None
+
+    def test_disk_start_with_modes_2_to_4_converges(self):
+        # a twelfth-of-the-curve smoothing window kept these modes alive
+        # and stalled this run at defect 0.295 after 80 iterations
+        grid = make_grid(193, 193, (-1.1, -1.1, 1.1, 1.1))
+        _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
+
+        def start(x, y):
+            th = np.arctan2(y, x)
+            modes = np.cos(2 * th) + np.sin(3 * th) + np.cos(4 * th)
+            return np.hypot(x, y) - rho2 * (1 + 0.02 * modes)
+
+        _, _, rep = run(pb_problem(grid, DISK_PARAMS),
+                        LevelSet.from_function(grid, start),
+                        IterationOptions(max_iters=80, tol_jump=0.12,
+                                         tol_move=0.5))
+        assert rep.stop_reason == "tolerances_met"
 
     def test_perturbed_plane_settles(self, perturbed_run):
         rep = perturbed_run["report"]
