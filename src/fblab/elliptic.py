@@ -47,14 +47,14 @@ _THETA_MIN = 1e-3
 
 @dataclass
 class CoefficientField:
-    """Symmetric 2x2 coefficient matrix per node with ellipticity bounds."""
+    """Symmetric 2x2 coefficient matrix per node and its ellipticity
+    constant ``lambda_min``, the smallest eigenvalue over the grid."""
 
     grid: Grid2
     a11: np.ndarray
     a12: np.ndarray
     a22: np.ndarray
     lambda_min: float = field(init=False)
-    lambda_max: float = field(init=False)
 
     def __post_init__(self):
         for name in ("a11", "a12", "a22"):
@@ -67,9 +67,7 @@ class CoefficientField:
         tr = self.a11 + self.a22
         disc = np.sqrt((self.a11 - self.a22) ** 2 + 4 * self.a12**2)
         lo = 0.5 * (tr - disc)
-        hi = 0.5 * (tr + disc)
         self.lambda_min = float(lo.min())
-        self.lambda_max = float(hi.max())
         if self.lambda_min <= 0:
             raise FieldError(
                 f"coefficient matrix not uniformly elliptic "

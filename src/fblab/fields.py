@@ -8,6 +8,12 @@ with ``i`` the x-index and ``j`` the y-index.  The grid is a uniform box with
 square cells; ``h`` is the common spacing.  The positive phase is
 ``{phi > 0}``, the negative phase ``{phi < 0}``; nodes with ``phi == 0`` sit
 exactly on the interface.
+
+Reinitialization keeps a first-order distance estimate at the nodes that
+carry the zero set (the anchors), so the anchors alone fix the extracted
+interface, which is unchanged bit for bit where ``|grad phi|`` is near 1.
+Every other node takes its distance to the nearest interface vertex, an
+upper bound on its distance to the polylines.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 _SQUARE_CELL_RTOL = 1e-12
-_ENVELOPE_K = 16  # nearest anchors tried per node by reinitialize
 
 
 @dataclass(frozen=True)
@@ -359,17 +364,19 @@ def _centered_gradient_norm(grid: Grid2, values: np.ndarray) -> np.ndarray:
 def reinitialize(phi: LevelSet) -> LevelSet:
     """Rebuild ``phi`` as an (approximate) signed distance to its zero set.
 
-    Nodes incident to a sign-change edge are anchored with a first-order
-    distance estimate ``|phi| / |grad phi|`` (kept as-is when the input is
-    already unit-gradient, which makes the operation idempotent); all other
-    nodes take the lower envelope ``min_a (d_a + |x - x_a|)`` over anchors.
-    The zero set is preserved to within the anchor estimate, i.e. under h/2.
+    Zero nodes and both ends of every strict sign-change edge are anchors.
+    They keep the first-order estimate ``|phi| / |grad phi|``, or ``|phi|``
+    itself where the gradient is already near unit, which makes the
+    operation idempotent.  The anchors alone fix the zero set of
+    :func:`interface_extract`, so where the gradient is near unit it is
+    unchanged bit for bit.  Every other node takes its distance to the
+    nearest vertex of that zero set, an upper bound on its distance to the
+    polylines.
     """
     if not phi.has_both_signs():
         raise DegenerateInterfaceError("reinitialize requires a two-signed phi")
     g = phi.grid
     p = phi.phi
-    h = g.h
 
     sign = np.sign(p)
 
@@ -387,45 +394,13 @@ def reinitialize(phi: LevelSet) -> LevelSet:
     # fixed point; otherwise rescale locally
     scale = np.where(np.abs(gn - 1.0) <= _UNIT_GRADIENT_TOL, 1.0,
                      np.maximum(gn, 1e-12))
-    d_anchor = np.abs(p) / scale
-
-    jj, ii = np.nonzero(anchor)
-    ax = g.x0 + ii * h
-    ay = g.y0 + jj * h
-    ad = d_anchor[jj, ii]
+    d = np.abs(p) / scale
 
     xx, yy = g.meshgrid()
-    d = np.empty(g.shape)
-    d[anchor] = d_anchor[anchor]
-    far_mask = ~anchor
-    d[far_mask] = _lower_envelope(xx[far_mask], yy[far_mask], ax, ay, ad)
+    far = ~anchor
+    vertices = all_interface_points(interface_extract(phi))
+    d[far] = cKDTree(vertices).query(np.column_stack([xx[far], yy[far]]))[0]
     return LevelSet(g, d * sign)
-
-
-def _lower_envelope(fx, fy, ax, ay, ad):
-    """Exact ``min_a (ad_a + |x - x_a|)`` at the points (fx, fy).
-
-    The candidates are each point's ``_ENVELOPE_K`` nearest anchors.  Since
-    ``ad >= 0``, no farther anchor can undercut a candidate minimum that
-    lies below the k-th nearest distance; points whose minimum does not are
-    recomputed over every anchor.
-    """
-    k = min(_ENVELOPE_K, len(ax))
-    dk, idx = cKDTree(np.column_stack([ax, ay])).query(
-        np.column_stack([fx, fy]), k=k)
-    dk, idx = dk.reshape(len(fx), k)[:, -1], idx.reshape(len(fx), k)
-    out = np.min(np.hypot(fx[:, None] - ax[idx], fy[:, None] - ay[idx])
-                 + ad[idx], axis=1)
-    if k < len(ax):
-        # the margin covers the tree rounding its distances differently
-        redo = np.nonzero(out >= dk * (1.0 - 1e-12))[0]
-        chunk = max(1, 4_000_000 // len(ax))
-        for s in range(0, len(redo), chunk):
-            sel = redo[s:s + chunk]
-            dist = np.hypot(fx[sel, None] - ax[None, :],
-                            fy[sel, None] - ay[None, :])
-            out[sel] = np.min(dist + ad[None, :], axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------

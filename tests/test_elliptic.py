@@ -34,11 +34,9 @@ class TestCoefficientField:
     def test_ellipticity_bounds(self):
         grid = make_grid(9, 9, (0, 0, 1, 1))
         A = CoefficientField.constant(grid, 2.0, 0.5, 1.0)
-        # eigenvalues of [[2, .5], [.5, 1]]
+        # smaller eigenvalue of [[2, .5], [.5, 1]]
         lo = 1.5 - np.sqrt(0.5)
-        hi = 1.5 + np.sqrt(0.5)
         assert A.lambda_min == pytest.approx(lo, rel=1e-12)
-        assert A.lambda_max == pytest.approx(hi, rel=1e-12)
 
     def test_non_elliptic_rejected(self):
         grid = make_grid(9, 9, (0, 0, 1, 1))

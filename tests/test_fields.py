@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-import fblab.fields
 from fblab.errors import DegenerateInterfaceError, FieldError, GridError
 from fblab.fields import (
     LevelSet,
@@ -449,6 +448,13 @@ class TestInterfaceExtract:
         _check_contour(phi, pls)
 
 
+# level sets whose gradient is within 0.35 of unit near their zero set
+_UNIT_FIELDS = {
+    "wavy": lambda x, y: y - 0.1 * np.sin(np.pi * x),
+    "circle": lambda x, y: x**2 + y**2 - 0.25,
+}
+
+
 class TestReinitialize:
     def test_scaled_plane_recovers_distance(self):
         grid = make_grid(33, 33, (-1, -1, 1, 1))
@@ -499,6 +505,37 @@ class TestReinitialize:
         pts = np.vstack([pl.points for pl in after])
         assert np.max(polyline_distance(pts, before)) < grid.h / 2
 
+    @pytest.mark.parametrize("name", sorted(_UNIT_FIELDS))
+    def test_zero_set_unchanged(self, name):
+        # with |grad phi| within 0.35 of 1 where the sign changes, every
+        # anchor keeps |phi|, and so does every vertex of the zero set
+        grid = make_grid(65, 65, (-1, -1, 1, 1))
+        phi = LevelSet.from_function(grid, _UNIT_FIELDS[name])
+        gy, gx = np.gradient(phi.phi, grid.h)
+        anchor = reference_anchors(phi.phi)
+        assert np.all(np.abs(np.hypot(gx, gy)[anchor] - 1.0) <= 0.35)
+        before = interface_extract(phi)
+        after = interface_extract(reinitialize(phi))
+        assert [pl.closed for pl in after] == [pl.closed for pl in before]
+        assert all(np.array_equal(a.points, b.points)
+                   for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("name", sorted(_UNIT_FIELDS))
+    def test_far_nodes_bound_polyline_distance(self, name):
+        # the nearest vertex is no nearer than the polylines, and no farther
+        # than the nearest point on them plus half the longest segment
+        grid = make_grid(65, 65, (-1, -1, 1, 1))
+        phi = LevelSet.from_function(grid, _UNIT_FIELDS[name])
+        pls = interface_extract(phi)
+        segs = np.vstack([pl.segments() for pl in pls])
+        half = 0.5 * np.max(np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1))
+        far = ~reference_anchors(phi.phi)
+        xx, yy = grid.meshgrid()
+        exact = polyline_distance(np.column_stack([xx[far], yy[far]]), pls)
+        d = np.abs(reinitialize(phi).phi[far])
+        assert np.all(d >= exact - 1e-12)
+        assert np.all(d**2 <= exact**2 + half**2 + 1e-12)
+
     def test_idempotent(self):
         grid = make_grid(65, 65, (-1, -1, 1, 1))
         phi = LevelSet.from_function(grid, lambda x, y: x**2 + y**2 - 0.25)
@@ -519,9 +556,8 @@ class TestReinitialize:
             reinitialize(LevelSet(grid, np.ones(grid.shape)))
 
 
-def reference_reinitialize(phi):
-    """All-pairs lower envelope over the anchors of :func:`reinitialize`."""
-    g, p = phi.grid, phi.phi
+def reference_anchors(p):
+    """Zero nodes and both ends of every strict sign-change edge."""
     anchor = p == 0.0
     cross_x = p[:, :-1] * p[:, 1:] < 0.0
     anchor[:, :-1] |= cross_x
@@ -529,30 +565,33 @@ def reference_reinitialize(phi):
     cross_y = p[:-1, :] * p[1:, :] < 0.0
     anchor[:-1, :] |= cross_y
     anchor[1:, :] |= cross_y
+    return anchor
+
+
+def reference_reinitialize(phi):
+    """The anchors of :func:`reinitialize` keep ``|phi| / scale``; every
+    other node takes its distance to the nearest extracted vertex, found by
+    comparing with all of them."""
+    g, p = phi.grid, phi.phi
+    anchor = reference_anchors(p)
     gy, gx = np.gradient(p, g.h)
     gn = np.hypot(gx, gy)
     scale = np.where(np.abs(gn - 1.0) <= 0.35, 1.0, np.maximum(gn, 1e-12))
     d = np.abs(p) / scale
-    jj, ii = np.nonzero(anchor)
-    ax, ay, ad = g.x0 + ii * g.h, g.y0 + jj * g.h, d[jj, ii]
+    px, py = np.vstack([pl.points for pl in interface_extract(phi)]).T
     xx, yy = g.meshgrid()
     far = ~anchor
-    dist = np.hypot(xx[far][:, None] - ax[None, :],
-                    yy[far][:, None] - ay[None, :])
-    d[far] = np.min(dist + ad[None, :], axis=1)
+    dist2 = (xx[far][:, None] - px[None, :]) ** 2 \
+        + (yy[far][:, None] - py[None, :]) ** 2
+    d[far] = np.sqrt(np.min(dist2, axis=1))
     return d * np.sign(p)
 
 
 class TestReinitializeExact:
-    """The nearest-anchor search gives the all-pairs result bit for bit,
-    also when few candidates force the all-anchor fallback."""
+    """Anchors and nearest-vertex distances match an all-pairs reference
+    bit for bit."""
 
-    @pytest.fixture(params=[1, 2, None], ids=["k1", "k2", "default_k"])
-    def envelope_k(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(fblab.fields, "_ENVELOPE_K", request.param)
-
-    def test_random_level_sets(self, envelope_k):
+    def test_random_level_sets(self):
         rng = np.random.default_rng(7)
         grid = make_grid(41, 41, (-1, -1, 1, 1))
         xx, yy = grid.meshgrid()
@@ -565,21 +604,26 @@ class TestReinitializeExact:
             assert np.array_equal(reinitialize(phi).phi,
                                   reference_reinitialize(phi))
 
-    def test_random_anchor_offsets(self, envelope_k):
-        # offsets spread over a cell make far anchors win often
-        rng = np.random.default_rng(3)
-        ax, ay = rng.random((2, 60))
-        ad = rng.random(60) * 0.05
-        fx, fy = rng.random((2, 2000)) * 3 - 1
-        dist = np.hypot(fx[:, None] - ax[None, :], fy[:, None] - ay[None, :])
-        assert np.array_equal(
-            fblab.fields._lower_envelope(fx, fy, ax, ay, ad),
-            np.min(dist + ad[None, :], axis=1))
-
-    def test_sliver_level_set(self, envelope_k):
+    def test_sliver_level_set(self):
         grid = make_grid(33, 33, (0, 0, 1, 1))
         yy = grid.meshgrid()[1]
         phi = LevelSet(grid, 0.4 * (grid.h / 2 - np.abs(yy - 0.51)))
+        assert np.array_equal(reinitialize(phi).phi,
+                              reference_reinitialize(phi))
+
+    def test_flat_level_set(self):
+        # a straight zero set, where many vertices are almost equally near
+        grid = make_grid(129, 129, (-1, -1, 1, 1))
+        phi = LevelSet.from_function(grid, lambda x, y: 1.3 * (y - 0.0123))
+        assert np.array_equal(reinitialize(phi).phi,
+                              reference_reinitialize(phi))
+
+    def test_zero_node_level_set(self):
+        # the field of test_exact_zero_nodes_count_as_outside
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        values = grid.meshgrid()[1].copy()
+        values[24, 8] = 0.0
+        phi = LevelSet(grid, values)
         assert np.array_equal(reinitialize(phi).phi,
                               reference_reinitialize(phi))
 

@@ -12,7 +12,9 @@ of the wall clock cannot make negative.  Only
 ``savetxt``: every CSV table goes through ``fields.write_table``.  Every
 public function, class and method is named by the package or the
 benchmark, apart from a few kept for a stated reason: an API that only
-tests reach is code nothing needs.
+tests reach is code nothing needs.  Every private module-level function,
+class and constant is read by the package or the benchmark: a helper left
+behind when its caller goes is dead code.
 """
 
 import ast
@@ -194,6 +196,47 @@ def test_public_names_reached():
     assert REACHED_BY_TESTS_ONLY <= {
         name for _, tree in modules for name, _ in _public_definitions(tree)
     }, "stale exemption"
+
+
+def _private_definitions(tree):
+    """(name, line) of the module's private top-level functions, classes
+    and assigned constants; dunder names are not private."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defs.extend((name.id, node.lineno) for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+    return [(name, line) for name, line in defs
+            if name.startswith("_") and not name.startswith("__")]
+
+
+class _Reads(_References):
+    """Like :class:`_References`, but a name that is only bound, as the
+    target of an assignment, is not read."""
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.attr)
+        self.generic_visit(node)
+
+
+def test_private_names_read():
+    reads = _Reads()
+    for path in PRODUCTION:
+        reads.visit(_tree(path))
+    unread = [f"{path.name}:{line} {name}" for path in MODULES
+              for name, line in _private_definitions(_tree(path))
+              if name not in reads.names]
+    assert not unread, f"private names nothing reads: {unread}"
 
 
 def test_exempt_definition_reaches_nothing():
