@@ -591,23 +591,27 @@ class TestReinitializeExact:
     """Anchors and nearest-vertex distances match an all-pairs reference
     bit for bit."""
 
-    def test_random_level_sets(self):
+    # k is the wave number of the random fields and the slope of the sliver;
+    # slope 1 takes the unit-gradient branch, slopes 0.4 and 2 rescale
+    @pytest.mark.parametrize("k", [3, 1, 2], ids=["default_k", "k1", "k2"])
+    def test_random_level_sets(self, k):
         rng = np.random.default_rng(7)
         grid = make_grid(41, 41, (-1, -1, 1, 1))
         xx, yy = grid.meshgrid()
         for _ in range(4):
             a, b = rng.normal(size=(2, 3))
-            vals = (np.sin(a[0] * 3 * xx + a[1]) * np.cos(b[0] * 3 * yy)
+            vals = (np.sin(a[0] * k * xx + a[1]) * np.cos(b[0] * k * yy)
                     + 0.5 * a[2] * xx + b[1] * yy**2 - 0.2 * b[2]
                     + 0.05 * rng.normal(size=grid.shape))
             phi = LevelSet(grid, vals - np.median(vals))
             assert np.array_equal(reinitialize(phi).phi,
                                   reference_reinitialize(phi))
 
-    def test_sliver_level_set(self):
+    @pytest.mark.parametrize("k", [0.4, 1, 2], ids=["default_k", "k1", "k2"])
+    def test_sliver_level_set(self, k):
         grid = make_grid(33, 33, (0, 0, 1, 1))
         yy = grid.meshgrid()[1]
-        phi = LevelSet(grid, 0.4 * (grid.h / 2 - np.abs(yy - 0.51)))
+        phi = LevelSet(grid, k * (grid.h / 2 - np.abs(yy - 0.51)))
         assert np.array_equal(reinitialize(phi).phi,
                               reference_reinitialize(phi))
 
