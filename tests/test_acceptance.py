@@ -10,6 +10,7 @@ import pytest
 import fblab.fbiter
 from fblab import verify
 from fblab.cli import main
+from fblab.diagnostics import flatness_table
 from fblab.fields import LevelSet, all_interface_points, interface_extract
 from fblab.prandtl import jump_threshold
 
@@ -70,6 +71,16 @@ class TestCriteria:
     def test_08_flatness_decay(self, ctx):
         passed, detail = verify.criterion_flatness_decay(ctx)
         assert passed, detail
+
+    def test_08_flatness_decays_at_every_radius(self, ctx):
+        # README: settled interfaces must flatten geometrically, so delta/r
+        # falls at each halving of r, not only in the fitted mean ratio
+        phi = ctx.perturbed()["phi"]
+        pts = all_interface_points(interface_extract(phi))
+        center = tuple(pts[np.argmin(np.abs(pts[:, 0]))])
+        table = flatness_table(phi, center, [0.5, 0.25, 0.125])
+        vals = np.asarray(table.deltas) / np.asarray(table.radii)
+        assert np.all(np.diff(vals) < 0), vals
 
     def test_09_nondegeneracy(self, ctx):
         passed, detail = verify.criterion_nondegeneracy(ctx)

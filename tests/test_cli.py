@@ -80,6 +80,32 @@ tol_jump = 0.12
 tol_move = 0.5
 """
 
+# verify's perturbed plane; outer.csv and phi0.csv are written by the test
+PERTURBED_INI = """
+[meta]
+schema_version = 1
+
+[grid]
+nx = 129
+ny = 129
+box = -1.0, -1.0, 1.0, 1.0
+
+[problem]
+coefficients = identity
+f_plus = constant 0
+f_minus = constant 0
+jump_target = constant 1
+outer = file outer.csv
+
+[init]
+interface = file phi0.csv
+
+[iteration]
+max_iters = 60
+tol_jump = 0.04
+tol_move = 0.5
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -246,6 +272,34 @@ class TestSolve:
                 == (tmp_path / "b" / fname).read_bytes()
         timings = json.loads((tmp_path / "a" / "timings.json").read_text())
         assert timings["seconds"] >= 0
+
+    @pytest.mark.parametrize("case", ["disk", "perturbed_plane"])
+    def test_iterating_runs_are_deterministic(self, tmp_path, case):
+        # the two-plane profile starts at its fixed point; these runs
+        # iterate, on closed and on open interface curves
+        if case == "disk":
+            cfg = write(tmp_path, "run.ini", DISK_INI)
+        else:
+            grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
+            write_field(ScalarField.from_function(
+                grid, lambda x, y: np.maximum(
+                    y + 0.05 * np.sin(np.pi * x), 0.0)),
+                str(tmp_path / "outer.csv"))
+            write_field(LevelSet.from_function(
+                grid, lambda x, y: y + 0.05 * np.sin(np.pi * x)),
+                str(tmp_path / "phi0.csv"))
+            cfg = write(tmp_path, "run.ini", PERTURBED_INI)
+        for name in ("a", "b"):
+            assert main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert len(np.loadtxt(a / "iterations.csv", delimiter=",",
+                              skiprows=1, ndmin=2)) > 1
+        # the run lock holds a process id, timings.json the run's seconds
+        for fname in set(names) - {".fblab.lock", "timings.json"}:
+            assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
 
 
 def test_timings_survive_wall_clock_step_back(tmp_path, monkeypatch):
