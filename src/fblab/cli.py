@@ -134,8 +134,7 @@ def cmd_solve(args) -> int:
         fit = monotone = None
         if cfg.diagnostics is not None:
             spec = cfg.diagnostics
-            tp, residual = two_plane_fit(u, phi, spec.center,
-                                         max(spec.radii))
+            tp, residual = two_plane_fit(u, spec.center, max(spec.radii))
             fit = _fit_payload(tp, residual)
             series = weiss_series(
                 u, spec.center, spec.radii, tp.alpha, tp.beta,
@@ -177,7 +176,7 @@ def cmd_diagnose(args) -> int:
 
     spec = cfg.diagnostics
     with _locked_output(args.out) as out_dir:
-        tp, residual = two_plane_fit(u, phi, spec.center, max(spec.radii))
+        tp, residual = two_plane_fit(u, spec.center, max(spec.radii))
         quad = ball_quadrature(u, phi, spec.center, spec.radii)
         series = weiss_series(u, spec.center, spec.radii, tp.alpha, tp.beta,
                               quad)

@@ -492,7 +492,7 @@ class _PolishObjective:
         return value
 
 
-def two_plane_fit(u: ScalarField, phi: LevelSet, center, r: float):
+def two_plane_fit(u: ScalarField, center, r: float):
     """Best L-infinity fit of a two-plane profile over nodes in B_r(center).
 
     The optimal offset in [-r/2, r/2] is solved for each (angle, beta) by a

@@ -13,7 +13,8 @@ level-set iterates by Anderson acceleration (type II; Anderson 1965, Walker
 & Ni 2011): the next level set is the affine combination of the recent
 post-move candidates whose residuals cancel best in least squares.  The
 history restarts at every reinitialization, which bounds its depth by
-_REINIT_EVERY, and the mixed per-node change of phi is capped at h/2.
+_REINIT_EVERY.  The mix is taken as it is: the half-cell cap of each step's
+displacement is the loop's only limit on a move.
 
 The loop has no fault-injection switch: a negative control feeds it wrong
 input data instead, such as a negated level set, which swaps the phases.
@@ -198,7 +199,6 @@ def _phase_regions(problem: PhaseProblem, phi: LevelSet):
 
 def _composite(u_plus, u_minus, phi):
     vals = np.where(phi.phi > 0, u_plus.values, u_minus.values)
-    vals = np.where(phi.phi == 0, 0.0, vals)
     return ScalarField(u_plus.grid, vals)
 
 
@@ -294,7 +294,7 @@ def step(problem: PhaseProblem, phi: LevelSet):
     return u, phi_next, defect, displacement
 
 
-def _anderson_mix(phi: np.ndarray, g: np.ndarray, memory, cap: float):
+def _anderson_mix(phi: np.ndarray, g: np.ndarray, memory):
     """Type-II Anderson mixing of one fixed-point step.
 
     ``phi`` is the iterate, ``g`` its image G(phi) under the plain step and
@@ -304,8 +304,8 @@ def _anderson_mix(phi: np.ndarray, g: np.ndarray, memory, cap: float):
     the difference of their residuals (dF) and of their images (dG).  The
     step moves phi only in the velocity band, so the columns are as narrow
     as that band.  The next iterate is G(phi) - dG gamma, where gamma fits
-    dF gamma ~ f in least squares; it is clipped to within ``cap`` of phi
-    node by node.  Returns (next iterate, memory for the next call).
+    dF gamma ~ f in least squares, with no per-node clip.  Returns (next
+    iterate, memory for the next call).
     """
     f = sp.csc_array((g - phi).reshape(-1, 1))
     mixed = g
@@ -320,7 +320,7 @@ def _anderson_mix(phi: np.ndarray, g: np.ndarray, memory, cap: float):
         gamma = np.linalg.lstsq(dF[rows].toarray(), f[rows].toarray()[:, 0],
                                 rcond=1e-10)[0]
         mixed = g - (dG @ gamma).reshape(g.shape)
-    return np.clip(mixed, phi - cap, phi + cap), (f, g, dF, dG)
+    return mixed, (f, g, dF, dG)
 
 
 def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
@@ -330,8 +330,8 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
     The next level set is not the post-move candidate of :func:`step` but
     its Anderson mix with the candidates since the last reinitialization
     (:func:`_anderson_mix`); every _REINIT_EVERY iterations the mix is
-    reinitialized and the history cleared.  The mix moves no node of phi by
-    more than h/2 per iteration.
+    reinitialized and the history cleared.  Only :func:`step` caps a move,
+    its displacement at half a cell; the mix is not clipped.
 
     Returns (u, phi, IterationReport).  The converged level set is the one
     the defect was measured on, not the post-move candidate.
@@ -367,8 +367,7 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
         if defect <= tol_jump and displacement <= tol_move:
             stop_reason = "tolerances_met"
             break
-        mixed, memory = _anderson_mix(phi.phi, phi_candidate.phi, memory,
-                                      grid.h / 2)
+        mixed, memory = _anderson_mix(phi.phi, phi_candidate.phi, memory)
         phi = LevelSet(grid, mixed)
         if it % _REINIT_EVERY == 0:
             phi = reinitialize(phi)

@@ -310,11 +310,11 @@ class TestTwoPlaneFit:
     def test_ball_without_nodes_raises(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(0.5))
         with pytest.raises(UnderResolvedError, match="no grid node"):
-            two_plane_fit(u, flat_phi(grid65), (0.999, 0.0), 0.001)
+            two_plane_fit(u, (0.999, 0.0), 0.001)
 
     def test_identity_recovery(self, grid65):
         u = ScalarField.from_function(grid65, two_plane_fn(0.7))
-        plane, res = two_plane_fit(u, flat_phi(grid65), (0, 0), 0.5)
+        plane, res = two_plane_fit(u, (0, 0), 0.5)
         assert res < 1e-6
         assert plane.beta == pytest.approx(0.7, abs=1e-3)
         assert abs(plane.c) < 1e-3
@@ -330,9 +330,7 @@ class TestTwoPlaneFit:
             return alpha * np.maximum(t, 0) - 0.7 * np.maximum(-t, 0)
 
         u = ScalarField.from_function(grid65, rotated)
-        phi = LevelSet.from_function(grid65,
-                                     lambda x, y: x * nu[0] + y * nu[1])
-        plane, _ = two_plane_fit(u, phi, (0, 0), 0.5)
+        plane, _ = two_plane_fit(u, (0, 0), 0.5)
         assert plane.beta == pytest.approx(0.7, abs=1e-3)
         angle = math.degrees(math.atan2(-plane.nu[0], plane.nu[1]))
         assert angle == pytest.approx(30.0, abs=0.2)
@@ -340,7 +338,7 @@ class TestTwoPlaneFit:
     def test_perturbed_residual_bound(self, grid65):
         u = ScalarField.from_function(
             grid65, lambda x, y: np.maximum(y, 0) + 0.01 * np.sin(5 * x))
-        _, res = two_plane_fit(u, flat_phi(grid65), (0, 0), 0.5)
+        _, res = two_plane_fit(u, (0, 0), 0.5)
         assert res <= 0.01 + 1e-6
 
     def test_exact_recovery_generic(self, grid65):
@@ -354,9 +352,7 @@ class TestTwoPlaneFit:
             return alpha * np.maximum(t, 0) + beta * np.minimum(t, 0)
 
         u = ScalarField.from_function(grid65, generic)
-        phi = LevelSet.from_function(
-            grid65, lambda x, y: x * nu[0] + y * nu[1] + c)
-        plane, _ = two_plane_fit(u, phi, (0, 0), 0.5)
+        plane, _ = two_plane_fit(u, (0, 0), 0.5)
         assert plane.beta == pytest.approx(beta, abs=1e-3)
         assert plane.c == pytest.approx(c, abs=1e-3)
         assert np.allclose(plane.nu, nu, atol=1e-3)
@@ -366,14 +362,12 @@ class TestTwoPlaneFit:
         # perturbation; the planted parameters bound the optimal residual
         nu, c = np.array([-math.sin(0.31), math.cos(0.31)]), 0.021
         xx, yy = grid257.meshgrid()
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
         planted = two_plane_values(1.37, nu, c)(xx, yy)
         vals = planted + 0.01 * np.sin(5 * xx + 0.7)
         u = ScalarField(grid257, vals)
-        phi = LevelSet(grid257, (pts @ nu + c).reshape(grid257.shape))
         inside = np.hypot(xx, yy) <= 0.8
         planted_res = float(np.max(np.abs(vals - planted)[inside]))
-        fitted, res = two_plane_fit(u, phi, (0, 0), 0.8)
+        fitted, res = two_plane_fit(u, (0, 0), 0.8)
         assert res <= planted_res + 1e-9
         # the reported residual is the fitted plane's, over every node
         recomputed = np.max(np.abs(vals - two_plane_values(
@@ -384,7 +378,7 @@ class TestTwoPlaneFit:
     def test_diagnose_field_matches_bisection(self, grid257, monkeypatch):
         # shaped like the diagnose benchmark: a 257^2 generic two-plane
         # profile plus a smooth perturbation, fitted at r = 0.8
-        u, phi = diagnose_field(grid257)
+        u = diagnose_field(grid257)
         calls = []
 
         def counted(*args):
@@ -392,13 +386,13 @@ class TestTwoPlaneFit:
             return _profile(*args)
 
         monkeypatch.setattr(fblab.diagnostics, "_profile", counted)
-        plane, res = two_plane_fit(u, phi, (0, 0), 0.8)
+        plane, res = two_plane_fit(u, (0, 0), 0.8)
         # 12504 with the 48-step bisection
         assert len(calls) < 5000
         monkeypatch.setattr(fblab.diagnostics, "_profile", _profile)
         monkeypatch.setattr(fblab.diagnostics, "_best_offsets",
                             reference_best_offsets)
-        ref_plane, ref_res = two_plane_fit(u, phi, (0, 0), 0.8)
+        ref_plane, ref_res = two_plane_fit(u, (0, 0), 0.8)
         assert res == pytest.approx(ref_res, abs=1e-12)
         assert plane.beta == pytest.approx(ref_plane.beta, abs=1e-9)
         assert plane.c == pytest.approx(ref_plane.c, abs=1e-9)
@@ -413,9 +407,8 @@ def profile_field(grid, degrees, beta, c=0.0, eps=0.0):
     nu = _unit(math.radians(degrees))
     xx, yy = grid.meshgrid()
     s = xx * nu[0] + yy * nu[1] + c
-    u = ScalarField(grid, _profile(s, math.sqrt(1 + beta**2), beta)
-                    + eps * np.sin(5 * xx + 2.1))
-    return u, LevelSet(grid, s)
+    return ScalarField(grid, _profile(s, math.sqrt(1 + beta**2), beta)
+                       + eps * np.sin(5 * xx + 2.1))
 
 
 def diagnose_field(grid):
@@ -492,8 +485,8 @@ class TestPrunedFit:
     cannot change the fit: it equals the unpruned fit to the bit."""
 
     def test_diagnose_field(self, grid257):
-        u, phi = diagnose_field(grid257)
-        assert fit_key(*two_plane_fit(u, phi, (0, 0), 0.8)) \
+        u = diagnose_field(grid257)
+        assert fit_key(*two_plane_fit(u, (0, 0), 0.8)) \
             == fit_key(*reference_two_plane_fit(u, (0, 0), 0.8))
 
     @pytest.mark.parametrize("degrees, beta, c, eps, r", [
@@ -506,10 +499,10 @@ class TestPrunedFit:
     def test_matches_unpruned(self, grid65, degrees, beta, c, eps, r):
         # on 65^2 the ball holds fewer nodes than the search budget, so the
         # grid search runs on every node (stride 1)
-        u, phi = profile_field(grid65, degrees, beta, c, eps)
+        u = profile_field(grid65, degrees, beta, c, eps)
         xx, yy = grid65.meshgrid()
         assert np.count_nonzero(xx**2 + yy**2 <= r**2) <= _FIT_NODES
-        plane, res = two_plane_fit(u, phi, (0, 0), r)
+        plane, res = two_plane_fit(u, (0, 0), r)
         assert fit_key(plane, res) \
             == fit_key(*reference_two_plane_fit(u, (0, 0), r))
         if eps == 0.0:
@@ -518,7 +511,7 @@ class TestPrunedFit:
     def test_work_pruned(self, grid257, monkeypatch):
         # unpruned: 112 grid-search calls of _best_offsets, one per angle,
         # and 862 objective evaluations on every node of the ball
-        u, phi = diagnose_field(grid257)
+        u = diagnose_field(grid257)
         xx, yy = grid257.meshgrid()
         n_nodes = np.count_nonzero(xx**2 + yy**2 <= 0.8**2)
         search_calls, node_evals = [], []
@@ -535,17 +528,17 @@ class TestPrunedFit:
 
         monkeypatch.setattr(fblab.diagnostics, "_best_offsets", offsets)
         monkeypatch.setattr(fblab.diagnostics, "_profile", profile)
-        two_plane_fit(u, phi, (0, 0), 0.8)
+        two_plane_fit(u, (0, 0), 0.8)
         assert 0 < len(search_calls) <= 60
         assert 0 < len(node_evals) <= 200
 
     def test_memory_bounded(self, grid257):
         # the unpruned fit peaks at 3.28e6 traced bytes; with the lower
         # bound computed for a whole round of angles at once, 29e6
-        u, phi = diagnose_field(grid257)
+        u = diagnose_field(grid257)
         tracemalloc.start()
         try:
-            two_plane_fit(u, phi, (0, 0), 0.8)
+            two_plane_fit(u, (0, 0), 0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -742,8 +735,7 @@ class TestNondegeneracy:
 class TestOscillationDecay:
     def test_exact_plane_zero_offsets(self, grid257):
         u = ScalarField.from_function(grid257, two_plane_fn(0.7))
-        phi = flat_phi(grid257)
-        plane, _ = two_plane_fit(u, phi, np.array([0.0, 0.0]), 0.8)
+        plane, _ = two_plane_fit(u, np.array([0.0, 0.0]), 0.8)
         out = oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 1, plane)
         for a, b in out:
             assert abs(a) < 1e-12 and abs(b) < 1e-12
@@ -751,8 +743,7 @@ class TestOscillationDecay:
     def test_planted_offset(self, grid257):
         u = ScalarField.from_function(
             grid257, lambda x, y: two_plane_fn(0.7)(x, y + 0.01))
-        phi = LevelSet.from_function(grid257, lambda x, y: y + 0.01 + 0 * x)
-        plane, _ = two_plane_fit(u, phi, np.array([0.0, 0.0]), 0.8)
+        plane, _ = two_plane_fit(u, np.array([0.0, 0.0]), 0.8)
         out = oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 1, plane)
         for a, b in out:
             assert a == pytest.approx(0.01, abs=1e-9)

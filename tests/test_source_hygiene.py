@@ -14,10 +14,13 @@ public function, class and method is named by the package or the
 benchmark, apart from a few kept for a stated reason: an API that only
 tests reach is code nothing needs.  Every private module-level function,
 class and constant is read by the package or the benchmark: a helper left
-behind when its caller goes is dead code.
+behind when its caller goes is dead code.  Every parameter is read by its
+function, apart from an interface's that a caller passes to every
+implementation: an argument nothing reads is a knob that does nothing.
 """
 
 import ast
+import fnmatch
 import pathlib
 import re
 import textwrap
@@ -213,6 +216,66 @@ def _private_definitions(tree):
                         if isinstance(name, ast.Name))
     return [(name, line) for name, line in defs
             if name.startswith("_") and not name.startswith("__")]
+
+
+# Parameters that may go unread, as (module, function pattern, parameter).
+UNREAD_BY_INTERFACE = {
+    # run_suite calls every criterion as fn(ctx, out_dir)
+    ("verify.py", "criterion_*", "ctx"),
+    ("verify.py", "criterion_*", "out_dir"),
+}
+
+
+def _unread_parameters(tree):
+    """(function, parameter, line) of each parameter of a function, method
+    or lambda of ``tree`` that its body never reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs \
+            + [arg for arg in (args.vararg, args.kwarg) if arg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        reads = {name.id for stmt in body for name in ast.walk(stmt)
+                 if isinstance(name, ast.Name)
+                 and isinstance(name.ctx, ast.Load)}
+        unread.extend((getattr(node, "name", "<lambda>"), arg.arg,
+                       node.lineno)
+                      for arg in params if arg.arg not in reads)
+    return unread
+
+
+def _exemption(module, function, param):
+    """The entry of UNREAD_BY_INTERFACE that covers the parameter, or None."""
+    return next((entry for entry in UNREAD_BY_INTERFACE
+                 if entry[0] == module and entry[2] == param
+                 and fnmatch.fnmatchcase(function, entry[1])), None)
+
+
+def test_no_unused_parameters():
+    unread = [(path.name, *entry) for path in MODULES
+              for entry in _unread_parameters(_tree(path))]
+    flagged = [f"{module}:{line} {function}({param})"
+               for module, function, param, line in unread
+               if _exemption(module, function, param) is None]
+    assert not flagged, f"parameters nothing reads: {flagged}"
+    covered = {_exemption(*entry[:3]) for entry in unread}
+    assert UNREAD_BY_INTERFACE <= covered, "stale exemption"
+
+
+def test_unread_parameter_found():
+    module = ast.parse(textwrap.dedent("""
+        def mix(phi, g, memory, cap):
+            def image():
+                return g
+            return image() - phi, memory
+
+        scale = lambda x, unused: 2 * x
+    """))
+    assert _unread_parameters(module) == [("mix", "cap", 2),
+                                          ("<lambda>", "unused", 7)]
 
 
 class _Reads(_References):
