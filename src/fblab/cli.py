@@ -103,7 +103,9 @@ def _flatness_payload(table):
     return {
         "radii": [float(r) for r in table.radii],
         "deltas": [float(d) for d in table.deltas],
-        "directions": [[float(c) for c in d] for d in table.directions],
+        # a degenerate direction is NaN, which JSON cannot hold
+        "directions": [None if np.isnan(d).any() else [float(c) for c in d]
+                       for d in table.directions],
     }
 
 

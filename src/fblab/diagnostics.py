@@ -10,12 +10,12 @@ crossed by the ball boundary are subdivided with exact signed distances at
 subcell corners so that constancy checks are not polluted by staircase
 noise.
 
-The two-plane fit skips only work that cannot change its result, so it is
-the exhaustive search's fit to the bit: a grid candidate is solved only if
-a cheap lower bound on its residual does not exceed the incumbent's, and
-the polish evaluates every node only where the few nodes near the max
-deviation cannot be certified to hold it.  Both bounds rest on deviations
-rising with the offset and being Lipschitz in the parameters.
+The two-plane fit's grid search skips only work that cannot change its
+result, so it is the exhaustive search's to the bit: a grid candidate is
+solved only if a lower bound on its residual, resting on deviations rising
+with the offset, does not exceed the incumbent's.  Its polish solves small
+linear programs on a working set of nodes but evaluates every trial on
+every node, so the residual it reports is exact.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog
 
 from .errors import FblabError, GridError, UnderResolvedError
 from .fields import (
@@ -41,13 +41,17 @@ _BOUNDARY_SAMPLES = 512
 _BALL_SUBDIV = 8
 _BALL_CHUNK = 128  # ball-crossing cells subdivided at a time
 _MONOTONE_SLACK = 1e-3
+_FLAT_GAP = 1e-8  # least relative eigen-gap that names a slab direction
 _FIT_NODES = 2048  # node budget of the two-plane grid search
 _FIT_ROUNDS = ((64, 24), (16, 16), (16, 16), (16, 16))  # (angles, betas)
 _FIT_BETA_MAX = 10.0
 _OFFSET_BISECTIONS = 48
 _BOUND_STRIDE = 64  # search nodes per node of the offset lower bound
 _BOUND_OFFSETS = 32  # intervals of its coarse offset grid
-_POLISH_ACTIVE_BAND = 0.02  # relative band below the max of active nodes
+_POLISH_ROWS = 16  # largest deviations per LP, and most cuts per step
+_POLISH_TOL = 1e-12  # least promised share of the residual worth a step
+_POLISH_STEPS = 200  # most LP steps per start
+_POLISH_BETA0 = 1e-3  # second start of a polish ending at beta = 0
 
 
 def _profile(s, alpha, beta):
@@ -430,66 +434,83 @@ def _unit(theta):
     return np.array([-math.sin(theta), math.cos(theta)])
 
 
-class _PolishObjective:
-    """The polish objective: max |profile(t + c) - u| over every node at the
-    clamped z = (theta, beta, c), to the bit, certified from the active
-    nodes where it can be.
+def _polish(points, uvals, z, c_max):
+    """Sequential-LP minimax steps (Osborne & Watson 1969) on z = (theta,
+    beta, c) from ``z``; returns (z, max |deviation| over every node).
 
-    The centre is the best point evaluated on every node; its active nodes
-    are those within 2% of the max there, and ``rest`` is the max over the
-    others.  Moving to z changes a node's deviation by at most (alpha_c +
-    |dbeta|)(r |dtheta| + |dc|) + |dbeta|(r + |c_c|): the profile is
-    alpha-Lipschitz, a unit normal turned by dtheta moves a node at
-    distance r by at most r |dtheta|, and |dalpha| <= |dbeta|.  When the
-    max over the active nodes exceeds ``rest`` plus that, plus a rounding
-    slack, it is the max over every node.  The active nodes take their t
-    from the same ``points @ nu`` as every node (BLAS rounds a one-row
-    product differently), so the value is the same float."""
+    Each LP minimizes E subject to |d + g.dz| <= E over the 16 largest |d|
+    and the cuts, g from each node's own piece, in a trust box of 4 res /
+    (alpha r, r, alpha).  A trial is taken only if the max over every node
+    falls, so the residual is exact.  Nodes it lifts past halfway from the
+    LP's level back to the residual become cuts, 16 at most; a failed trial
+    with no new cut quarters the box.  The steps stop when the LP promises
+    under 1e-12 of the residual or a few ulps of u.  alpha is flat at
+    beta = 0, so steps that end there are taken again from beta = 1e-3."""
 
-    def __init__(self, points, uvals, r, c_max):
-        self.points, self.uvals, self.r, self.c_max = points, uvals, r, c_max
-        # rounding error of a deviation is a few ulps of its largest term
-        self.slack = 1e-12 * (1.0 + np.max(np.abs(uvals)) + math.sqrt(
-            1.0 + _FIT_BETA_MAX**2) * (r + c_max))
-        self.centre = None
+    def deviations(z):
+        return _profile(points @ _unit(z[0]) + z[2],
+                        math.sqrt(1.0 + z[1]**2), z[1]) - uvals
 
-    def clamped(self, z):
-        theta, beta, c = (float(v) for v in z)
-        return (theta, min(max(beta, 0.0), _FIT_BETA_MAX),
-                min(max(c, -self.c_max), self.c_max))
+    r = 2.0 * c_max
+    floor = 4.0 * np.finfo(float).eps * float(np.max(np.abs(uvals)))
+    lower = np.array([-np.inf, 0.0, -c_max])
+    upper = np.array([np.inf, _FIT_BETA_MAX, c_max])
 
-    def deviations(self, z, nodes=slice(None)):
-        """Deviations at clamped z of the nodes indexed by ``nodes``."""
-        theta, beta, c = z
-        return _profile((self.points @ _unit(theta))[nodes] + c,
-                        math.sqrt(1.0 + beta**2), beta) - self.uvals[nodes]
+    def steps(z):
+        dev = deviations(z)
+        res, trust = float(np.max(np.abs(dev))), 1.0
+        cuts = np.zeros(0, dtype=int)
+        for _ in range(_POLISH_STEPS):
+            if res <= floor or r == 0.0:  # r = 0: no step moves the centre
+                break
+            theta, beta, c = z
+            alpha = math.sqrt(1.0 + beta**2)
+            k = min(_POLISH_ROWS, len(dev))
+            rows = np.union1d(np.argpartition(-np.abs(dev), k - 1)[:k], cuts)
+            s = points[rows] @ _unit(theta) + c
+            # d/dtheta of the normal (-sin, cos) is (-cos, -sin)
+            ds = points[rows] @ _unit(theta + np.pi / 2)
+            m = np.where(s > 0, alpha, beta)
+            grad = np.column_stack(
+                [m * ds, np.where(s > 0, beta / alpha, 1.0) * s, m])
+            # unknowns in units of the box, rows in units of the residual
+            box = trust * 4.0 * res / np.array([alpha * r, r, alpha])
+            a, d = grad * box / res, dev[rows] / res
+            ones = np.ones((len(rows), 1))
+            lp = linprog((0.0, 0.0, 0.0, 1.0),
+                         A_ub=np.block([[a, -ones], [-a, -ones]]),
+                         b_ub=np.concatenate([-d, d]),
+                         bounds=[*zip(np.maximum((lower - z) / box, -1.0),
+                                      np.minimum((upper - z) / box, 1.0)),
+                                 (0.0, None)],
+                         options={"primal_feasibility_tolerance": 1e-10,
+                                  "dual_feasibility_tolerance": 1e-10})
+            if lp.status != 0:
+                break
+            # the model's own level: HiGHS's objective may undercut it by
+            # the feasibility tolerance
+            level = float(np.max(np.abs(d + a @ lp.x[:3])))
+            if not (1.0 - level) * res > max(_POLISH_TOL * res, floor):
+                break
+            trial = np.clip(z + lp.x[:3] * box, lower, upper)
+            trial_dev = deviations(trial)
+            size = np.abs(trial_dev)
+            lifted = np.setdiff1d(
+                np.flatnonzero(size > 0.5 * (1.0 + level) * res), rows)
+            new = lifted[np.argsort(-size[lifted], kind="stable")][:k]
+            cuts = np.union1d(cuts, new)
+            if np.max(size) < res:
+                z, dev, res = trial, trial_dev, float(np.max(size))
+            elif not len(new):
+                trust *= 0.25
+        return z, res
 
-    def bound(self, z):
-        """Upper bound on |deviation| at clamped z over the inactive nodes."""
-        (theta, beta, c), (theta_c, beta_c, c_c) = z, self.centre
-        d_beta = abs(beta - beta_c)
-        return (self.rest + (math.sqrt(1.0 + beta_c**2) + d_beta)
-                * (self.r * abs(theta - theta_c) + abs(c - c_c))
-                + d_beta * (self.r + abs(c_c)) + self.slack)
-
-    def recentre(self, z, dev):
-        size = np.abs(dev)
-        self.centre, self.value = z, float(np.max(size))
-        near = size >= (1.0 - _POLISH_ACTIVE_BAND) * self.value
-        self.active = np.flatnonzero(near)
-        self.rest = float(np.max(size[~near], initial=-np.inf))
-
-    def __call__(self, z):
-        z = self.clamped(z)
-        if self.centre is not None:
-            value = float(np.max(np.abs(self.deviations(z, self.active))))
-            if value > self.bound(z):
-                return value
-        dev = self.deviations(z)
-        value = float(np.max(np.abs(dev)))
-        if self.centre is None or value < self.value:
-            self.recentre(z, dev)
-        return value
+    z, res = steps(np.asarray(z, dtype=float))
+    if z[1] == 0.0 and res > floor:
+        again, again_res = steps(np.array([z[0], _POLISH_BETA0, z[2]]))
+        if again_res < res:
+            z, res = again, again_res
+    return z, res
 
 
 def two_plane_fit(u: ScalarField, center, r: float):
@@ -501,21 +522,19 @@ def two_plane_fit(u: ScalarField, center, r: float):
     once it brackets one linear piece (:func:`_best_offsets`); the offsets
     are a 48-step bisection's, to the bit.  A 64-angle x 24-beta grid over
     the circle and beta in [0, 10], then three zoomed 16 x 16 rounds, search
-    on at most 2048 nodes; a simplex polish on every node follows.  Ties
-    prefer smaller beta, then smaller |c|, then direction closest to (0, 1).
+    on at most 2048 nodes; ties prefer smaller beta, then smaller |c|, then
+    direction closest to (0, 1).  Sequential-LP minimax steps on every node
+    (:func:`_polish`) follow, taken only where they lower the residual.
     Returns (TwoPlane, residual over every node in the ball); raises
     UnderResolvedError when the ball holds no node.
 
-    Two prunings skip only work that cannot change the result, so the fit
+    The grid search skips only work that cannot change its result, so it
     is the unpruned search's to the bit.  At each angle, a beta goes to
     :func:`_best_offsets` only if :func:`_offset_lower_bound` over every
     64th search node does not exceed the incumbent residual, and an angle
     with no beta left is skipped.  A dropped beta's residual exceeds the
     incumbent's, so it could neither win nor tie, and each beta's offset is
-    solved on its own, so the kept betas get the same offsets.  The polish
-    objective (:class:`_PolishObjective`) takes the max over the nodes near
-    the max deviation at its centre when a Lipschitz bound shows that no
-    other node can reach it, and over every node otherwise.
+    solved on its own, so the kept betas get the same offsets.
     """
     grid = u.grid
     _check_ball(grid, center, r)
@@ -529,7 +548,7 @@ def two_plane_fit(u: ScalarField, center, r: float):
     c_max = r / 2
 
     # the grid search only needs enough nodes to land near the optimum;
-    # the simplex polish below uses the full node set
+    # the polish below uses the full node set
     stride = max(int(np.ceil(len(points) / _FIT_NODES)), 1)
     cpoints, cvals = points[::stride], uvals[::stride]
     theta0, theta_span = 0.0, np.pi  # full circle: nu and -nu are distinct
@@ -558,33 +577,17 @@ def two_plane_fit(u: ScalarField, center, r: float):
         theta_span *= 4.0 / (n_theta - 1)
         beta_span *= 4.0 / (n_beta - 1)
 
-    # the simplex can stall on the non-smooth max objective, and it moves
-    # the offset only approximately: restart it from the incumbent, with the
-    # offset solved exactly, until it stops improving
-    objective = _PolishObjective(points, uvals, r, c_max)
-    opts = {"xatol": 1e-13, "fatol": 1e-16, "maxiter": 2000}
-    z, best_res = best[1:], objective(best[1:])
-    for _ in range(6):
-        if best_res < 1e-15:
-            break
-        theta, beta, _ = minimize(objective, x0=z, method="Nelder-Mead",
-                                  options=opts).x
-        beta = min(max(float(beta), 0.0), _FIT_BETA_MAX)
-        _, c = _best_offsets(points @ _unit(theta), uvals, np.array([beta]),
-                             c_max)
-        res, prev = objective((theta, beta, c[0])), best_res
-        if res < best_res:
-            z, best_res = (theta, beta, c[0]), res
-        if not res < prev * (1 - 1e-3):
-            break
-    theta, beta, c = objective.clamped(z)
-    return TwoPlane(beta=beta, nu=_unit(theta), c=c), best_res
+    (theta, beta, c), res = _polish(points, uvals, best[1:], c_max)
+    return TwoPlane(beta=float(beta), nu=_unit(theta), c=float(c)), res
 
 
 def flatness_table(phi: LevelSet, center, radii) -> FlatnessTable:
     """Best-direction slab half-widths over a list of radii; the direction
     per radius comes from the principal normal of the contained interface
-    points (smallest-variance axis)."""
+    points (smallest-variance axis).  Where the two variances agree to a
+    relative gap below 1e-8, round-off would pick the axis: the direction
+    is NaN and the half-width the largest distance of a point from the
+    centre, a bound on the slab in every direction."""
     dirs, deltas, kept = [], [], []
     pts = all_interface_points(interface_extract(phi))
     for r in radii:
@@ -596,11 +599,13 @@ def flatness_table(phi: LevelSet, center, radii) -> FlatnessTable:
         sel = rel[inside]
         cov = (sel - sel.mean(axis=0)).T @ (sel - sel.mean(axis=0))
         w, v = np.linalg.eigh(cov)
-        nu = v[:, 0]  # smallest-variance direction
-        if nu[1] < 0:
-            nu = -nu
+        nu = v[:, 0] if v[1, 0] >= 0 else -v[:, 0]  # smallest variance
+        if w[1] - w[0] > _FLAT_GAP * w[1]:
+            deltas.append(float(np.max(np.abs(sel @ nu))))
+        else:
+            nu = np.full(2, np.nan)
+            deltas.append(float(np.max(np.hypot(sel[:, 0], sel[:, 1]))))
         dirs.append(nu)
-        deltas.append(float(np.max(np.abs(sel @ nu))))
         kept.append(r)
     return FlatnessTable(radii=np.asarray(kept),
                          directions=np.asarray(dirs),

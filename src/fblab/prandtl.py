@@ -6,14 +6,14 @@ harmonic where u > 0, Laplacian h^2 * omega where u < 0, and squared-speed
 jump h^2 * sigma across the free boundary, a circle r = rho.  The admissible
 radii rho1 < rho2 are the roots of a jump expression at level h^2 * sigma on
 either side of its minimum z0; they exist when h^2 * sigma > max(0, z0).
-On rho in (1e-8, 1 - 1e-8), scipy's bounded Brent minimizer finds z0 and
-``brentq`` each root.  A root outside that interval or a float overflow
-raises an FblabError (exit 3 in the CLI); a failed existence condition
-raises ConditionError.  Two jump expressions coexist deliberately:
-:func:`jump_threshold`, the printed threshold, and :func:`profile_jump`,
-built from the profiles' one-sided slopes (:func:`radial_slopes`).  They
-agree exactly when h^2 * omega = 1; both are exported and the divergence is
-reported, never silently corrected.
+On rho in (1e-8, 1 - 1e-8), scipy's bounded Brent minimizer finds z0,
+polished in -log(1 - rho), and ``brentq`` each root.  A root outside that
+interval or a float overflow raises an FblabError (exit 3 in the CLI); a
+failed existence condition raises ConditionError.  Two jump expressions
+coexist deliberately: :func:`jump_threshold`, the printed threshold, and
+:func:`profile_jump`, built from the profiles' one-sided slopes
+(:func:`radial_slopes`).  They agree exactly when h^2 * omega = 1; both are
+exported and the divergence is reported, never silently corrected.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ def jump_threshold(rho: float, h: float, mu: float, omega: float) -> float:
 
 def _search(jump, h, mu, omega, sigma=None):
     """Minimum z0 of ``jump(rho)`` over (_RHO_LO, _RHO_HI) and its minimizer
-    rho_star, by scipy's bounded Brent minimizer.  Given ``sigma``, also the
-    roots rho1 < rho_star < rho2 of jump = h^2 sigma, by Brent's method;
-    raises ConditionError when h^2 sigma does not exceed max(0, z0)."""
+    rho_star, by scipy's bounded Brent minimizer and its polish in
+    -log(1 - rho).  Given ``sigma``, also the roots rho1 < rho_star < rho2
+    of jump = h^2 sigma, by Brent's method; raises ConditionError when
+    h^2 sigma does not exceed max(0, z0)."""
     if mu <= 0 or h <= 0 or omega < 0:
         raise ValueError("h, mu must be positive and omega non-negative")
     where = f"h={h:g}, mu={mu:g}, omega={omega:g}" + (
@@ -88,7 +89,15 @@ def _search(jump, h, mu, omega, sigma=None):
     with np.errstate(invalid="ignore"):  # +inf samples: no parabolic step
         res = minimize_scalar(level, bounds=(_RHO_LO, _RHO_HI),
                               method="bounded", options={"xatol": 1e-15})
-    z0, rho_star = float(res.fun), float(res.x)
+        z0, rho_star = float(res.fun), float(res.x)
+        # it stops about sqrt(eps) rho off, too far where the minimum is
+        # sharp next to rho = 1: polish in t = -log(1 - rho) within 1e-6
+        res = minimize_scalar(
+            lambda t: level(-math.expm1(-t)), method="bounded",
+            bounds=[-math.log1p(-min(max(rho_star + d, _RHO_LO), _RHO_HI))
+                    for d in (-1e-6, 1e-6)], options={"xatol": 1e-15})
+    if res.fun < z0:
+        z0, rho_star = float(res.fun), -math.expm1(-float(res.x))
     if not z0 < math.inf:
         raise FblabError(overflow)
     if sigma is None:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,34 @@ def profile_root_solution():
     return PBRadialSolution(PARAMS_8, 2, rho)
 
 
+def reference_threshold_min(h, mu, omega):
+    """Minimum of the printed threshold over (1e-8, 1 - 1e-8) by a 50-digit
+    golden-section search in t = -log(1 - rho)."""
+    with mpmath.workdps(50):
+        h, mu, omega = (mpmath.mpf(v) for v in (h, mu, omega))
+
+        def f(t):
+            rho = -mpmath.expm1(-t)
+            return (mu**2 / (rho * mpmath.log(rho))**2
+                    - h**2 * omega * rho**2 / 4)
+
+        a = -mpmath.log1p(-mpmath.mpf(1e-8))
+        b = -mpmath.log(1 - mpmath.mpf(1.0 - 1e-8))
+        g = (mpmath.sqrt(5) - 1) / 2
+        c, d = b - g * (b - a), a + g * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(260):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - g * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + g * (b - a)
+                fd = f(d)
+        return f((a + b) / 2)
+
+
 class TestJumpThreshold:
     def test_closed_form_at_inverse_e(self):
         # mu^2 rho^-2 log^-2 rho = e^2 at rho = 1/e; quadratic term
@@ -67,6 +96,16 @@ class TestJumpThreshold:
     def test_min_scales_with_mu_squared(self):
         z0, _ = jump_threshold_min(h=1.0, mu=3.0, omega=0.0)
         assert z0 == pytest.approx(9 * math.e**2, rel=1e-12)
+
+    @pytest.mark.parametrize("h, mu, omega", [
+        (1e4, 1.0, 1.0), (1e4, 1.0, 1e6), (1e4, 1e-2, 1.0)])
+    def test_sharp_min_next_to_one(self, h, mu, omega):
+        # minimizers 0.99657, 0.99997 and 0.99984: a search in rho alone
+        # stops about 1.5e-8 off and reads z0 up to 4.6e-12 too high
+        z0, rho_star = jump_threshold_min(h, mu, omega)
+        ref = reference_threshold_min(h, mu, omega)
+        assert abs((z0 - ref) / ref) <= 1e-15
+        assert jump_threshold(rho_star, h, mu, omega) == z0
 
     def test_min_with_vorticity(self):
         z0, rho_star = jump_threshold_min(h=1.0, mu=1.0, omega=2.0)
