@@ -148,6 +148,7 @@ def cmd_solve(args) -> int:
             "converged": bool(report.converged),
             "stop_reason": report.stop_reason,
             "iterations": int(report.iterations),
+            "levels": list(report.levels),
             "final_jump": float(report.jump_history[-1])
             if report.iterations else None,
             "two_plane_fit": fit,

@@ -8,13 +8,21 @@ interface component by one H^1 solve, (I - l^2 d_ss) V = J, with l about
 at an interface point is then the Newton-style _KAPPA * J / G with a global
 slope estimate G, capped at half a cell per step.
 
-That defect flow alone converges only linearly, so :func:`run` mixes the
+That defect flow alone converges only linearly, so the loop mixes the
 level-set iterates by Anderson acceleration (type II; Anderson 1965, Walker
 & Ni 2011): the next level set is the affine combination of the recent
 post-move candidates whose residuals cancel best in least squares.  The
 history restarts at every reinitialization, which bounds its depth by
 _REINIT_EVERY.  The mix is taken as it is: the half-cell cap of each step's
 displacement is the loop's only limit on a move.
+
+The cap makes the number of steps from a distant start grow like 1/h, so
+:func:`run` is a nested iteration (Hackbusch 1985, section 5; Brandt 1977):
+the loop runs first on grids coarsened by injection onto every other node,
+where a cell is wider and the interface travels in fewer steps, and each
+converged level set is lifted bilinearly to start the next finer grid.  The
+finest grid then only polishes, and its stop test alone decides
+convergence.
 
 The loop has no fault-injection switch: a negative control feeds it wrong
 input data instead, such as a negated level set, which swaps the phases.
@@ -23,7 +31,7 @@ input data instead, such as a negated level set, which swaps the phases.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -46,10 +54,12 @@ from .errors import (
     UnderResolvedError,
 )
 from .fields import (
+    Grid2,
     LevelSet,
     ScalarField,
     _centered_gradient_norm,
     all_interface_points,
+    bilinear_sample,
     interface_extract,
     reinitialize,
 )
@@ -60,6 +70,7 @@ _VELOCITY_BAND = 5  # cells on each side of the interface carrying velocity
 _SMOOTH_L2 = 160.0  # squared H^1 smoothing length, in vertex spacings^2
 _KAPPA = 0.5  # fraction of the Newton-style displacement applied per step
 _REINIT_EVERY = 5  # iterations between reinitializations of phi
+_MIN_COARSE_NODES = 33  # fewest nodes per side on a coarse level
 
 
 @dataclass
@@ -106,7 +117,8 @@ class PhaseProblem:
 @dataclass
 class IterationOptions:
     """Stopping rule of the fixed-point loop; tol_jump defaults to 1e-3
-    times the largest jump target when left unset."""
+    times the largest jump target when left unset.  ``max_iters`` is the
+    budget of each grid of :func:`run`'s ladder, not of the whole run."""
 
     tol_jump: Optional[float] = None
     tol_move: float = 1e-2
@@ -131,7 +143,9 @@ STOP_REASONS = ("tolerances_met", "budget_exhausted", "phase_collapse")
 class IterationReport:
     """Per-iteration history of the fixed-point loop.  ``stop_reason`` is
     one of :data:`STOP_REASONS`; the loop converged iff the tolerances were
-    met."""
+    met.  :func:`run` fills ``levels`` with one dict per grid of its
+    ladder, coarsest first: ``nx``, ``ny``, ``iterations`` and
+    ``stop_reason``."""
 
     iterations: int
     jump_history: np.ndarray
@@ -140,6 +154,7 @@ class IterationReport:
     stop_reason: str
     flatness: Optional[FlatnessTable] = None
     notes: list = field(default_factory=list)
+    levels: list = field(default_factory=list)
 
     def __post_init__(self):
         for name in ("jump_history", "displacement_history",
@@ -323,9 +338,10 @@ def _anderson_mix(phi: np.ndarray, g: np.ndarray, memory):
     return mixed, (f, g, dF, dG)
 
 
-def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
-    """Iterate :func:`step` until the jump defect and interface displacement
-    both fall under tolerance, or the iteration budget runs out.
+def _run_level(problem: PhaseProblem, phi0: LevelSet,
+               opts: IterationOptions):
+    """Iterate :func:`step` on one grid until the jump defect and interface
+    displacement both fall under tolerance, or ``opts.max_iters`` runs out.
 
     The next level set is not the post-move candidate of :func:`step` but
     its Anderson mix with the candidates since the last reinitialization
@@ -333,8 +349,9 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
     reinitialized and the history cleared.  Only :func:`step` caps a move,
     its displacement at half a cell; the mix is not clipped.
 
-    Returns (u, phi, IterationReport).  The converged level set is the one
-    the defect was measured on, not the post-move candidate.
+    Returns (u, phi, IterationReport) with no flatness table.  The converged
+    level set is the one the defect was measured on, not the post-move
+    candidate.
     """
     grid = problem.A.grid
     if np.all(phi0.phi >= 0) or np.all(phi0.phi <= 0):
@@ -384,19 +401,110 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
         notes.append(
             f"returned best iterate with defect {best[0]:.6g}")
 
-    flatness = _final_flatness(problem, phi)
     report = IterationReport(
         iterations=len(jumps),
         jump_history=np.asarray(jumps),
         displacement_history=np.asarray(moves),
         area_plus_history=np.asarray(areas),
         stop_reason=stop_reason,
-        flatness=flatness,
         notes=notes,
     )
     if stop_reason == "budget_exhausted":
         log.warning("fixed-point loop did not converge in %d iterations",
                     opts.max_iters)
+    return u, phi, report
+
+
+def _can_coarsen(grid: Grid2) -> bool:
+    """Every other node of both axes keeps the box corners and at least
+    _MIN_COARSE_NODES nodes per side."""
+    return ((grid.nx - 1) % 2 == 0 and (grid.ny - 1) % 2 == 0
+            and min(grid.nx, grid.ny) + 1 >= 2 * _MIN_COARSE_NODES)
+
+
+def _coarsen(problem: PhaseProblem, phi0: LevelSet):
+    """The problem and start level set injected onto every other node,
+    (n + 1) / 2 per side.  ``mask_radius`` is kept, so the ball mask is
+    rebuilt on the coarse grid."""
+    grid = problem.A.grid
+    coarse = replace(grid, nx=(grid.nx + 1) // 2, ny=(grid.ny + 1) // 2,
+                     h=2 * grid.h)
+
+    def inject(values):
+        return np.ascontiguousarray(values[::2, ::2])
+
+    A = problem.A
+    data = {name: ScalarField(coarse, inject(getattr(problem, name).values))
+            for name in ("f_plus", "f_minus", "Q", "outer_data")}
+    coarse_problem = PhaseProblem(
+        A=CoefficientField(coarse, inject(A.a11), inject(A.a12),
+                           inject(A.a22)),
+        mask_radius=problem.mask_radius, **data)
+    return coarse_problem, LevelSet(coarse, inject(phi0.phi))
+
+
+def _ladder(problem: PhaseProblem, phi0: LevelSet):
+    """(problem, start) on every grid of the coarse-to-fine ladder,
+    coarsest first; the last entry is the input itself."""
+    ladder = [(problem, phi0)]
+    while _can_coarsen(ladder[-1][0].A.grid):
+        ladder.append(_coarsen(*ladder[-1]))
+    return ladder[::-1]
+
+
+def _lift(phi: LevelSet, grid: Grid2) -> LevelSet:
+    """Bilinear interpolation of a coarse level set onto the nodes of
+    ``grid``."""
+    xx, yy = grid.meshgrid()
+    return LevelSet(grid, bilinear_sample(phi.grid, phi.phi, xx, yy))
+
+
+def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
+    """Solve the free-boundary problem by nested iteration: the fixed-point
+    loop of :func:`_run_level` runs on every grid of the coarse-to-fine
+    ladder, coarsest first, with the same options.
+
+    Coarsening takes every other node, n to (n + 1) / 2 per side, while
+    n - 1 is even on both axes and the coarse grid keeps at least
+    _MIN_COARSE_NODES nodes per side; every field of the problem and the
+    start are injected exactly, so 129^2 runs on 33^2, 65^2 and 129^2 and a
+    130^2 grid has one level.  ``opts.max_iters`` is a budget per level,
+    so the finest grid keeps the whole budget when the coarse levels fail
+    and then iterates exactly as a one-grid run from ``phi0`` would.
+    A converged level hands its level set, bilinearly lifted, to the next
+    grid.  A level that does not converge, or whose lift is single-signed,
+    hands on nothing: the next level starts from its own injected start.
+
+    The stop test on the finest grid is the one of :func:`_run_level`, and
+    the flatness table is measured there alone.  Returns the finest
+    level's (u, phi, IterationReport), whose ``levels`` lists every level.
+    """
+    ladder = _ladder(problem, phi0)
+    levels = []
+    lifted = None  # the last converged level's phi on the current grid
+    for k, (level_problem, level_phi0) in enumerate(ladder):
+        grid = level_problem.A.grid
+        finest = k == len(ladder) - 1
+        start = level_phi0
+        if lifted is not None and lifted.has_both_signs():
+            start = lifted
+        try:
+            u, phi, report = _run_level(level_problem, start, opts)
+            iterations, stop_reason = report.iterations, report.stop_reason
+        except (PhaseCollapseError, DegenerateInterfaceError):
+            if finest:
+                raise
+            iterations, stop_reason = 0, "phase_collapse"
+        log.info("level %dx%d: %s after %d iterations", grid.nx, grid.ny,
+                 stop_reason, iterations)
+        levels.append({"nx": grid.nx, "ny": grid.ny,
+                       "iterations": iterations, "stop_reason": stop_reason})
+        lifted = None
+        if not finest and stop_reason == "tolerances_met":
+            lifted = _lift(phi, ladder[k + 1][0].A.grid)
+
+    report.flatness = _final_flatness(problem, phi)
+    report.levels = levels
     return u, phi, report
 
 

@@ -120,6 +120,18 @@ def bad_outer_config(tmp_path, content):
         "outer = two_plane 0.5 0 0", "outer = file outer.csv"))
 
 
+def perturbed_config(tmp_path):
+    """PERTURBED_INI with its outer.csv and phi0.csv written next to it."""
+    grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
+    write_field(ScalarField.from_function(
+        grid, lambda x, y: np.maximum(y + 0.05 * np.sin(np.pi * x), 0.0)),
+        str(tmp_path / "outer.csv"))
+    write_field(LevelSet.from_function(
+        grid, lambda x, y: y + 0.05 * np.sin(np.pi * x)),
+        str(tmp_path / "phi0.csv"))
+    return write(tmp_path, "run.ini", PERTURBED_INI)
+
+
 class TestSolve:
     def test_stationary_profile_exits_zero(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
@@ -280,15 +292,7 @@ class TestSolve:
         if case == "disk":
             cfg = write(tmp_path, "run.ini", DISK_INI)
         else:
-            grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
-            write_field(ScalarField.from_function(
-                grid, lambda x, y: np.maximum(
-                    y + 0.05 * np.sin(np.pi * x), 0.0)),
-                str(tmp_path / "outer.csv"))
-            write_field(LevelSet.from_function(
-                grid, lambda x, y: y + 0.05 * np.sin(np.pi * x)),
-                str(tmp_path / "phi0.csv"))
-            cfg = write(tmp_path, "run.ini", PERTURBED_INI)
+            cfg = perturbed_config(tmp_path)
         for name in ("a", "b"):
             assert main(["solve", "--config", cfg,
                          "--out", str(tmp_path / name)]) == 0
@@ -300,6 +304,22 @@ class TestSolve:
         # the run lock holds a process id, timings.json the run's seconds
         for fname in set(names) - {".fblab.lock", "timings.json"}:
             assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+
+    def test_summary_reports_each_level(self, tmp_path):
+        # file-given fields coarsen like built-in ones; iterations.csv
+        # holds the finest level's rows
+        cfg = perturbed_config(tmp_path)
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        levels = summary["levels"]
+        assert [(lv["nx"], lv["ny"]) for lv in levels] \
+            == [(33, 33), (65, 65), (129, 129)]
+        assert all(lv["stop_reason"] == "tolerances_met" for lv in levels)
+        assert levels[-1]["iterations"] == summary["iterations"]
+        rows = np.loadtxt(tmp_path / "out" / "iterations.csv",
+                          delimiter=",", skiprows=1, ndmin=2)
+        assert len(rows) == summary["iterations"]
 
 
 def test_timings_survive_wall_clock_step_back(tmp_path, monkeypatch):

@@ -16,7 +16,10 @@ from fblab.fbiter import (
     PhaseProblem,
     _SMOOTH_L2,
     _anderson_mix,
+    _coarsen,
     _jump_at_points,
+    _ladder,
+    _run_level,
     _smooth_along,
     extend_velocity,
     run,
@@ -417,12 +420,14 @@ class TestStopReason:
         assert rep.notes[-1].startswith("returned best iterate")
 
     def test_phase_collapse(self, grid65, monkeypatch):
+        # the coarse levels run first; the collapse hits the finest one
         calls = []
 
         def collapsing(problem, phi):
-            calls.append(1)
-            if len(calls) == 2:
-                raise PhaseCollapseError("a phase has no interior nodes")
+            if problem.A.grid == grid65:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise PhaseCollapseError("a phase has no interior nodes")
             return step(problem, phi)
 
         monkeypatch.setattr(fblab.fbiter, "step", collapsing)
@@ -462,6 +467,118 @@ class TestStopReason:
                             displacement_history=np.array([]),
                             area_plus_history=np.array([]),
                             stop_reason="converged")
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestNestedIteration:
+    def test_coarsening_injects_every_field(self):
+        grid = make_grid(65, 49, (-2.0, -1.5, 2.0, 1.5))
+        rng = np.random.default_rng(5)
+
+        def noise():
+            return rng.uniform(0.5, 1.5, grid.shape)
+
+        A = CoefficientField(grid, 2 + noise(), 0.2 * noise(), 2 + noise())
+        prob = PhaseProblem(
+            A=A, f_plus=ScalarField(grid, noise()),
+            f_minus=ScalarField(grid, noise()), Q=ScalarField(grid, noise()),
+            outer_data=ScalarField(grid, noise()), mask_radius=1.2)
+        phi0 = LevelSet(grid, noise() - 1)
+        coarse, start = _coarsen(prob, phi0)
+        cgrid = coarse.A.grid
+        assert (cgrid.nx, cgrid.ny) == (33, 25)
+        assert cgrid.h == 2 * grid.h
+        assert same_bytes(cgrid.xs, grid.xs[::2])
+        assert same_bytes(cgrid.ys, grid.ys[::2])
+        for name in ("a11", "a12", "a22"):
+            assert same_bytes(getattr(coarse.A, name),
+                              getattr(A, name)[::2, ::2])
+        for name in ("f_plus", "f_minus", "Q", "outer_data"):
+            assert getattr(coarse, name).grid == cgrid
+            assert same_bytes(getattr(coarse, name).values,
+                              getattr(prob, name).values[::2, ::2])
+        assert start.grid == cgrid
+        assert same_bytes(start.phi, phi0.phi[::2, ::2])
+        assert coarse.mask_radius == 1.2
+        assert np.array_equal(coarse.pinned_mask(),
+                              prob.pinned_mask()[::2, ::2])
+
+    @pytest.mark.parametrize("shape, box, ladder", [
+        ((129, 129), (-1.0, -1.0, 1.0, 1.0), [(33, 33), (65, 65),
+                                              (129, 129)]),
+        ((193, 193), (-1.1, -1.1, 1.1, 1.1), [(49, 49), (97, 97),
+                                              (193, 193)]),
+        ((65, 65), (-1.0, -1.0, 1.0, 1.0), [(33, 33), (65, 65)]),
+        ((129, 65), (-2.0, -1.0, 2.0, 1.0), [(65, 33), (129, 65)]),
+        ((130, 130), (-1.0, -1.0, 1.0, 1.0), [(130, 130)]),
+        ((33, 33), (-1.0, -1.0, 1.0, 1.0), [(33, 33)]),
+    ], ids=["129", "193", "65", "129x65", "130", "33"])
+    def test_level_ladder(self, shape, box, ladder):
+        grid = make_grid(*shape, box)
+        levels = _ladder(two_plane_problem(grid, 1.0),
+                         two_plane_levelset(grid))
+        assert [(p.A.grid.nx, p.A.grid.ny) for p, _ in levels] == ladder
+        assert all(p.A.grid == phi.grid for p, phi in levels)
+        assert levels[-1][0].A.grid == grid
+
+    @pytest.mark.parametrize("failure", ["collapse", "budget"])
+    def test_failed_coarse_levels_leave_the_fine_run_alone(
+            self, monkeypatch, failure):
+        # every coarse level fails, so the finest starts from phi0 and the
+        # result is that of the one-grid loop, bit for bit
+        prob, phi0 = perturbed_plane(65)
+        expected_u, expected_phi, expected = _run_level(prob, phi0,
+                                                        PLANE_OPTIONS)
+        real = fblab.fbiter._run_level
+
+        def failing(problem, start, opts):
+            if problem.A.grid == prob.A.grid:
+                return real(problem, start, opts)
+            if failure == "collapse":
+                raise PhaseCollapseError("forced coarse failure")
+            u, phi, rep = real(problem, start, opts)
+            rep.stop_reason = "budget_exhausted"
+            return u, phi, rep
+
+        monkeypatch.setattr(fblab.fbiter, "_run_level", failing)
+        u, phi, rep = run(prob, phi0, PLANE_OPTIONS)
+        assert same_bytes(u.values, expected_u.values)
+        assert same_bytes(phi.phi, expected_phi.phi)
+        for name in ("jump_history", "displacement_history",
+                     "area_plus_history"):
+            assert same_bytes(getattr(rep, name), getattr(expected, name))
+        assert rep.stop_reason == expected.stop_reason == "tolerances_met"
+        coarse_reason = ("phase_collapse" if failure == "collapse"
+                         else "budget_exhausted")
+        assert [lv["stop_reason"] for lv in rep.levels] \
+            == [coarse_reason, "tolerances_met"]
+        assert rep.levels[-1]["iterations"] == rep.iterations
+
+    def test_single_signed_lift_is_not_used(self, monkeypatch):
+        # a lift with no sign change cannot start a level: the finest grid
+        # then starts from its own phi0, as after a failed coarse level
+        prob, phi0 = perturbed_plane(65)
+        expected_u, _, _ = _run_level(prob, phi0, PLANE_OPTIONS)
+        monkeypatch.setattr(fblab.fbiter, "_lift", lambda phi, grid:
+                            LevelSet(grid, np.ones(grid.shape)))
+        u, _, rep = run(prob, phi0, PLANE_OPTIONS)
+        assert rep.levels[0]["stop_reason"] == "tolerances_met"
+        assert same_bytes(u.values, expected_u.values)
+
+    def test_fine_perturbed_plane_only_polishes(self):
+        # on the 257^2 grid alone the loop takes 15 steps, most of them
+        # capped at half a cell; the coarse levels do that travel, and the
+        # finest takes at most 3
+        prob, phi0 = perturbed_plane(257)
+        _, _, rep = run(prob, phi0, PLANE_OPTIONS)
+        assert rep.stop_reason == "tolerances_met"
+        assert [lv["nx"] for lv in rep.levels] == [33, 65, 129, 257]
+        assert all(lv["stop_reason"] == "tolerances_met"
+                   for lv in rep.levels)
+        assert rep.iterations == rep.levels[-1]["iterations"] <= 3
 
 
 class TestAndersonMix:
