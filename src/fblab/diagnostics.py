@@ -20,6 +20,7 @@ every node, so the residual it reports is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -43,12 +44,12 @@ _BALL_CHUNK = 128  # ball-crossing cells subdivided at a time
 _MONOTONE_SLACK = 1e-3
 _FLAT_GAP = 1e-8  # least relative eigen-gap that names a slab direction
 _FIT_NODES = 2048  # node budget of the two-plane grid search
-_FIT_ROUNDS = ((64, 24), (16, 16), (16, 16), (16, 16))  # (angles, betas)
+_FIT_ROUNDS = ((64, 24), (16, 16))  # (angles, betas)
 _FIT_BETA_MAX = 10.0
 _OFFSET_BISECTIONS = 48
 _BOUND_STRIDE = 64  # search nodes per node of the offset lower bound
 _BOUND_OFFSETS = 32  # intervals of its coarse offset grid
-_POLISH_ROWS = 16  # largest deviations per LP, and most cuts per step
+_POLISH_ROWS = 16  # LP rows of each sign, and most cuts per step
 _POLISH_TOL = 1e-12  # least promised share of the residual worth a step
 _POLISH_STEPS = 200  # most LP steps per start
 _POLISH_BETA0 = 1e-3  # second start of a polish ending at beta = 0
@@ -191,10 +192,12 @@ def _corners(a):
     return a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]
 
 
-def _cut_gradient_sq(u, phi, side, jc, ic):
+def _cut_gradient_sq(gradient, jc, ic):
     """Squared one-sided gradient of the cells (ic, jc): the node gradients
-    of the valid corners on ``side`` averaged, zero if no corner is valid."""
-    gx, gy, valid = one_sided_gradient(u, phi, side)
+    of the valid corners averaged, zero if no corner is valid.
+    ``gradient`` is one side's (gx, gy, valid) from
+    :func:`one_sided_gradient`."""
+    gx, gy, valid = gradient
     sx = sy = count = 0
     for cj, ci in ((jc, ic), (jc, ic + 1), (jc + 1, ic + 1), (jc + 1, ic)):
         ok = valid[cj, ci]
@@ -206,14 +209,15 @@ def _cut_gradient_sq(u, phi, side, jc, ic):
     return np.where(count > 0, mx * mx + my * my, 0.0)
 
 
-def _cell_energy(u, phi, i0, j0, cell):
+def _cell_energy(u, phi, i0, j0, cell, gradient):
     """Phase Dirichlet energies and areas (grad_plus, grad_minus, area_plus,
     area_minus) summed over a block of cells whose first cell is (i0, j0),
     each weighted by its covered area, the 2-D array ``cell``.
 
     An uncut cell takes the cell-centered gradient.  A phase-cut cell splits
     by its linear-cut area fraction, and each phase takes the one-sided node
-    gradient averaged over the valid corners on its side (zero if none)."""
+    gradient averaged over the valid corners on its side (zero if none),
+    from ``gradient(side)``, called only if a cell is cut."""
     h = u.grid.h
     nodes = np.s_[j0:j0 + cell.shape[0] + 1, i0:i0 + cell.shape[1] + 1]
     pc = _corners(phi.phi[nodes])
@@ -232,9 +236,9 @@ def _cell_energy(u, phi, i0, j0, cell):
     if len(cut[0]):
         jc, ic = cut[0] + j0, cut[1] + i0
         grad_p[cut] = cell[cut] * f_pos[cut] \
-            * _cut_gradient_sq(u, phi, +1, jc, ic)
+            * _cut_gradient_sq(gradient(+1), jc, ic)
         grad_m[cut] = cell[cut] * (1.0 - f_pos[cut]) \
-            * _cut_gradient_sq(u, phi, -1, jc, ic)
+            * _cut_gradient_sq(gradient(-1), jc, ic)
     return (float(np.sum(grad_p)), float(np.sum(grad_m)),
             float(np.sum(cell * f_pos)), float(np.sum(cell * (1.0 - f_pos))))
 
@@ -245,9 +249,11 @@ def ball_quadrature(u: ScalarField, phi: LevelSet, center,
     sums over the cells inside B_r(center) of the phase-restricted Dirichlet
     energies and the phase areas, the terms :func:`weiss_series` and
     :func:`acf_product` are derived from.  Only cells crossed by the circle
-    are subdivided."""
+    are subdivided.  Each side's one-sided gradient is computed at most
+    once per call, whatever the number of radii."""
     grid = u.grid
     h = grid.h
+    gradient = functools.cache(lambda side: one_sided_gradient(u, phi, side))
     rows = []
     for r in radii:
         _check_ball(grid, center, r)
@@ -266,7 +272,8 @@ def ball_quadrature(u: ScalarField, phi: LevelSet, center,
                             & (w_ball == 0.0))
         w_ball[jc, ic] = _ball_fraction(grid, ic + i_lo, jc + j_lo, center, r)
         del s
-        rows.append(_cell_energy(u, phi, i_lo, j_lo, w_ball * h * h))
+        rows.append(_cell_energy(u, phi, i_lo, j_lo, w_ball * h * h,
+                                 gradient))
     return np.array(rows).reshape(-1, 4)
 
 
@@ -438,14 +445,17 @@ def _polish(points, uvals, z, c_max):
     """Sequential-LP minimax steps (Osborne & Watson 1969) on z = (theta,
     beta, c) from ``z``; returns (z, max |deviation| over every node).
 
-    Each LP minimizes E subject to |d + g.dz| <= E over the 16 largest |d|
-    and the cuts, g from each node's own piece, in a trust box of 4 res /
-    (alpha r, r, alpha).  A trial is taken only if the max over every node
-    falls, so the residual is exact.  Nodes it lifts past halfway from the
-    LP's level back to the residual become cuts, 16 at most; a failed trial
-    with no new cut quarters the box.  The steps stop when the LP promises
-    under 1e-12 of the residual or a few ulps of u.  alpha is flat at
-    beta = 0, so steps that end there are taken again from beta = 1e-3."""
+    Each LP minimizes E subject to |d + g.dz| <= E over the 16 most
+    positive and the 16 most negative d and the cuts, g from each node's
+    own piece, in a trust box of 4 res / (alpha r, r, alpha).  A minimax
+    optimum equioscillates, so rows of both signs keep the LP from lowering
+    one extreme while it lifts the other, a trial every node would reject.
+    A trial is taken only if the max over every node falls, so the residual
+    is exact.  Nodes it lifts past halfway from the LP's level back to the
+    residual become cuts, 16 at most; a failed trial with no new cut
+    quarters the box.  The steps stop when the LP promises under 1e-12 of
+    the residual or a few ulps of u.  alpha is flat at beta = 0, so steps
+    that end there are taken again from beta = 1e-3."""
 
     def deviations(z):
         return _profile(points @ _unit(z[0]) + z[2],
@@ -466,7 +476,9 @@ def _polish(points, uvals, z, c_max):
             theta, beta, c = z
             alpha = math.sqrt(1.0 + beta**2)
             k = min(_POLISH_ROWS, len(dev))
-            rows = np.union1d(np.argpartition(-np.abs(dev), k - 1)[:k], cuts)
+            rows = np.unique(np.concatenate(
+                [np.argpartition(-dev, k - 1)[:k],
+                 np.argpartition(dev, k - 1)[:k], cuts]))
             s = points[rows] @ _unit(theta) + c
             # d/dtheta of the normal (-sin, cos) is (-cos, -sin)
             ds = points[rows] @ _unit(theta + np.pi / 2)
@@ -521,9 +533,10 @@ def two_plane_fit(u: ScalarField, center, r: float):
     is monotone and piecewise linear in the offset, so the secant is exact
     once it brackets one linear piece (:func:`_best_offsets`); the offsets
     are a 48-step bisection's, to the bit.  A 64-angle x 24-beta grid over
-    the circle and beta in [0, 10], then three zoomed 16 x 16 rounds, search
-    on at most 2048 nodes; ties prefer smaller beta, then smaller |c|, then
-    direction closest to (0, 1).  Sequential-LP minimax steps on every node
+    the circle and beta in [0, 10], then one 16 x 16 round zoomed to two
+    grid steps either side of its best, search on at most 2048 nodes; ties
+    prefer smaller beta, then smaller |c|, then direction closest to
+    (0, 1).  Sequential-LP minimax steps on every node
     (:func:`_polish`) follow, taken only where they lower the residual.
     Returns (TwoPlane, residual over every node in the ball); raises
     UnderResolvedError when the ball holds no node.
@@ -685,8 +698,9 @@ def acf_product(u: ScalarField, phi: LevelSet, center, radii,
     radii = np.asarray(radii, dtype=float)
     # remove the center cell's contribution from both factors
     ci, cj = u.grid.cell_of(center[0], center[1])
-    sub_p, sub_m, _, _ = _cell_energy(u, phi, ci, cj,
-                                      np.full((1, 1), u.grid.h * u.grid.h))
+    sub_p, sub_m, _, _ = _cell_energy(
+        u, phi, ci, cj, np.full((1, 1), u.grid.h * u.grid.h),
+        lambda side: one_sided_gradient(u, phi, side))
     vals = []
     for r, (grad_p, grad_m, _, _) in zip(radii, quadrature):
         grad_p = max(grad_p - sub_p, 0.0)

@@ -7,13 +7,14 @@ jump h^2 * sigma across the free boundary, a circle r = rho.  The admissible
 radii rho1 < rho2 are the roots of a jump expression at level h^2 * sigma on
 either side of its minimum z0; they exist when h^2 * sigma > max(0, z0).
 On rho in (1e-8, 1 - 1e-8), scipy's bounded Brent minimizer finds z0,
-polished in -log(1 - rho), and ``brentq`` each root.  A root outside that
-interval or a float overflow raises an FblabError (exit 3 in the CLI); a
-failed existence condition raises ConditionError.  Two jump expressions
-coexist deliberately: :func:`jump_threshold`, the printed threshold, and
-:func:`profile_jump`, built from the profiles' one-sided slopes
-(:func:`radial_slopes`).  They agree exactly when h^2 * omega = 1; both are
-exported and the divergence is reported, never silently corrected.
+polished in -log(1 - rho), and ``brentq`` each root.  A minimum or a root
+outside that interval or a float overflow raises an FblabError (exit 3 in
+the CLI); a failed existence condition raises ConditionError.  Two jump
+expressions coexist deliberately: :func:`jump_threshold`, the printed
+threshold, and :func:`profile_jump`, built from the profiles' one-sided
+slopes (:func:`radial_slopes`).  They agree exactly when h^2 * omega = 1;
+both are exported and the divergence is reported, never silently
+corrected.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _search(jump, h, mu, omega, sigma=None):
     rho_star, by scipy's bounded Brent minimizer and its polish in
     -log(1 - rho).  Given ``sigma``, also the roots rho1 < rho_star < rho2
     of jump = h^2 sigma, by Brent's method; raises ConditionError when
-    h^2 sigma does not exceed max(0, z0)."""
+    h^2 sigma does not exceed max(0, z0), and FblabError when ``jump`` is
+    still falling at 1 - 1e-8, so the interval holds no minimum."""
     if mu <= 0 or h <= 0 or omega < 0:
         raise ValueError("h, mu must be positive and omega non-negative")
     where = f"h={h:g}, mu={mu:g}, omega={omega:g}" + (
@@ -100,6 +102,10 @@ def _search(jump, h, mu, omega, sigma=None):
         z0, rho_star = float(res.fun), -math.expm1(-float(res.x))
     if not z0 < math.inf:
         raise FblabError(overflow)
+    if level(_RHO_HI) <= z0:
+        raise FblabError(f"the disk threshold for {where} still falls at "
+                         f"1 - {_RHO_LO:g}: its minimum lies past the "
+                         f"search interval")
     if sigma is None:
         return z0, rho_star
     if not level(rho_star, sigma) < 0 < h**2 * sigma:

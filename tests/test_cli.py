@@ -683,8 +683,11 @@ class TestPrandtlSearchFailures:
         ("--mu 1e-6 --omega 0 --h 0.1 --sigma 1e6",
          "inner admissible radius for h=0.1, mu=1e-06, omega=0, sigma=1e+06 "
          "lies outside (1e-08, 1 - 1e-08)"),
+        ("--mu 1e-6 --omega 1.7e3 --h 1e6",
+         "h=1e+06, mu=1e-06, omega=1700, sigma=1 still falls at 1 - 1e-08"),
     ], ids=["h-overflow", "swept-h-overflow", "profile-overflow",
-            "infinite-minimum", "root-below-interval"])
+            "infinite-minimum", "root-below-interval",
+            "minimum-past-interval"])
     def test_exit_three_before_writing(self, tmp_path, capsys, params,
                                        named):
         out = tmp_path / "pb"

@@ -403,6 +403,25 @@ class TestTwoPlaneFit:
         assert (res, plane.beta, plane.c) \
             == (ref_res, ref_plane.beta, ref_plane.c)
 
+    def test_second_search_round_needed(self, monkeypatch):
+        # case 126 of a 300-field random sweep: four search rounds end at
+        # 0.033754261597400192, one round at 0.03431715014454801
+        grid = make_grid(129, 129, (-1, -1, 1, 1))
+        center, r = (0.02221838680859478, -0.01241073523203988), \
+            0.20768519298979415
+        beta, theta = 0.21176330465052118, math.radians(8.94851785605837)
+        xx, yy = grid.meshgrid()
+        t = (xx - center[0]) * -math.sin(theta) \
+            + (yy - center[1]) * math.cos(theta) - 0.0013645123317685554
+        u = ScalarField(grid, _profile(t, math.sqrt(1 + beta**2), beta)
+                        + 0.05 * np.sin(5 * xx + 2.1))
+        _, res = two_plane_fit(u, center, r)
+        assert res <= 0.033754261597400192 + 1e-12
+        monkeypatch.setattr(fblab.diagnostics, "_FIT_ROUNDS",
+                            _FIT_ROUNDS[:1])
+        _, one_round = two_plane_fit(u, center, r)
+        assert one_round > 0.033754261597400192 + 1e-4
+
     def test_stable_under_one_ulp(self, grid257):
         # seed-0 diagnose input 6: the Nelder-Mead polish moved beta by
         # 5.0e-13 and the residual by 1.1e-13 under this nudge
@@ -507,8 +526,9 @@ class TestPrunedFit:
         assert plane.beta > 0.0
 
     def test_work_pruned(self, grid257, monkeypatch):
-        # unpruned: 112 grid-search calls of _best_offsets, one per angle,
-        # and 862 objective evaluations on every node of the ball
+        # unpruned: 80 grid-search calls of _best_offsets, one per angle;
+        # 8 pruned calls and 9 evaluations on every node of the ball, where
+        # four search rounds and one-signed LP rows took 31 and 14
         u = diagnose_field(grid257)
         xx, yy = grid257.meshgrid()
         n_nodes = np.count_nonzero(xx**2 + yy**2 <= 0.8**2)
@@ -527,8 +547,8 @@ class TestPrunedFit:
         monkeypatch.setattr(fblab.diagnostics, "_best_offsets", offsets)
         monkeypatch.setattr(fblab.diagnostics, "_profile", profile)
         two_plane_fit(u, (0, 0), 0.8)
-        assert 0 < len(search_calls) <= 60
-        assert 0 < len(node_evals) <= 200
+        assert 0 < len(search_calls) <= 9
+        assert 0 < len(node_evals) <= 10
 
     def test_memory_bounded(self, grid257):
         # the unpruned fit peaks at 3.28e6 traced bytes; with the lower
@@ -776,6 +796,28 @@ class TestBallQuadrature:
             np.testing.assert_allclose(
                 row, reference_cell_quadrature(u, phi, center, r),
                 rtol=1e-12, atol=0)
+
+
+    def test_one_gradient_per_side(self, monkeypatch):
+        # the cut cells of every radius read one whole-grid gradient per
+        # side; recomputing it per radius and side made six passes
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        phi = LevelSet.from_function(
+            grid, lambda x, y: np.hypot(x - 0.1, y + 0.05) - 0.35)
+        u = ScalarField.from_function(grid, lambda x, y: x + 0.5 * y**2)
+        sides = []
+
+        def counted(u, phi, side):
+            sides.append(side)
+            return one_sided_gradient(u, phi, side)
+
+        monkeypatch.setattr(fblab.diagnostics, "one_sided_gradient", counted)
+        quad = ball_quadrature(u, phi, (0.03, -0.02), [0.2, 0.37, 0.6])
+        assert sorted(sides) == [-1, 1]
+        # an uncut centre cell needs no gradient
+        sides.clear()
+        acf_product(u, phi, (0.03, -0.02), [0.2, 0.37, 0.6], quad)
+        assert sides == []
 
 
 class TestBoundaryIntegral:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fblab.errors import FblabError
 from fblab.prandtl import (
     ConditionError,
     PBParams,
@@ -106,6 +107,19 @@ class TestJumpThreshold:
         ref = reference_threshold_min(h, mu, omega)
         assert abs((z0 - ref) / ref) <= 1e-15
         assert jump_threshold(rho_star, h, mu, omega) == z0
+
+    def test_min_past_the_interval_raises(self):
+        # h^2 omega / mu^2 = 1.7e27: the threshold still falls at 1 - 1e-8,
+        # which the search returned as the minimizer, 0.9999999899999954
+        with pytest.raises(FblabError, match="h=1e\\+06, mu=1e-06, "
+                           "omega=1700 still falls at 1 - 1e-08"):
+            jump_threshold_min(1e6, 1e-6, 1.7e3)
+
+    def test_min_just_inside_the_interval(self):
+        # h^2 omega / mu^2 = 2.9e24: the minimizer is 1 - 1.1e-8, inside
+        z0, rho_star = jump_threshold_min(1e6, 1e-6, 2.8942661247167516)
+        assert 1.0 - 1.2e-8 < rho_star < 1.0 - 1e-8
+        assert z0 < jump_threshold(1.0 - 1e-8, 1e6, 1e-6, 2.8942661247167516)
 
     def test_min_with_vorticity(self):
         z0, rho_star = jump_threshold_min(h=1.0, mu=1.0, omega=2.0)
