@@ -6,7 +6,8 @@ condition q_A(u+) - q_A(u-) = Q holds.  The defect J is smoothed along each
 interface component by one H^1 solve, (I - l^2 d_ss) V = J, with l about
 12.6 vertex spacings, so about as many cells on any grid.  The displacement
 at an interface point is then the Newton-style _KAPPA * J / G with a global
-slope estimate G, capped at half a cell per step.
+slope estimate G, capped at half a cell per step, and its extension V is
+added to phi as it is: phi is kept near a signed distance by reinitialization.
 
 That defect flow alone converges only linearly, so the loop mixes the
 level-set iterates by Anderson acceleration (type II; Anderson 1965, Walker
@@ -22,7 +23,8 @@ the loop runs first on grids coarsened by injection onto every other node,
 where a cell is wider and the interface travels in fewer steps, and each
 converged level set is lifted bilinearly to start the next finer grid.  The
 finest grid then only polishes, and its stop test alone decides
-convergence.
+convergence.  A coarse level ends as soon as its best defect stops falling
+between two reinitializations, as it would hand nothing on.
 
 The loop has no fault-injection switch: a negative control feeds it wrong
 input data instead, such as a negated level set, which swaps the phases.
@@ -57,7 +59,6 @@ from .fields import (
     Grid2,
     LevelSet,
     ScalarField,
-    _centered_gradient_norm,
     all_interface_points,
     bilinear_sample,
     interface_extract,
@@ -136,16 +137,17 @@ class IterationOptions:
         return 1e-3 * float(np.max(problem.Q.values))
 
 
-STOP_REASONS = ("tolerances_met", "budget_exhausted", "phase_collapse")
+STOP_REASONS = ("tolerances_met", "budget_exhausted", "phase_collapse",
+                "stalled")
 
 
 @dataclass
 class IterationReport:
     """Per-iteration history of the fixed-point loop.  ``stop_reason`` is
     one of :data:`STOP_REASONS`; the loop converged iff the tolerances were
-    met.  :func:`run` fills ``levels`` with one dict per grid of its
-    ladder, coarsest first: ``nx``, ``ny``, ``iterations`` and
-    ``stop_reason``."""
+    met, and only a coarse level of :func:`run` reads ``stalled``.
+    :func:`run` fills ``levels`` with one dict per grid of its ladder,
+    coarsest first: ``nx``, ``ny``, ``iterations`` and ``stop_reason``."""
 
     iterations: int
     jump_history: np.ndarray
@@ -217,13 +219,6 @@ def _composite(u_plus, u_minus, phi):
     return ScalarField(u_plus.grid, vals)
 
 
-def _gradient_norm(phi: LevelSet):
-    # phi is kept near a signed distance by periodic reinitialization;
-    # clamping the metric prevents band-edge kinks from amplifying the
-    # motion and destabilizing the loop
-    return np.clip(_centered_gradient_norm(phi.grid, phi.phi), 0.8, 1.25)
-
-
 def _smooth_along(values: np.ndarray, closed: bool):
     """Sobolev (H^1) smoothing along a polyline: the exact solution V of
     (I - _SMOOTH_L2 D) V = J, D the second difference over the vertices,
@@ -268,8 +263,9 @@ def step(problem: PhaseProblem, phi: LevelSet):
     move the level set by the scaled defect.
 
     Returns (u, phi_next, defect, displacement) where defect is the L-inf
-    jump defect before the move and displacement the largest interface
-    motion applied.
+    jump defect before the move, displacement the largest change of phi at
+    an interface point (at most half a cell), and phi_next is phi plus that
+    change extended into the velocity band, with its wiggles damped.
     """
     grid = problem.A.grid
     plus, minus = _phase_regions(problem, phi)
@@ -303,7 +299,7 @@ def step(problem: PhaseProblem, phi: LevelSet):
     s_ext = extend_velocity(points, s, phi)
     # positive defect means the positive-phase gradient is too strong, so
     # the positive phase must expand: phi increases where J > 0
-    phi_next = LevelSet(grid, phi.phi + s_ext.values * _gradient_norm(phi))
+    phi_next = LevelSet(grid, phi.phi + s_ext.values)
     phi_next = _damp_interface_wiggles(phi_next)
     u = _composite(u_plus, u_minus, phi)
     return u, phi_next, defect, displacement
@@ -339,15 +335,16 @@ def _anderson_mix(phi: np.ndarray, g: np.ndarray, memory):
 
 
 def _run_level(problem: PhaseProblem, phi0: LevelSet,
-               opts: IterationOptions):
+               opts: IterationOptions, coarse: bool = False):
     """Iterate :func:`step` on one grid until the jump defect and interface
     displacement both fall under tolerance, or ``opts.max_iters`` runs out.
+    A ``coarse`` level also ends ``stalled`` at a reinitialization where its
+    best defect is no lower than at the previous reinitialization.
 
     The next level set is not the post-move candidate of :func:`step` but
     its Anderson mix with the candidates since the last reinitialization
     (:func:`_anderson_mix`); every _REINIT_EVERY iterations the mix is
-    reinitialized and the history cleared.  Only :func:`step` caps a move,
-    its displacement at half a cell; the mix is not clipped.
+    reinitialized and the history cleared.
 
     Returns (u, phi, IterationReport) with no flatness table.  The converged
     level set is the one the defect was measured on, not the post-move
@@ -364,6 +361,7 @@ def _run_level(problem: PhaseProblem, phi0: LevelSet,
     notes = []
     stop_reason = "budget_exhausted"
     best = None  # (defect, u, phi) of the best pre-move iterate
+    best_at_restart = np.inf  # best defect at the last reinitialization
     memory = None  # Anderson history since the last reinitialization
     cell_area = grid.h**2
 
@@ -384,11 +382,15 @@ def _run_level(problem: PhaseProblem, phi0: LevelSet,
         if defect <= tol_jump and displacement <= tol_move:
             stop_reason = "tolerances_met"
             break
+        if it % _REINIT_EVERY == 0 and coarse and best[0] >= best_at_restart:
+            stop_reason = "stalled"
+            break
         mixed, memory = _anderson_mix(phi.phi, phi_candidate.phi, memory)
         phi = LevelSet(grid, mixed)
         if it % _REINIT_EVERY == 0:
             phi = reinitialize(phi)
             memory = None
+            best_at_restart = best[0]
 
     if best is None:
         raise PhaseCollapseError(
@@ -462,7 +464,8 @@ def _lift(phi: LevelSet, grid: Grid2) -> LevelSet:
 def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
     """Solve the free-boundary problem by nested iteration: the fixed-point
     loop of :func:`_run_level` runs on every grid of the coarse-to-fine
-    ladder, coarsest first, with the same options.
+    ladder, coarsest first, with the same options; every level but the
+    finest is ``coarse``, so it may end ``stalled``.
 
     Coarsening takes every other node, n to (n + 1) / 2 per side, while
     n - 1 is even on both axes and the coarse grid keeps at least
@@ -489,7 +492,8 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
         if lifted is not None and lifted.has_both_signs():
             start = lifted
         try:
-            u, phi, report = _run_level(level_problem, start, opts)
+            u, phi, report = _run_level(level_problem, start, opts,
+                                        coarse=not finest)
             iterations, stop_reason = report.iterations, report.stop_reason
         except (PhaseCollapseError, DegenerateInterfaceError):
             if finest:

@@ -356,11 +356,6 @@ def all_interface_points(polylines) -> np.ndarray:
 _UNIT_GRADIENT_TOL = 0.35  # |grad phi| this close to 1 counts as unit
 
 
-def _centered_gradient_norm(grid: Grid2, values: np.ndarray) -> np.ndarray:
-    gy, gx = np.gradient(values, grid.h)
-    return np.hypot(gx, gy)
-
-
 def reinitialize(phi: LevelSet) -> LevelSet:
     """Rebuild ``phi`` as an (approximate) signed distance to its zero set.
 
@@ -389,7 +384,8 @@ def reinitialize(phi: LevelSet) -> LevelSet:
     anchor[:-1, :] |= cross_y
     anchor[1:, :] |= cross_y
 
-    gn = _centered_gradient_norm(g, p)
+    gy, gx = np.gradient(p, g.h)
+    gn = np.hypot(gx, gy)
     # treat near-unit gradients as exact distance so that reapplication is a
     # fixed point; otherwise rescale locally
     scale = np.where(np.abs(gn - 1.0) <= _UNIT_GRADIENT_TOL, 1.0,

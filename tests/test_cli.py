@@ -155,6 +155,10 @@ class TestSolve:
         cfg = write(tmp_path, "disk.ini", DISK_INI)
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
+        # the 33^2 level used to spend all 60 iterations above tol_jump
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert all(lv["stop_reason"] == "tolerances_met"
+                   for lv in summary["levels"])
         phi = read_levelset(str(tmp_path / "out" / "phi.csv"))
         from fblab.fields import all_interface_points, interface_extract
         pts = all_interface_points(interface_extract(phi))

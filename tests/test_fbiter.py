@@ -34,6 +34,7 @@ from fblab.fields import (
 )
 from fblab.prandtl import interface_radii, profile_jump
 from fblab.problems import (
+    pb_levelset,
     pb_problem,
     two_plane_levelset,
     two_plane_problem,
@@ -534,12 +535,12 @@ class TestNestedIteration:
                                                         PLANE_OPTIONS)
         real = fblab.fbiter._run_level
 
-        def failing(problem, start, opts):
+        def failing(problem, start, opts, coarse=False):
             if problem.A.grid == prob.A.grid:
-                return real(problem, start, opts)
+                return real(problem, start, opts, coarse)
             if failure == "collapse":
                 raise PhaseCollapseError("forced coarse failure")
-            u, phi, rep = real(problem, start, opts)
+            u, phi, rep = real(problem, start, opts, coarse)
             rep.stop_reason = "budget_exhausted"
             return u, phi, rep
 
@@ -556,6 +557,34 @@ class TestNestedIteration:
         assert [lv["stop_reason"] for lv in rep.levels] \
             == [coarse_reason, "tolerances_met"]
         assert rep.levels[-1]["iterations"] == rep.iterations
+
+    def test_stalled_coarse_level_ends_early(self, monkeypatch):
+        # the disk of test_cli's DISK_INI from a circle of radius 0.56: the
+        # 33^2 defect stops falling above tol_jump, so that level ends at
+        # its second reinitialization and the finest result is the one of
+        # a run whose 33^2 level spends its whole budget, bit for bit
+        grid = make_grid(129, 129, (-1.1, -1.1, 1.1, 1.1))
+        prob = pb_problem(grid, DISK_PARAMS)
+        phi0 = pb_levelset(grid, 0.56)
+        opts = IterationOptions(max_iters=60, tol_jump=0.12, tol_move=0.5)
+        u, phi, rep = run(prob, phi0, opts)
+        assert [lv["stop_reason"] for lv in rep.levels] \
+            == ["stalled", "tolerances_met", "tolerances_met"]
+        assert rep.levels[0]["iterations"] <= 10
+
+        real = fblab.fbiter._run_level
+        monkeypatch.setattr(fblab.fbiter, "_run_level",
+                            lambda problem, start, opts, coarse=False:
+                            real(problem, start, opts))
+        full_u, full_phi, full = run(prob, phi0, opts)
+        assert full.levels[0] == {"nx": 33, "ny": 33, "iterations": 60,
+                                  "stop_reason": "budget_exhausted"}
+        assert full.levels[1:] == rep.levels[1:]
+        assert same_bytes(u.values, full_u.values)
+        assert same_bytes(phi.phi, full_phi.phi)
+        for name in ("jump_history", "displacement_history",
+                     "area_plus_history"):
+            assert same_bytes(getattr(rep, name), getattr(full, name))
 
     def test_single_signed_lift_is_not_used(self, monkeypatch):
         # a lift with no sign change cannot start a level: the finest grid
