@@ -625,6 +625,17 @@ def flatness_table(phi: LevelSet, center, radii) -> FlatnessTable:
                          deltas=np.asarray(deltas))
 
 
+def flatness_ladder(phi: LevelSet, center, radii):
+    """delta(r)/r over the radii :func:`flatness_table` keeps, and the
+    geometric mean of successive ratios, 0.0 if a ratio is not positive."""
+    table = flatness_table(phi, center, radii)
+    vals = np.asarray(table.deltas) / np.asarray(table.radii)
+    ratios = vals[1:] / vals[:-1]
+    fitted = float(np.exp(np.mean(np.log(ratios)))) if np.all(ratios > 0) \
+        else 0.0
+    return vals, fitted
+
+
 def nondegeneracy(u: ScalarField, phi: LevelSet, delta_band: float) -> float:
     """Minimal ratio u / distance-to-interface over positive-phase nodes at
     distance at least 2 * delta_band from the interface."""

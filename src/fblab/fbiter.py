@@ -118,7 +118,9 @@ class PhaseProblem:
 @dataclass
 class IterationOptions:
     """Stopping rule of the fixed-point loop; tol_jump defaults to 1e-3
-    times the largest jump target when left unset.  ``max_iters`` is the
+    times the largest jump target when left unset.  ``tol_move`` is in
+    cells: :func:`step` caps each move at h/2, so ``tol_move >= 0.5`` tests
+    nothing and the stop rests on ``tol_jump`` alone.  ``max_iters`` is the
     budget of each grid of :func:`run`'s ladder, not of the whole run."""
 
     tol_jump: Optional[float] = None

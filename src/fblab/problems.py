@@ -1,5 +1,5 @@
-"""Preset problem builders: two-plane configurations and the vortex-patch
-disk problem on the unit ball."""
+"""Preset problem builders: two-plane configurations, the perturbed plane
+and the vortex-patch disk problem on the unit ball."""
 
 from __future__ import annotations
 
@@ -36,19 +36,36 @@ def two_plane_levelset(grid: Grid2, nu=(0.0, 1.0),
     return LevelSet.from_function(grid, lambda x, y: x * nx + y * ny + c)
 
 
+def _homogeneous_problem(grid: Grid2, Q: float,
+                         outer_data: ScalarField) -> PhaseProblem:
+    """A = I and f = 0 in both phases, constant jump target Q."""
+    zero = ScalarField.constant(grid, 0.0)
+    return PhaseProblem(A=CoefficientField.identity(grid), f_plus=zero,
+                        f_minus=zero, Q=ScalarField.constant(grid, Q),
+                        outer_data=outer_data)
+
+
 def two_plane_problem(grid: Grid2, beta: float, Q: float = 1.0,
                       c: float = 0.0) -> PhaseProblem:
     """Homogeneous two-phase problem whose exact solution is the two-plane
     profile: A = I, f = 0, outer data the profile itself."""
-    A = CoefficientField.identity(grid)
-    zero = ScalarField.constant(grid, 0.0)
-    return PhaseProblem(
-        A=A,
-        f_plus=zero,
-        f_minus=zero,
-        Q=ScalarField.constant(grid, Q),
-        outer_data=two_plane_field(grid, beta, c=c),
-    )
+    return _homogeneous_problem(grid, Q, two_plane_field(grid, beta, c=c))
+
+
+def perturbed_plane_levelset(grid: Grid2, amplitude: float = 0.05,
+                             phase: float = 0.0) -> LevelSet:
+    """The perturbed plane y + amplitude * sin(pi x + phase)."""
+    return LevelSet.from_function(
+        grid, lambda x, y: y + amplitude * np.sin(np.pi * x + phase))
+
+
+def perturbed_plane_problem(grid: Grid2, amplitude: float = 0.05,
+                            phase: float = 0.0) -> PhaseProblem:
+    """One-phase problem with A = I, f = 0, Q = 1 and outer data the positive
+    part of the perturbed plane, max(y + amplitude * sin(pi x + phase), 0)."""
+    plane = perturbed_plane_levelset(grid, amplitude, phase)
+    return _homogeneous_problem(
+        grid, 1.0, ScalarField(grid, np.maximum(plane.phi, 0.0)))
 
 
 def pb_problem(grid: Grid2, params: PBParams) -> PhaseProblem:

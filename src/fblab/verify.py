@@ -18,13 +18,13 @@ import numpy as np
 
 from .diagnostics import (
     ball_quadrature,
-    flatness_table,
+    flatness_ladder,
     nondegeneracy,
     rescale,
     weiss_series,
 )
 from .elliptic import CoefficientField, PhaseRegion, solve_phase
-from .fbiter import IterationOptions, PhaseProblem, run, step
+from .fbiter import IterationOptions, run, step
 from .fields import (
     LevelSet,
     ScalarField,
@@ -47,12 +47,17 @@ from .prandtl import (
 from .problems import (
     pb_levelset,
     pb_problem,
+    perturbed_plane_levelset,
+    perturbed_plane_problem,
     two_plane_field,
     two_plane_levelset,
     two_plane_problem,
 )
 
 DISK_PARAMS = PBParams(mu=1.0, omega=1.0, sigma=8.0, h=1.0)
+DISK_OPTIONS = IterationOptions(max_iters=80, tol_jump=0.12, tol_move=0.5)
+PERTURBED_OPTIONS = IterationOptions(max_iters=60, tol_jump=0.04,
+                                     tol_move=0.5)
 
 
 @dataclass
@@ -72,8 +77,7 @@ def build_disk_run():
     _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
     problem = pb_problem(grid, DISK_PARAMS)
     phi0 = pb_levelset(grid, rho2 * 1.1)
-    opts = IterationOptions(max_iters=80, tol_jump=0.12, tol_move=0.5)
-    u, phi, report = run(problem, phi0, opts)
+    u, phi, report = run(problem, phi0, DISK_OPTIONS)
     return {"grid": grid, "params": DISK_PARAMS, "problem": problem,
             "u": u, "phi": phi, "report": report, "rho2": rho2,
             "seconds": time.perf_counter() - t0}
@@ -84,21 +88,9 @@ def build_perturbed_run():
     (criteria 8, 9), with the ``seconds`` it took to build."""
     t0 = time.perf_counter()
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
-
-    def outer(x, y):
-        return np.maximum(y + 0.05 * np.sin(np.pi * x), 0.0)
-
-    problem = PhaseProblem(
-        A=CoefficientField.identity(grid),
-        f_plus=ScalarField.constant(grid, 0.0),
-        f_minus=ScalarField.constant(grid, 0.0),
-        Q=ScalarField.constant(grid, 1.0),
-        outer_data=ScalarField.from_function(grid, outer),
-    )
-    phi0 = LevelSet.from_function(
-        grid, lambda x, y: y + 0.05 * np.sin(np.pi * x))
-    opts = IterationOptions(max_iters=60, tol_jump=0.04, tol_move=0.5)
-    u, phi, report = run(problem, phi0, opts)
+    problem = perturbed_plane_problem(grid)
+    u, phi, report = run(problem, perturbed_plane_levelset(grid),
+                         PERTURBED_OPTIONS)
     return {"grid": grid, "problem": problem, "u": u, "phi": phi,
             "report": report, "seconds": time.perf_counter() - t0}
 
@@ -296,12 +288,7 @@ def criterion_flatness_decay(ctx, out_dir=None) -> tuple[bool, str]:
     data = ctx.perturbed()
     pts = all_interface_points(interface_extract(data["phi"]))
     center = tuple(pts[np.argmin(np.abs(pts[:, 0]))])
-    radii = [0.5, 0.25, 0.125]
-    table = flatness_table(data["phi"], center, radii)
-    vals = np.asarray(table.deltas) / np.asarray(table.radii)
-    ratios = vals[1:] / vals[:-1]
-    fitted = float(np.exp(np.mean(np.log(ratios)))) if np.all(ratios > 0) \
-        else 0.0
+    vals, fitted = flatness_ladder(data["phi"], center, [0.5, 0.25, 0.125])
     ok = len(vals) == 3 and fitted <= 0.9
     detail = (f"delta/r {np.array2string(vals, precision=5)}, "
               f"fitted ratio {fitted:.3f} <= 0.9")

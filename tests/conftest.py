@@ -1,5 +1,5 @@
-"""Session-scoped converged runs shared between the iteration and
-acceptance suites (each costs ~10 s, so they are built once)."""
+"""Session-scoped converged runs, built once because the iteration and
+acceptance suites read the same converged runs."""
 
 import pytest
 

@@ -10,7 +10,7 @@ import pytest
 import fblab.fbiter
 from fblab import verify
 from fblab.cli import main
-from fblab.diagnostics import flatness_table
+from fblab.diagnostics import flatness_ladder
 from fblab.fields import LevelSet, all_interface_points, interface_extract
 from fblab.prandtl import jump_threshold
 
@@ -78,8 +78,7 @@ class TestCriteria:
         phi = ctx.perturbed()["phi"]
         pts = all_interface_points(interface_extract(phi))
         center = tuple(pts[np.argmin(np.abs(pts[:, 0]))])
-        table = flatness_table(phi, center, [0.5, 0.25, 0.125])
-        vals = np.asarray(table.deltas) / np.asarray(table.radii)
+        vals, _ = flatness_ladder(phi, center, [0.5, 0.25, 0.125])
         assert np.all(np.diff(vals) < 0), vals
 
     def test_09_nondegeneracy(self, ctx):

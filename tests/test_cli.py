@@ -19,7 +19,6 @@ import fblab.diagnostics
 from fblab.cli import main
 from fblab.errors import SolverError, UnderResolvedError
 from fblab.fields import (
-    LevelSet,
     ScalarField,
     make_grid,
     read_field,
@@ -28,6 +27,13 @@ from fblab.fields import (
     write_table,
 )
 from fblab.prandtl import jump_threshold_min
+from fblab.problems import (
+    perturbed_plane_levelset,
+    perturbed_plane_problem,
+    two_plane_field,
+    two_plane_levelset,
+)
+from fblab.verify import DISK_PARAMS
 
 TWO_PLANE_INI = """
 [meta]
@@ -123,12 +129,9 @@ def bad_outer_config(tmp_path, content):
 def perturbed_config(tmp_path):
     """PERTURBED_INI with its outer.csv and phi0.csv written next to it."""
     grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
-    write_field(ScalarField.from_function(
-        grid, lambda x, y: np.maximum(y + 0.05 * np.sin(np.pi * x), 0.0)),
-        str(tmp_path / "outer.csv"))
-    write_field(LevelSet.from_function(
-        grid, lambda x, y: y + 0.05 * np.sin(np.pi * x)),
-        str(tmp_path / "phi0.csv"))
+    write_field(perturbed_plane_problem(grid).outer_data,
+                str(tmp_path / "outer.csv"))
+    write_field(perturbed_plane_levelset(grid), str(tmp_path / "phi0.csv"))
     return write(tmp_path, "run.ini", PERTURBED_INI)
 
 
@@ -150,7 +153,7 @@ class TestSolve:
         assert header.startswith("iter,jump_linf,displacement,area_plus")
 
     def test_disk_run_recovers_oracle_radius(self, tmp_path):
-        from fblab.prandtl import PBParams, interface_radii, profile_jump
+        from fblab.prandtl import interface_radii, profile_jump
 
         cfg = write(tmp_path, "disk.ini", DISK_INI)
         out = str(tmp_path / "out")
@@ -163,9 +166,7 @@ class TestSolve:
         from fblab.fields import all_interface_points, interface_extract
         pts = all_interface_points(interface_extract(phi))
         radii = np.hypot(pts[:, 0], pts[:, 1])
-        _, rho2 = interface_radii(
-            PBParams(mu=1.0, omega=1.0, sigma=8.0, h=1.0),
-            jump_fn=profile_jump)
+        _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
         assert abs(radii.mean() - rho2) < 2 * phi.grid.h
 
     def test_nonconvergence_exits_two_with_artifacts(self, tmp_path):
@@ -400,11 +401,8 @@ levels = 0
         # 201^2 nodes resolve the trapping ladder r0/20 >= 4h, so
         # oscillation_decay runs in full
         grid = make_grid(201, 201, (-1.0, -1.0, 1.0, 1.0))
-        write_field(ScalarField.from_function(
-            grid, lambda x, y: math.sqrt(1.25) * np.maximum(y, 0)
-            + 0.5 * np.minimum(y, 0)), str(tmp_path / "u.csv"))
-        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
-                    str(tmp_path / "phi.csv"))
+        write_field(two_plane_field(grid, 0.5), str(tmp_path / "u.csv"))
+        write_field(two_plane_levelset(grid), str(tmp_path / "phi.csv"))
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI.replace(
             "nx = 65\nny = 65", "nx = 201\nny = 201") + """
 [diagnostics]
@@ -432,11 +430,8 @@ levels = 1
         # 257^2 nodes on [-1, 1]^2 resolve r0/20 >= 4h at r0 = 0.9 but not
         # r0/400, so the unset depth is level 1: two trapping pairs
         grid = make_grid(257, 257, (-1.0, -1.0, 1.0, 1.0))
-        write_field(ScalarField.from_function(
-            grid, lambda x, y: math.sqrt(1.25) * np.maximum(y, 0)
-            + 0.5 * np.minimum(y, 0)), str(tmp_path / "u.csv"))
-        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
-                    str(tmp_path / "phi.csv"))
+        write_field(two_plane_field(grid, 0.5), str(tmp_path / "u.csv"))
+        write_field(two_plane_levelset(grid), str(tmp_path / "phi.csv"))
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI.replace(
             "nx = 65\nny = 65", "nx = 257\nny = 257") + """
 [diagnostics]
@@ -453,11 +448,8 @@ radii = 0.45, 0.9
         """diagnose with levels = 1 and oscillation_decay raising ``error``;
         returns the exit code."""
         grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
-        write_field(ScalarField.from_function(
-            grid, lambda x, y: np.maximum(y, 0) + 0 * x),
-            str(tmp_path / "u.csv"))
-        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
-                    str(tmp_path / "phi.csv"))
+        write_field(two_plane_field(grid, 0.0), str(tmp_path / "u.csv"))
+        write_field(two_plane_levelset(grid), str(tmp_path / "phi.csv"))
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
 [diagnostics]
 center = 0.0, 0.0
@@ -506,8 +498,7 @@ center = 0.0, 0.0
 radii = 0.2
 """)
         grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
-        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
-                    str(tmp_path / "phi.csv"))
+        write_field(two_plane_levelset(grid), str(tmp_path / "phi.csv"))
         if content is not None:
             (tmp_path / "u.csv").write_text(content)
         assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
@@ -522,8 +513,7 @@ center = 0.0, 0.0
 radii = 0.2
 """)
         grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
-        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
-                    str(tmp_path / "phi.csv"))
+        write_field(two_plane_levelset(grid), str(tmp_path / "phi.csv"))
         xx, yy = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(-1, 1, 4))
         write_table(tmp_path / "g4.csv", "x,y,value",
                     np.column_stack([xx.ravel(), yy.ravel(), np.zeros(16)]))
@@ -545,8 +535,7 @@ radii = 0.2
         grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
         write_field(ScalarField.from_function(grid, lambda x, y: y),
                     str(tmp_path / "u.csv"))
-        write_field(LevelSet.from_function(grid, lambda x, y: y + 0 * x),
-                    str(tmp_path / "phi.csv"))
+        write_field(two_plane_levelset(grid), str(tmp_path / "phi.csv"))
         assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
                      "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
                      "--out", str(tmp_path / "d")]) == 3

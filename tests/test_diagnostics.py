@@ -42,16 +42,11 @@ from fblab.fields import (
     make_grid,
     one_sided_gradient,
 )
-from fblab.problems import two_plane_values
-
-
-def two_plane_fn(beta):
-    alpha = math.sqrt(1 + beta**2)
-    return lambda x, y: alpha * np.maximum(y, 0) - beta * np.maximum(-y, 0)
-
-
-def flat_phi(grid):
-    return LevelSet.from_function(grid, lambda x, y: y + 0 * x)
+from fblab.problems import (
+    two_plane_field,
+    two_plane_levelset,
+    two_plane_values,
+)
 
 
 def weiss(u, phi, center, radii, alpha, beta):
@@ -105,13 +100,14 @@ class TestTwoPlane:
 
 class TestWeissEnergy:
     def test_one_phase_plane(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(0.0))
-        E = weiss(u, flat_phi(grid65), (0, 0), [0.5], 1.0, 0.0).E_values[0]
+        u = two_plane_field(grid65, 0.0)
+        phi = two_plane_levelset(grid65)
+        E = weiss(u, phi, (0, 0), [0.5], 1.0, 0.0).E_values[0]
         assert E == pytest.approx(math.pi / 4, rel=0.02)
 
     def test_two_phase_plane(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        E = weiss(u, flat_phi(grid65), (0, 0), [0.5], math.sqrt(2),
+        u = two_plane_field(grid65, 1.0)
+        E = weiss(u, two_plane_levelset(grid65), (0, 0), [0.5], math.sqrt(2),
                   1.0).E_values[0]
         assert E == pytest.approx(3 * math.pi / 4, rel=0.02)
 
@@ -124,25 +120,25 @@ class TestWeissEnergy:
     def test_ball_must_stay_inside(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
         with pytest.raises(GridError):
-            ball_quadrature(u, flat_phi(grid65), (0.8, 0), [0.5])
+            ball_quadrature(u, two_plane_levelset(grid65), (0.8, 0), [0.5])
 
     def test_weight_constraint(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
         with pytest.raises(ValueError):
-            weiss(u, flat_phi(grid65), (0, 0), [0.5], 1.0, 1.0)
+            weiss(u, two_plane_levelset(grid65), (0, 0), [0.5], 1.0, 1.0)
 
 
 class TestWeissPhi:
     def test_one_phase_constant(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(0.0))
-        phi = flat_phi(grid65)
+        u = two_plane_field(grid65, 0.0)
+        phi = two_plane_levelset(grid65)
         for val in weiss(u, phi, (0, 0), [0.1, 0.3, 0.5], 1.0,
                          0.0).phi_values:
             assert val == pytest.approx(math.pi / 2, rel=0.02)
 
     def test_two_phase_constant(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        phi = flat_phi(grid65)
+        u = two_plane_field(grid65, 1.0)
+        phi = two_plane_levelset(grid65)
         for val in weiss(u, phi, (0, 0), [0.1, 0.3, 0.5], math.sqrt(2),
                          1.0).phi_values:
             assert val == pytest.approx(3 * math.pi / 2, rel=0.02)
@@ -159,8 +155,8 @@ class TestWeissPhi:
         exact = (1 + 2 * beta**2) * math.pi / 2
         errs = []
         for grid in (grid65, grid129):
-            u = ScalarField.from_function(grid, two_plane_fn(beta))
-            val = weiss(u, flat_phi(grid), (0, 0), [0.5], alpha,
+            u = two_plane_field(grid, beta)
+            val = weiss(u, two_plane_levelset(grid), (0, 0), [0.5], alpha,
                         beta).phi_values[0]
             errs.append(abs(val - exact))
         assert errs[1] <= errs[0] / 1.8
@@ -168,8 +164,8 @@ class TestWeissPhi:
 
 class TestWeissSeries:
     def test_constant_series_monotone(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        ws = weiss(u, flat_phi(grid65), (0, 0), [0.1, 0.2, 0.3, 0.4],
+        u = two_plane_field(grid65, 1.0)
+        ws = weiss(u, two_plane_levelset(grid65), (0, 0), [0.1, 0.2, 0.3, 0.4],
                    math.sqrt(2), 1.0)
         assert ws.monotone
         assert ws.first_violation is None
@@ -182,8 +178,8 @@ class TestWeissSeries:
             return np.maximum(y, 0) + 5.0 * np.maximum(0.15 - d, 0.0)**2
 
         u = ScalarField.from_function(grid65, bumped)
-        ws = weiss(u, flat_phi(grid65), (0, 0), [0.1, 0.2, 0.3, 0.4, 0.5],
-                   1.0, 0.0)
+        ws = weiss(u, two_plane_levelset(grid65), (0, 0),
+                   [0.1, 0.2, 0.3, 0.4, 0.5], 1.0, 0.0)
         assert not ws.monotone
         assert ws.first_violation is not None
         assert ws.first_violation[0] < ws.first_violation[1]
@@ -191,12 +187,12 @@ class TestWeissSeries:
     def test_radii_must_increase(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
         with pytest.raises(ValueError):
-            weiss(u, flat_phi(grid65), (0, 0), [0.3, 0.2], 1.0, 0.0)
+            weiss(u, two_plane_levelset(grid65), (0, 0), [0.3, 0.2], 1.0, 0.0)
 
     def test_parts_recomputable(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        ws = weiss(u, flat_phi(grid65), (0, 0), [0.2, 0.4], math.sqrt(2),
-                   1.0)
+        u = two_plane_field(grid65, 1.0)
+        ws = weiss(u, two_plane_levelset(grid65), (0, 0), [0.2, 0.4],
+                   math.sqrt(2), 1.0)
         recomputed = ws.E_values / ws.radii**2 \
             - ws.boundary_terms / ws.radii**3
         assert np.max(np.abs(recomputed - ws.phi_values)) < 1e-12
@@ -204,7 +200,7 @@ class TestWeissSeries:
 
 class TestRescale:
     def test_homogeneous_field_fixed(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(1.0))
+        u = two_plane_field(grid65, 1.0)
         ur = rescale(u, 0.5, (0, 0))
         assert np.max(np.abs(ur.values - u.values)) < 1e-13
 
@@ -219,7 +215,7 @@ class TestRescale:
         u = ScalarField.from_function(
             grid129,
             lambda x, y: np.maximum(y, 0) + 0.05 * np.sin(2 * x) * (y + 1))
-        phi = flat_phi(grid129)
+        phi = two_plane_levelset(grid129)
         lam, r = 0.5, 0.4
         left = weiss(rescale(u, lam, (0, 0)), phi, (0, 0), [r], 1.0,
                      0.0).phi_values[0]
@@ -311,12 +307,12 @@ class TestBestOffsets:
 
 class TestTwoPlaneFit:
     def test_ball_without_nodes_raises(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(0.5))
+        u = two_plane_field(grid65, 0.5)
         with pytest.raises(UnderResolvedError, match="no grid node"):
             two_plane_fit(u, (0.999, 0.0), 0.001)
 
     def test_identity_recovery(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(0.7))
+        u = two_plane_field(grid65, 0.7)
         plane, res = two_plane_fit(u, (0, 0), 0.5)
         assert res < 1e-6
         assert plane.beta == pytest.approx(0.7, abs=1e-3)
@@ -440,11 +436,9 @@ class TestTwoPlaneFit:
 def profile_field(grid, degrees, beta, c=0.0, eps=0.0):
     """The profile along the unit normal at ``degrees`` from (0, 1), plus
     ``eps`` times a smooth perturbation."""
-    nu = _unit(math.radians(degrees))
     xx, yy = grid.meshgrid()
-    s = xx * nu[0] + yy * nu[1] + c
-    return ScalarField(grid, _profile(s, math.sqrt(1 + beta**2), beta)
-                       + eps * np.sin(5 * xx + 2.1))
+    profile = two_plane_values(beta, _unit(math.radians(degrees)), c)
+    return ScalarField(grid, profile(xx, yy) + eps * np.sin(5 * xx + 2.1))
 
 
 def diagnose_field(grid):
@@ -604,7 +598,7 @@ class TestOffsetLowerBound:
 
 class TestFlatness:
     def test_flat_interface(self, grid65):
-        table = flatness_table(flat_phi(grid65), (0, 0), [0.5])
+        table = flatness_table(two_plane_levelset(grid65), (0, 0), [0.5])
         assert np.allclose(np.abs(table.directions), [[0.0, 1.0]])
         assert table.deltas[0] <= grid65.h / 2
 
@@ -643,20 +637,20 @@ class TestFlatness:
 
 class TestNondegeneracy:
     def test_one_phase_plane(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(0.0))
-        assert nondegeneracy(u, flat_phi(grid65), 0.05) == pytest.approx(
-            1.0, rel=0.05)
+        u = two_plane_field(grid65, 0.0)
+        assert nondegeneracy(u, two_plane_levelset(grid65), 0.05) \
+            == pytest.approx(1.0, rel=0.05)
 
     def test_two_phase_plane(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        assert nondegeneracy(u, flat_phi(grid65), 0.05) == pytest.approx(
-            math.sqrt(2), rel=0.05)
+        u = two_plane_field(grid65, 1.0)
+        assert nondegeneracy(u, two_plane_levelset(grid65), 0.05) \
+            == pytest.approx(math.sqrt(2), rel=0.05)
 
     def test_scales_exactly(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(0.0))
+        u = two_plane_field(grid65, 0.0)
         half = ScalarField(grid65, 0.5 * u.values)
-        c_full = nondegeneracy(u, flat_phi(grid65), 0.05)
-        c_half = nondegeneracy(half, flat_phi(grid65), 0.05)
+        c_full = nondegeneracy(u, two_plane_levelset(grid65), 0.05)
+        c_half = nondegeneracy(half, two_plane_levelset(grid65), 0.05)
         assert c_half == pytest.approx(0.5 * c_full, rel=1e-12)
 
     def test_no_interface(self, grid65):
@@ -668,15 +662,14 @@ class TestNondegeneracy:
 
 class TestOscillationDecay:
     def test_exact_plane_zero_offsets(self, grid257):
-        u = ScalarField.from_function(grid257, two_plane_fn(0.7))
+        u = two_plane_field(grid257, 0.7)
         plane, _ = two_plane_fit(u, np.array([0.0, 0.0]), 0.8)
         out = oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 1, plane)
         for a, b in out:
             assert abs(a) < 1e-12 and abs(b) < 1e-12
 
     def test_planted_offset(self, grid257):
-        u = ScalarField.from_function(
-            grid257, lambda x, y: two_plane_fn(0.7)(x, y + 0.01))
+        u = two_plane_field(grid257, 0.7, c=0.01)
         plane, _ = two_plane_fit(u, np.array([0.0, 0.0]), 0.8)
         out = oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 1, plane)
         for a, b in out:
@@ -684,7 +677,7 @@ class TestOscillationDecay:
             assert b == pytest.approx(0.01, abs=1e-9)
 
     def test_depth_precondition(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(0.0))
+        u = two_plane_field(grid65, 0.0)
         with pytest.raises(UnderResolvedError):
             oscillation_decay(u, np.array([0.0, 0.0]), 0.8, 2,
                               TwoPlane(beta=0.0, nu=np.array([0.0, 1.0])))
@@ -697,7 +690,7 @@ class TestOscillationDecay:
         assert deepest_level(r0, h) == deepest
 
     def test_deepest_level_is_the_precondition(self, grid257):
-        u = ScalarField.from_function(grid257, two_plane_fn(0.7))
+        u = two_plane_field(grid257, 0.7)
         plane = TwoPlane(beta=0.7, nu=np.array([0.0, 1.0]))
         deepest = deepest_level(0.8, grid257.h)
         assert len(oscillation_decay(u, np.array([0.0, 0.0]), 0.8, deepest,
@@ -709,14 +702,15 @@ class TestOscillationDecay:
 
 class TestACFProduct:
     def test_one_phase_vanishes(self, grid65):
-        u = ScalarField.from_function(grid65, two_plane_fn(0.0))
-        series = acf(u, flat_phi(grid65), (0, 0), [0.2, 0.4])
+        u = two_plane_field(grid65, 0.0)
+        series = acf(u, two_plane_levelset(grid65), (0, 0), [0.2, 0.4])
         assert np.allclose(series.values, 0.0, atol=1e-14)
 
     def test_two_phase_constant(self, grid65):
         # closed form: (alpha * beta * pi / 2)^2 = pi^2 / 2 for beta = 1
-        u = ScalarField.from_function(grid65, two_plane_fn(1.0))
-        series = acf(u, flat_phi(grid65), (0, 0), [0.2, 0.3, 0.4, 0.5])
+        u = two_plane_field(grid65, 1.0)
+        phi = two_plane_levelset(grid65)
+        series = acf(u, phi, (0, 0), [0.2, 0.3, 0.4, 0.5])
         exact = math.pi**2 / 2
         assert np.all(np.abs(series.values - exact) < 0.05 * exact)
         assert series.monotone
@@ -724,7 +718,7 @@ class TestACFProduct:
 
     def test_zero_field(self, grid65):
         u = ScalarField.constant(grid65, 0.0)
-        series = acf(u, flat_phi(grid65), (0, 0), [0.2, 0.4])
+        series = acf(u, two_plane_levelset(grid65), (0, 0), [0.2, 0.4])
         assert np.allclose(series.values, 0.0, atol=1e-14)
 
 

@@ -17,6 +17,7 @@ from fblab.fields import (
     interface_extract,
     make_grid,
 )
+from fblab.problems import two_plane_field
 
 
 def full_box_region(grid, boundary_fn):
@@ -357,16 +358,11 @@ class TestSolvePhaseReference:
         np.testing.assert_allclose(u.values, ref, rtol=0, atol=1e-12)
 
 
-def two_plane(beta):
-    alpha = np.sqrt(1 + beta**2)
-    return lambda x, y: alpha * np.maximum(y, 0) - beta * np.maximum(-y, 0)
-
-
 class TestInterfaceNormalGradient:
     def test_two_plane_both_sides(self):
         grid = make_grid(65, 65, (-1, -1, 1, 1))
         A = CoefficientField.identity(grid)
-        u = ScalarField.from_function(grid, two_plane(0.5))
+        u = two_plane_field(grid, 0.5)
         phi = LevelSet.from_function(grid, lambda x, y: y)
         _, (qp,) = interface_normal_gradient(u, A, phi, [(0.1, 0.0)], +1)
         _, (qm,) = interface_normal_gradient(u, A, phi, [(0.1, 0.0)], -1)
@@ -392,7 +388,7 @@ class TestInterfaceNormalGradient:
     def test_scaled_identity_coefficients(self):
         grid = make_grid(65, 65, (-1, -1, 1, 1))
         A = CoefficientField.constant(grid, 2.0, 0.0, 2.0)
-        u = ScalarField.from_function(grid, two_plane(0.0))
+        u = two_plane_field(grid, 0.0)
         phi = LevelSet.from_function(grid, lambda x, y: y)
         _, (qp,) = interface_normal_gradient(u, A, phi, [(-0.2, 0.0)], +1)
         assert qp == pytest.approx(2.0, abs=1e-10)
@@ -411,7 +407,7 @@ class TestInterfaceNormalGradient:
     def test_batched_two_plane(self):
         grid = make_grid(65, 65, (-1, -1, 1, 1))
         A = CoefficientField.constant(grid, 1.5, 0.2, 0.8)
-        u = ScalarField.from_function(grid, two_plane(0.5))
+        u = two_plane_field(grid, 0.5)
         phi = LevelSet.from_function(grid, lambda x, y: y - 0.1 * x + 0.013)
         for side in (1, -1):
             self.check_batched_matches_points(u, A, phi, side)

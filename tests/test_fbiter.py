@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,15 +33,18 @@ from fblab.fields import (
     all_interface_points,
     interface_extract,
     make_grid,
+    polyline_distance,
 )
 from fblab.prandtl import interface_radii, profile_jump
 from fblab.problems import (
     pb_levelset,
     pb_problem,
+    perturbed_plane_levelset,
+    perturbed_plane_problem,
     two_plane_levelset,
     two_plane_problem,
 )
-from fblab.verify import DISK_PARAMS
+from fblab.verify import DISK_OPTIONS, DISK_PARAMS, PERTURBED_OPTIONS
 
 
 @pytest.fixture(scope="module")
@@ -55,44 +60,27 @@ def grid129():
 class TestPhaseProblem:
     def test_rejects_nonpositive_jump_target(self, grid65):
         with pytest.raises(FieldError):
-            PhaseProblem(
-                A=CoefficientField.identity(grid65),
-                f_plus=ScalarField.constant(grid65, 0.0),
-                f_minus=ScalarField.constant(grid65, 0.0),
-                Q=ScalarField.constant(grid65, 0.0),
-                outer_data=ScalarField.constant(grid65, 1.0),
-            )
+            replace(two_plane_problem(grid65, 1.0),
+                    Q=ScalarField.constant(grid65, 0.0))
 
     def test_rejects_mismatched_grid(self, grid65):
         other = make_grid(33, 33, (-1.0, -1.0, 1.0, 1.0))
         with pytest.raises(FieldError):
-            PhaseProblem(
-                A=CoefficientField.identity(grid65),
-                f_plus=ScalarField.constant(other, 0.0),
-                f_minus=ScalarField.constant(grid65, 0.0),
-                Q=ScalarField.constant(grid65, 1.0),
-                outer_data=ScalarField.constant(grid65, 1.0),
-            )
+            replace(two_plane_problem(grid65, 1.0),
+                    f_plus=ScalarField.constant(other, 0.0))
 
     def test_rejects_nonfinite_data(self, grid65):
         bad = np.zeros(grid65.shape)
         bad[3, 3] = np.nan
         with pytest.raises(FieldError):
-            PhaseProblem(
-                A=CoefficientField.identity(grid65),
-                f_plus=ScalarField(grid65, bad),
-                f_minus=ScalarField.constant(grid65, 0.0),
-                Q=ScalarField.constant(grid65, 1.0),
-                outer_data=ScalarField.constant(grid65, 1.0),
-            )
+            replace(two_plane_problem(grid65, 1.0),
+                    f_plus=ScalarField(grid65, bad))
 
     def test_pinned_mask_and_domain_radius(self, grid65):
         prob = two_plane_problem(grid65, 1.0)
         assert prob.pinned_mask() is None
         assert prob.domain_radius() == pytest.approx(1.0)
-        prob_ball = PhaseProblem(
-            A=prob.A, f_plus=prob.f_plus, f_minus=prob.f_minus,
-            Q=prob.Q, outer_data=prob.outer_data, mask_radius=0.75)
+        prob_ball = replace(prob, mask_radius=0.75)
         mask = prob_ball.pinned_mask()
         assert mask[0, 0] and not mask[32, 32]
         assert prob_ball.domain_radius() == pytest.approx(0.75)
@@ -274,25 +262,6 @@ class TestSmoothAlong:
                                    transfer * wave, rtol=0, atol=1e-14)
 
 
-PLANE_OPTIONS = IterationOptions(max_iters=60, tol_jump=0.04, tol_move=0.5)
-
-
-def perturbed_plane(n, phase=0.0):
-    """The perturbed-plane problem of verify with outer data
-    max(y + 0.05 sin(pi x + phase), 0), and the start y + 0.05 sin(pi x)."""
-    grid = make_grid(n, n, (-1.0, -1.0, 1.0, 1.0))
-    zero = ScalarField.constant(grid, 0.0)
-    prob = PhaseProblem(
-        A=CoefficientField.identity(grid), f_plus=zero, f_minus=zero,
-        Q=ScalarField.constant(grid, 1.0),
-        outer_data=ScalarField.from_function(
-            grid, lambda x, y: np.maximum(
-                y + 0.05 * np.sin(np.pi * x + phase), 0.0)))
-    phi0 = LevelSet.from_function(
-        grid, lambda x, y: y + 0.05 * np.sin(np.pi * x))
-    return prob, phi0
-
-
 def disk_modes_2_to_4_run(n):
     """Report of the disk problem on n^2 started at
     rho2 (1 + 0.02 (cos 2t + sin 3t + cos 4t))."""
@@ -305,9 +274,7 @@ def disk_modes_2_to_4_run(n):
         return np.hypot(x, y) - rho2 * (1 + 0.02 * modes)
 
     _, _, rep = run(pb_problem(grid, DISK_PARAMS),
-                    LevelSet.from_function(grid, start),
-                    IterationOptions(max_iters=80, tol_jump=0.12,
-                                     tol_move=0.5))
+                    LevelSet.from_function(grid, start), DISK_OPTIONS)
     return rep
 
 
@@ -382,20 +349,22 @@ class TestRun:
         # here, best defect 0.186
         assert disk_modes_2_to_4_run(97).stop_reason == "tolerances_met"
 
-    def test_unshifted_start_for_phase_shifted_data_converges(self):
+    def test_unshifted_start_for_phase_shifted_data_converges(self,
+                                                              grid129):
         # the box filter spent all 60 iterations here, best defect 0.047
-        prob, phi0 = perturbed_plane(129, phase=1.3)
-        _, _, rep = run(prob, phi0, PLANE_OPTIONS)
+        _, _, rep = run(perturbed_plane_problem(grid129, phase=1.3),
+                        perturbed_plane_levelset(grid129), PERTURBED_OPTIONS)
         assert rep.stop_reason == "tolerances_met"
 
-    def test_stray_zero_node_is_not_measured(self):
+    def test_stray_zero_node_is_not_measured(self, grid129):
         # a zero node inside the positive phase is a one-point loop of
         # interface_extract; measuring across it raised PhaseCollapseError
-        prob, phi0 = perturbed_plane(129)
+        phi0 = perturbed_plane_levelset(grid129)
         phi0.phi[100, 40] = 0.0
         polylines = interface_extract(phi0)
         assert np.all(polylines[-1].points == (-0.375, 0.5625))
-        _, _, rep = run(prob, phi0, PLANE_OPTIONS)
+        _, _, rep = run(perturbed_plane_problem(grid129), phi0,
+                        PERTURBED_OPTIONS)
         assert rep.stop_reason == "tolerances_met"
 
     def test_perturbed_plane_settles(self, perturbed_run):
@@ -527,12 +496,13 @@ class TestNestedIteration:
 
     @pytest.mark.parametrize("failure", ["collapse", "budget"])
     def test_failed_coarse_levels_leave_the_fine_run_alone(
-            self, monkeypatch, failure):
+            self, monkeypatch, grid65, failure):
         # every coarse level fails, so the finest starts from phi0 and the
         # result is that of the one-grid loop, bit for bit
-        prob, phi0 = perturbed_plane(65)
+        prob = perturbed_plane_problem(grid65)
+        phi0 = perturbed_plane_levelset(grid65)
         expected_u, expected_phi, expected = _run_level(prob, phi0,
-                                                        PLANE_OPTIONS)
+                                                        PERTURBED_OPTIONS)
         real = fblab.fbiter._run_level
 
         def failing(problem, start, opts, coarse=False):
@@ -545,7 +515,7 @@ class TestNestedIteration:
             return u, phi, rep
 
         monkeypatch.setattr(fblab.fbiter, "_run_level", failing)
-        u, phi, rep = run(prob, phi0, PLANE_OPTIONS)
+        u, phi, rep = run(prob, phi0, PERTURBED_OPTIONS)
         assert same_bytes(u.values, expected_u.values)
         assert same_bytes(phi.phi, expected_phi.phi)
         for name in ("jump_history", "displacement_history",
@@ -566,7 +536,7 @@ class TestNestedIteration:
         grid = make_grid(129, 129, (-1.1, -1.1, 1.1, 1.1))
         prob = pb_problem(grid, DISK_PARAMS)
         phi0 = pb_levelset(grid, 0.56)
-        opts = IterationOptions(max_iters=60, tol_jump=0.12, tol_move=0.5)
+        opts = replace(DISK_OPTIONS, max_iters=60)
         u, phi, rep = run(prob, phi0, opts)
         assert [lv["stop_reason"] for lv in rep.levels] \
             == ["stalled", "tolerances_met", "tolerances_met"]
@@ -586,14 +556,15 @@ class TestNestedIteration:
                      "area_plus_history"):
             assert same_bytes(getattr(rep, name), getattr(full, name))
 
-    def test_single_signed_lift_is_not_used(self, monkeypatch):
+    def test_single_signed_lift_is_not_used(self, monkeypatch, grid65):
         # a lift with no sign change cannot start a level: the finest grid
         # then starts from its own phi0, as after a failed coarse level
-        prob, phi0 = perturbed_plane(65)
-        expected_u, _, _ = _run_level(prob, phi0, PLANE_OPTIONS)
+        prob = perturbed_plane_problem(grid65)
+        phi0 = perturbed_plane_levelset(grid65)
+        expected_u, _, _ = _run_level(prob, phi0, PERTURBED_OPTIONS)
         monkeypatch.setattr(fblab.fbiter, "_lift", lambda phi, grid:
                             LevelSet(grid, np.ones(grid.shape)))
-        u, _, rep = run(prob, phi0, PLANE_OPTIONS)
+        u, _, rep = run(prob, phi0, PERTURBED_OPTIONS)
         assert rep.levels[0]["stop_reason"] == "tolerances_met"
         assert same_bytes(u.values, expected_u.values)
 
@@ -601,13 +572,30 @@ class TestNestedIteration:
         # on the 257^2 grid alone the loop takes 15 steps, most of them
         # capped at half a cell; the coarse levels do that travel, and the
         # finest takes at most 3
-        prob, phi0 = perturbed_plane(257)
-        _, _, rep = run(prob, phi0, PLANE_OPTIONS)
+        grid = make_grid(257, 257, (-1.0, -1.0, 1.0, 1.0))
+        _, _, rep = run(perturbed_plane_problem(grid),
+                        perturbed_plane_levelset(grid), PERTURBED_OPTIONS)
         assert rep.stop_reason == "tolerances_met"
         assert [lv["nx"] for lv in rep.levels] == [33, 65, 129, 257]
         assert all(lv["stop_reason"] == "tolerances_met"
                    for lv in rep.levels)
         assert rep.iterations == rep.levels[-1]["iterations"] <= 3
+
+    @pytest.mark.parametrize("phase, bound", [(0.0, 0.1), (1.3, 0.15)],
+                             ids=["perturbed", "phase_1.3_unshifted"])
+    def test_nested_and_one_grid_runs_agree(self, grid129, phase, bound):
+        # README: convergence is decided on the finest grid alone, so the
+        # nested interface lies on the one-grid one to a fraction of a
+        # cell (measured 0.062h and 0.094h)
+        prob = perturbed_plane_problem(grid129, phase=phase)
+        phi0 = perturbed_plane_levelset(grid129)
+        opts = replace(PERTURBED_OPTIONS, max_iters=200)
+        _, nested, rep = run(prob, phi0, opts)
+        _, one_grid, one_rep = _run_level(prob, phi0, opts)
+        assert rep.stop_reason == one_rep.stop_reason == "tolerances_met"
+        pts = all_interface_points(interface_extract(nested))
+        dist = polyline_distance(pts, interface_extract(one_grid))
+        assert np.max(dist) <= bound * grid129.h
 
 
 class TestAndersonMix:
@@ -667,19 +655,9 @@ class TestAndersonMix:
     def test_asymmetric_perturbed_start_converges(self):
         # phase-shifted data: the unmixed defect flow stalls above 0.15
         grid = make_grid(97, 97, (-1.0, -1.0, 1.0, 1.0))
-
-        def interface(x, y):
-            return y + 0.05 * np.sin(np.pi * x + 1.3)
-
-        zero = ScalarField.constant(grid, 0.0)
-        prob = PhaseProblem(
-            A=CoefficientField.identity(grid), f_plus=zero, f_minus=zero,
-            Q=ScalarField.constant(grid, 1.0),
-            outer_data=ScalarField.from_function(
-                grid, lambda x, y: np.maximum(interface(x, y), 0.0)))
-        _, _, rep = run(prob, LevelSet.from_function(grid, interface),
-                        IterationOptions(max_iters=60, tol_jump=0.04,
-                                         tol_move=0.5))
+        _, _, rep = run(perturbed_plane_problem(grid, phase=1.3),
+                        perturbed_plane_levelset(grid, phase=1.3),
+                        PERTURBED_OPTIONS)
         assert rep.converged
 
 

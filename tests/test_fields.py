@@ -16,6 +16,7 @@ from fblab.fields import (
     write_field,
     write_table,
 )
+from fblab.problems import perturbed_plane_problem
 
 
 class TestMakeGrid:
@@ -658,8 +659,7 @@ class TestCsvRoundTrip:
     def test_round_trip_bit_identical(self, tmp_path, n):
         # the grids and profiles of the benchmark's input files
         grid = make_grid(n, n, (-1.0, -1.0, 1.0, 1.0))
-        u = ScalarField.from_function(
-            grid, lambda x, y: np.maximum(y + 0.05 * np.sin(np.pi * x), 0))
+        u = perturbed_plane_problem(grid).outer_data
         write_field(u, tmp_path / "u.csv")
         v = read_field(tmp_path / "u.csv")
         assert v.grid == grid

@@ -3,7 +3,9 @@ attributes (``perfbench/child.py``'s ``WRAPS``) and reads call arguments by
 position.  These tests fail when a refactor moves a wrapped name, renames a
 read parameter or stops calling a layer through its module attribute, which
 the benchmark would otherwise only report as ``trace.absent_wraps`` or as
-missing spans."""
+missing spans.  The benchmark's input files are also checked against the
+problem builders of ``fblab.problems``, which its generator does not
+import."""
 
 import importlib
 import inspect
@@ -17,8 +19,13 @@ import fblab.config
 import fblab.fbiter
 import fblab.fields
 from fblab.fbiter import IterationOptions, run
-from fblab.fields import make_grid
-from fblab.problems import two_plane_levelset, two_plane_problem
+from fblab.fields import make_grid, write_field
+from fblab.problems import (
+    perturbed_plane_levelset,
+    perturbed_plane_problem,
+    two_plane_levelset,
+    two_plane_problem,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -26,18 +33,19 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
 
 @pytest.fixture(scope="module")
 def bench():
-    """perfbench's ``child`` and ``tracer`` modules."""
+    """perfbench's ``child``, ``tracer`` and ``workloads`` modules."""
     sys.path.insert(0, PERFBENCH)
     try:
         return (importlib.import_module("child"),
-                importlib.import_module("tracer"))
+                importlib.import_module("tracer"),
+                importlib.import_module("workloads"))
     finally:
         sys.path.remove(PERFBENCH)
 
 
 @pytest.fixture
 def tracer(bench):
-    child, tracer_mod = bench
+    child, tracer_mod, _ = bench
     t = tracer_mod.Tracer()
     t.install(child.WRAPS)
     try:
@@ -70,3 +78,21 @@ def test_run_calls_layers_through_module_attributes(tracer):
     assert names.count("fbiter.step") == 2
     assert names.count("elliptic.solve_phase") == 4
     assert names.count("fbiter.jump") == 2
+
+
+def test_perturbed_inputs_match_the_problem_builders(bench, tmp_path):
+    # seed 0's first two perturbed_solve calls, one per amplitude sign
+    _, _, workloads = bench
+    grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
+    amplitudes = []
+    for k in range(2):
+        a = workloads.make_input("perturbed_solve", 0, k,
+                                 str(tmp_path)).params["amplitude"]
+        amplitudes.append(a)
+        for name, field in (("outer.csv",
+                             perturbed_plane_problem(grid, a).outer_data),
+                            ("phi0.csv", perturbed_plane_levelset(grid, a))):
+            write_field(field, tmp_path / name)
+            assert (tmp_path / name).read_bytes() \
+                == (tmp_path / f"in{k}" / name).read_bytes(), (k, name)
+    assert amplitudes[0] > 0 > amplitudes[1]
