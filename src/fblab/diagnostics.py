@@ -10,12 +10,14 @@ crossed by the ball boundary are subdivided with exact signed distances at
 subcell corners so that constancy checks are not polluted by staircase
 noise.
 
-The two-plane fit's grid search skips only work that cannot change its
-result, so it is the exhaustive search's to the bit: a grid candidate is
-solved only if a lower bound on its residual, resting on deviations rising
-with the offset, does not exceed the incumbent's.  Its polish solves small
-linear programs on a working set of nodes but evaluates every trial on
-every node, so the residual it reports is exact.
+The two-plane fit's offsets leave residuals at most sqrt(1 + beta**2)
+2 c_max 2**-48 plus rounding above a 48-step bisection's.  Its grid search
+skips only work that cannot change its result, so it is the exhaustive
+search's to the bit: a grid candidate is solved only if a lower bound on
+its residual, resting on deviations rising with the offset, does not
+exceed the incumbent's.  Its polish solves small linear programs on a
+working set of nodes but evaluates every trial on every node, so the
+residual it reports is exact.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ _FLAT_GAP = 1e-8  # least relative eigen-gap that names a slab direction
 _FIT_NODES = 2048  # node budget of the two-plane grid search
 _FIT_ROUNDS = ((64, 24), (16, 16))  # (angles, betas)
 _FIT_BETA_MAX = 10.0
-_OFFSET_BISECTIONS = 48
+_OFFSET_RTOL = 2.0**-48  # final offset bracket, relative to 2 c_max
 _BOUND_STRIDE = 64  # search nodes per node of the offset lower bound
 _BOUND_OFFSETS = 32  # intervals of its coarse offset grid
 _POLISH_ROWS = 16  # LP rows of each sign, and most cuts per step
@@ -344,15 +346,17 @@ def _best_offsets(t, uvals, betas, c_max):
 
     Deviations profile(t + c) - u rise with c, so the worst one,
     max(top, -bottom), falls until F(c) = top + bottom turns positive and
-    rises after.  The offset is where a 48-step bisection on the sign of F
-    over [-c_max, c_max] ends.  F is monotone and piecewise linear, so a
-    bracketed secant (regula falsi with the Illinois halving, the midpoint
-    when the secant point leaves the bracket) is exact once both ends lie
-    on one linear piece: it narrows [a, b], F(a) <= 0 < F(b), to the
-    bisection's final width or to an exact zero in a few evaluations.  The
-    bisection steps are then replayed, evaluating F only at midpoints
-    inside [a, b]; F in floating point is monotone too, so the offsets are
-    the bisection's to the bit.
+    rises after.  Without a sign change of F on [-c_max, c_max] the offset
+    is the end where the worst deviation is least.  Otherwise regula falsi
+    narrows F(lo) < 0 < F(hi); it is exact once both ends lie on one linear
+    piece of F, and a step takes the midpoint when the secant point leaves
+    the bracket or the bracket has not halved over two steps, so the
+    bracket halves at least every third step.  The offset is the exact zero
+    of F a step lands on, or else the midpoint of the first bracket at most
+    2 c_max 2**-48 wide: within half that width of the sign change, as a
+    48-step bisection's is.  The worst deviation is sqrt(1 + beta**2)-
+    Lipschitz in c, so the residual exceeds the bisection's by at most
+    sqrt(1 + beta**2) 2 c_max 2**-48 plus rounding.
     A node with larger t and smaller u than another never sets the top, nor
     one with smaller t and larger u the bottom; only the rest are kept."""
     order = np.argsort(t, kind="stable")
@@ -370,53 +374,27 @@ def _best_offsets(t, uvals, betas, c_max):
                 np.min(_profile(t_bot + c, alphas[k], betas[k]) - u_bot,
                        axis=0))
 
-    def excess(c, k=slice(None)):
-        """F(c) = top + bottom for the betas ``k``."""
-        top_c, bottom_c = extremes(c, k)
-        return top_c + bottom_c
-
-    width = 2 * c_max * 2.0**-_OFFSET_BISECTIONS
+    # no less than two ulps of c_max, so a wider bracket holds its midpoint
+    width = max(2 * c_max * _OFFSET_RTOL, 2 * np.spacing(c_max))
     lo, hi = np.full(betas.shape, -c_max), np.full(betas.shape, c_max)
-    f_lo, f_hi = excess(lo), excess(hi)
-    # a bisection pinned at an end has a = b there
-    a, b = np.where(f_hi <= 0, hi, lo), np.where(f_lo > 0, lo, hi)
+    f_lo, f_hi = np.sum(extremes(lo), axis=0), np.sum(extremes(hi), axis=0)
+    c = np.where(f_hi <= 0, hi, lo)
     k = np.nonzero((f_lo < 0) & (f_hi > 0))[0]
     lo, hi, f_lo, f_hi = lo[k], hi[k], f_lo[k], f_hi[k]
-    kept = np.zeros(len(k))  # +1: lo kept by the last step, -1: hi kept
-    for _ in range(_OFFSET_BISECTIONS):
-        if not len(k):
-            break
+    w1 = w2 = np.full(len(k), np.inf)  # widths one and two steps back
+    while len(k):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-        f_x = excess(x, k)
+        x = np.where((lo < x) & (x < hi) & (hi - lo <= 0.5 * w2),
+                     x, 0.5 * (lo + hi))
+        w1, w2 = hi - lo, w1
+        f_x = np.sum(extremes(x, k), axis=0)  # F(x)
         up = f_x > 0
-        # Illinois: an end kept twice running has its value halved
-        f_lo = np.where(up, np.where(kept > 0, 0.5 * f_lo, f_lo), f_x)
-        f_hi = np.where(up, f_x, np.where(kept < 0, 0.5 * f_hi, f_hi))
+        f_lo, f_hi = np.where(up, f_lo, f_x), np.where(up, f_x, f_hi)
         lo, hi = np.where(up, lo, x), np.where(up, x, hi)
-        kept = np.where(up, 1.0, -1.0)
-        a[k], b[k] = lo, hi
+        c[k] = np.where(f_x == 0, x, 0.5 * (lo + hi))
         live = (f_x != 0) & (hi - lo > width)
-        k, lo, hi, f_lo, f_hi, kept = (
-            v[live] for v in (k, lo, hi, f_lo, f_hi, kept))
-    # an exact zero leaves b far off: one step of the final width closes it
-    k = np.nonzero(b - a > width)[0]
-    if len(k):
-        x = a[k] + width
-        up = excess(x, k) > 0
-        a[k], b[k] = np.where(up, a[k], x), np.where(up, x, b[k])
-
-    lo, hi = np.full(betas.shape, -c_max), np.full(betas.shape, c_max)
-    for _ in range(_OFFSET_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        k = np.nonzero((a < mid) & (mid < b))[0]
-        if len(k):
-            up = excess(mid[k], k) > 0
-            a[k] = np.where(up, a[k], mid[k])
-            b[k] = np.where(up, mid[k], b[k])
-        up = mid >= b
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    c = 0.5 * (lo + hi)
+        k, lo, hi, f_lo, f_hi, w1, w2 = (
+            v[live] for v in (k, lo, hi, f_lo, f_hi, w1, w2))
     return np.max(np.abs(extremes(c)), axis=0), c
 
 
@@ -531,13 +509,14 @@ def two_plane_fit(u: ScalarField, center, r: float):
     The optimal offset in [-r/2, r/2] is solved for each (angle, beta) by a
     bracketed secant on the largest plus the smallest node deviation, which
     is monotone and piecewise linear in the offset, so the secant is exact
-    once it brackets one linear piece (:func:`_best_offsets`); the offsets
-    are a 48-step bisection's, to the bit.  A 64-angle x 24-beta grid over
-    the circle and beta in [0, 10], then one 16 x 16 round zoomed to two
-    grid steps either side of its best, search on at most 2048 nodes; ties
-    prefer smaller beta, then smaller |c|, then direction closest to
-    (0, 1).  Sequential-LP minimax steps on every node
-    (:func:`_polish`) follow, taken only where they lower the residual.
+    once it brackets one linear piece (:func:`_best_offsets`); each
+    residual is within sqrt(1 + beta**2) r 2**-48 plus rounding of a
+    48-step bisection's.  A 64-angle x 24-beta grid over the circle and
+    beta in [0, 10], then one 16 x 16 round zoomed to two grid steps either
+    side of its best, search on at most 2048 nodes; ties prefer smaller
+    beta, then smaller |c|, then direction closest to (0, 1).
+    Sequential-LP minimax steps on every node (:func:`_polish`) follow,
+    taken only where they lower the residual.
     Returns (TwoPlane, residual over every node in the ball); raises
     UnderResolvedError when the ball holds no node.
 
@@ -627,8 +606,11 @@ def flatness_table(phi: LevelSet, center, radii) -> FlatnessTable:
 
 def flatness_ladder(phi: LevelSet, center, radii):
     """delta(r)/r over the radii :func:`flatness_table` keeps, and the
-    geometric mean of successive ratios, 0.0 if a ratio is not positive."""
+    geometric mean of successive ratios, 0.0 if a ratio is not positive;
+    raises UnderResolvedError when it keeps fewer than two radii."""
     table = flatness_table(phi, center, radii)
+    if len(table.radii) < 2:
+        raise UnderResolvedError(f"two radii needed, kept {table.radii}")
     vals = np.asarray(table.deltas) / np.asarray(table.radii)
     ratios = vals[1:] / vals[:-1]
     fitted = float(np.exp(np.mean(np.log(ratios)))) if np.all(ratios > 0) \

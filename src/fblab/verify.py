@@ -55,9 +55,16 @@ from .problems import (
 )
 
 DISK_PARAMS = PBParams(mu=1.0, omega=1.0, sigma=8.0, h=1.0)
+DISK_BOX = (-1.1, -1.1, 1.1, 1.1)
 DISK_OPTIONS = IterationOptions(max_iters=80, tol_jump=0.12, tol_move=0.5)
 PERTURBED_OPTIONS = IterationOptions(max_iters=60, tol_jump=0.04,
                                      tol_move=0.5)
+
+
+def disk_oracle_radius() -> float:
+    """Outer root of :func:`profile_jump` = sigma at ``DISK_PARAMS``: the
+    interface radius the disk run must recover."""
+    return interface_radii(DISK_PARAMS, jump_fn=profile_jump)[1]
 
 
 @dataclass
@@ -73,8 +80,8 @@ def build_disk_run():
     """Converged vortex-patch disk run on a 193^2 grid (criteria 3, 4, 6),
     with the ``seconds`` it took to build."""
     t0 = time.perf_counter()
-    grid = make_grid(193, 193, (-1.1, -1.1, 1.1, 1.1))
-    _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
+    grid = make_grid(193, 193, DISK_BOX)
+    rho2 = disk_oracle_radius()
     problem = pb_problem(grid, DISK_PARAMS)
     phi0 = pb_levelset(grid, rho2 * 1.1)
     u, phi, report = run(problem, phi0, DISK_OPTIONS)

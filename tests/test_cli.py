@@ -33,7 +33,7 @@ from fblab.problems import (
     two_plane_field,
     two_plane_levelset,
 )
-from fblab.verify import DISK_PARAMS
+from fblab.verify import disk_oracle_radius
 
 TWO_PLANE_INI = """
 [meta]
@@ -153,8 +153,6 @@ class TestSolve:
         assert header.startswith("iter,jump_linf,displacement,area_plus")
 
     def test_disk_run_recovers_oracle_radius(self, tmp_path):
-        from fblab.prandtl import interface_radii, profile_jump
-
         cfg = write(tmp_path, "disk.ini", DISK_INI)
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
@@ -166,8 +164,7 @@ class TestSolve:
         from fblab.fields import all_interface_points, interface_extract
         pts = all_interface_points(interface_extract(phi))
         radii = np.hypot(pts[:, 0], pts[:, 1])
-        _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
-        assert abs(radii.mean() - rho2) < 2 * phi.grid.h
+        assert abs(radii.mean() - disk_oracle_radius()) < 2 * phi.grid.h
 
     def test_nonconvergence_exits_two_with_artifacts(self, tmp_path):
         # wrong jump target: the profile is not stationary and two sweeps

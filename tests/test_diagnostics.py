@@ -26,6 +26,7 @@ from fblab.diagnostics import (
     ball_quadrature,
     boundary_square_integral,
     deepest_level,
+    flatness_ladder,
     flatness_table,
     nondegeneracy,
     oscillation_decay,
@@ -230,7 +231,7 @@ class TestRescale:
 
 def reference_best_offsets(t, uvals, betas, c_max):
     """The 48-step bisection on the sign of top + bottom over the kept
-    nodes, whose offsets :func:`_best_offsets` must reproduce."""
+    nodes, whose residuals bound :func:`_best_offsets`'s."""
     order = np.argsort(t, kind="stable")
     t, uvals = t[order], uvals[order]
     top = uvals < np.append(np.minimum.accumulate(uvals[::-1])[-2::-1], np.inf)
@@ -252,13 +253,21 @@ def reference_best_offsets(t, uvals, betas, c_max):
     return np.max(np.abs(extremes(c)), axis=0), c
 
 
+def offset_slack(uvals, betas, c_max):
+    """How far the residuals of :func:`_best_offsets` may exceed the
+    bisection's: both offsets lie within c_max 2**-48 of the sign change of
+    top + bottom, the residual is sqrt(1 + beta**2)-Lipschitz in the offset,
+    and a few roundings of size max|u|."""
+    return np.sqrt(1 + np.asarray(betas)**2) * 2 * c_max * 2.0**-48 \
+        + 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(uvals)))
+
+
 def check_offsets(t, uvals, betas, c_max):
     t, uvals, betas = (np.asarray(v, dtype=float) for v in (t, uvals, betas))
     res, cs = _best_offsets(t, uvals, betas, c_max)
-    ref_res, ref_cs = reference_best_offsets(t, uvals, betas, c_max)
+    ref_res = reference_best_offsets(t, uvals, betas, c_max)[0]
     assert np.all(np.abs(res - ref_res) <= 1e-12 * (1 + ref_res))
-    # the bisection's steps are replayed: equal to the bit
-    assert np.array_equal(res, ref_res) and np.array_equal(cs, ref_cs)
+    assert np.all(res <= ref_res + offset_slack(uvals, betas, c_max))
     assert np.all((-c_max <= cs) & (cs <= c_max))
     dev = _profile(t[:, None] + cs, np.sqrt(1 + betas**2), betas) \
         - uvals[:, None]
@@ -386,8 +395,8 @@ class TestTwoPlaneFit:
 
         monkeypatch.setattr(fblab.diagnostics, "_profile", counted)
         plane, res = two_plane_fit(u, (0, 0), 0.8)
-        # 12504 with the 48-step bisection
-        assert len(calls) < 5000
+        # 12504 with a plain 48-step bisection, 263 with the secant
+        assert len(calls) <= 325
         monkeypatch.setattr(fblab.diagnostics, "_profile", _profile)
         monkeypatch.setattr(fblab.diagnostics, "_best_offsets",
                             reference_best_offsets)
@@ -396,8 +405,7 @@ class TestTwoPlaneFit:
         assert plane.beta == pytest.approx(ref_plane.beta, abs=1e-9)
         assert plane.c == pytest.approx(ref_plane.c, abs=1e-9)
         assert np.allclose(plane.nu, ref_plane.nu, rtol=0, atol=1e-9)
-        assert (res, plane.beta, plane.c) \
-            == (ref_res, ref_plane.beta, ref_plane.c)
+        assert res <= ref_res + offset_slack(u.values, ref_plane.beta, 0.4)
 
     def test_second_search_round_needed(self, monkeypatch):
         # case 126 of a 300-field random sweep: four search rounds end at
@@ -621,6 +629,12 @@ class TestFlatness:
         for nu in table.directions:
             assert abs(-nu[0] / nu[1] - math.tan(theta)) < 0.02
         assert np.all(table.deltas < grid65.h)
+
+    def test_ladder_needs_two_radii(self, grid65):
+        # a fitted ratio needs two kept radii: one would be the mean of an
+        # empty slice, NaN with a RuntimeWarning
+        with pytest.raises(UnderResolvedError, match=r"kept \[0.5\]"):
+            flatness_ladder(two_plane_levelset(grid65), (0, 0), [0.5])
 
     def test_degenerate_direction_on_disk(self, pb_run):
         # the ball of radius 0.55 holds the whole circle: the interface

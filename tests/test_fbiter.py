@@ -35,7 +35,6 @@ from fblab.fields import (
     make_grid,
     polyline_distance,
 )
-from fblab.prandtl import interface_radii, profile_jump
 from fblab.problems import (
     pb_levelset,
     pb_problem,
@@ -44,7 +43,13 @@ from fblab.problems import (
     two_plane_levelset,
     two_plane_problem,
 )
-from fblab.verify import DISK_OPTIONS, DISK_PARAMS, PERTURBED_OPTIONS
+from fblab.verify import (
+    DISK_BOX,
+    DISK_OPTIONS,
+    DISK_PARAMS,
+    PERTURBED_OPTIONS,
+    disk_oracle_radius,
+)
 
 
 @pytest.fixture(scope="module")
@@ -265,8 +270,8 @@ class TestSmoothAlong:
 def disk_modes_2_to_4_run(n):
     """Report of the disk problem on n^2 started at
     rho2 (1 + 0.02 (cos 2t + sin 3t + cos 4t))."""
-    grid = make_grid(n, n, (-1.1, -1.1, 1.1, 1.1))
-    _, rho2 = interface_radii(DISK_PARAMS, jump_fn=profile_jump)
+    grid = make_grid(n, n, DISK_BOX)
+    rho2 = disk_oracle_radius()
 
     def start(x, y):
         th = np.arctan2(y, x)
@@ -479,8 +484,7 @@ class TestNestedIteration:
     @pytest.mark.parametrize("shape, box, ladder", [
         ((129, 129), (-1.0, -1.0, 1.0, 1.0), [(33, 33), (65, 65),
                                               (129, 129)]),
-        ((193, 193), (-1.1, -1.1, 1.1, 1.1), [(49, 49), (97, 97),
-                                              (193, 193)]),
+        ((193, 193), DISK_BOX, [(49, 49), (97, 97), (193, 193)]),
         ((65, 65), (-1.0, -1.0, 1.0, 1.0), [(33, 33), (65, 65)]),
         ((129, 65), (-2.0, -1.0, 2.0, 1.0), [(65, 33), (129, 65)]),
         ((130, 130), (-1.0, -1.0, 1.0, 1.0), [(130, 130)]),
@@ -533,7 +537,7 @@ class TestNestedIteration:
         # 33^2 defect stops falling above tol_jump, so that level ends at
         # its second reinitialization and the finest result is the one of
         # a run whose 33^2 level spends its whole budget, bit for bit
-        grid = make_grid(129, 129, (-1.1, -1.1, 1.1, 1.1))
+        grid = make_grid(129, 129, DISK_BOX)
         prob = pb_problem(grid, DISK_PARAMS)
         phi0 = pb_levelset(grid, 0.56)
         opts = replace(DISK_OPTIONS, max_iters=60)
@@ -581,21 +585,32 @@ class TestNestedIteration:
                    for lv in rep.levels)
         assert rep.iterations == rep.levels[-1]["iterations"] <= 3
 
-    @pytest.mark.parametrize("phase, bound", [(0.0, 0.1), (1.3, 0.15)],
-                             ids=["perturbed", "phase_1.3_unshifted"])
-    def test_nested_and_one_grid_runs_agree(self, grid129, phase, bound):
+    @pytest.mark.parametrize("case, bound", [
+        ("perturbed", 0.1), ("phase_1.3_unshifted", 0.15), ("disk", 0.1)],
+        ids=["perturbed", "phase_1.3_unshifted", "disk"])
+    def test_nested_and_one_grid_runs_agree(self, grid129, case, bound):
         # README: convergence is decided on the finest grid alone, so the
         # nested interface lies on the one-grid one to a fraction of a
-        # cell (measured 0.062h and 0.094h)
-        prob = perturbed_plane_problem(grid129, phase=phase)
-        phi0 = perturbed_plane_levelset(grid129)
-        opts = replace(PERTURBED_OPTIONS, max_iters=200)
+        # cell (measured 0.062h, 0.094h and 0.024h).  The disk needs a
+        # tolerance under verify's 0.12: there the nested run stops at the
+        # edge of its band, 0.556h off
+        if case == "disk":
+            grid = make_grid(193, 193, DISK_BOX)
+            prob = pb_problem(grid, DISK_PARAMS)
+            phi0 = pb_levelset(grid, 1.1 * disk_oracle_radius())
+            opts = replace(DISK_OPTIONS, tol_jump=0.03, max_iters=200)
+        else:
+            grid = grid129
+            prob = perturbed_plane_problem(
+                grid, phase=1.3 if case == "phase_1.3_unshifted" else 0.0)
+            phi0 = perturbed_plane_levelset(grid)
+            opts = replace(PERTURBED_OPTIONS, max_iters=200)
         _, nested, rep = run(prob, phi0, opts)
         _, one_grid, one_rep = _run_level(prob, phi0, opts)
         assert rep.stop_reason == one_rep.stop_reason == "tolerances_met"
         pts = all_interface_points(interface_extract(nested))
         dist = polyline_distance(pts, interface_extract(one_grid))
-        assert np.max(dist) <= bound * grid129.h
+        assert np.max(dist) <= bound * grid.h
 
 
 class TestAndersonMix:

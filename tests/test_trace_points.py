@@ -4,8 +4,8 @@ position.  These tests fail when a refactor moves a wrapped name, renames a
 read parameter or stops calling a layer through its module attribute, which
 the benchmark would otherwise only report as ``trace.absent_wraps`` or as
 missing spans.  The benchmark's input files are also checked against the
-problem builders of ``fblab.problems``, which its generator does not
-import."""
+problem builders of ``fblab.problems`` and its disk problem against
+``fblab.verify``'s, which its generator does not import."""
 
 import importlib
 import inspect
@@ -26,6 +26,7 @@ from fblab.problems import (
     two_plane_levelset,
     two_plane_problem,
 )
+from fblab.verify import DISK_BOX, disk_oracle_radius
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -96,3 +97,9 @@ def test_perturbed_inputs_match_the_problem_builders(bench, tmp_path):
             assert (tmp_path / name).read_bytes() \
                 == (tmp_path / f"in{k}" / name).read_bytes(), (k, name)
     assert amplitudes[0] > 0 > amplitudes[1]
+
+
+def test_disk_problem_matches_verify(bench):
+    _, _, workloads = bench
+    assert workloads.DISK_BOX == DISK_BOX
+    assert workloads.disk_oracle_radius() == disk_oracle_radius()
