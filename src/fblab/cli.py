@@ -32,6 +32,7 @@ from .diagnostics import (
     ball_quadrature,
     flatness_table,
     oscillation_decay,
+    phase_gradients,
     two_plane_fit,
     weiss_series,
 )
@@ -180,10 +181,12 @@ def cmd_diagnose(args) -> int:
     spec = cfg.diagnostics
     with _locked_output(args.out) as out_dir:
         tp, residual = two_plane_fit(u, spec.center, max(spec.radii))
-        quad = ball_quadrature(u, phi, spec.center, spec.radii)
+        gradient = phase_gradients(u, phi)
+        quad = ball_quadrature(u, phi, spec.center, spec.radii, gradient)
         series = weiss_series(u, spec.center, spec.radii, tp.alpha, tp.beta,
                               quad)
-        acf = acf_product(u, phi, spec.center, spec.radii, quad)
+        acf = acf_product(u, phi, spec.center, spec.radii, quad, gradient)
+        del gradient  # two whole-grid gradients, not needed past the ACF
         table = flatness_table(phi, spec.center, spec.radii)
         flat_by_r = {float(r): (d, *dirv)
                      for r, d, dirv in zip(table.radii, table.deltas,

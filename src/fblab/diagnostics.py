@@ -245,17 +245,25 @@ def _cell_energy(u, phi, i0, j0, cell, gradient):
             float(np.sum(cell * f_pos)), float(np.sum(cell * (1.0 - f_pos))))
 
 
-def ball_quadrature(u: ScalarField, phi: LevelSet, center,
-                    radii) -> np.ndarray:
+def phase_gradients(u: ScalarField, phi: LevelSet):
+    """``side -> one_sided_gradient(u, phi, side)``, each side computed at
+    most once, to share between :func:`ball_quadrature` and
+    :func:`acf_product` on the same (u, phi)."""
+    return functools.cache(lambda side: one_sided_gradient(u, phi, side))
+
+
+def ball_quadrature(u: ScalarField, phi: LevelSet, center, radii,
+                    gradient=None) -> np.ndarray:
     """Rows (grad_plus, grad_minus, area_plus, area_minus), one per radius:
     sums over the cells inside B_r(center) of the phase-restricted Dirichlet
     energies and the phase areas, the terms :func:`weiss_series` and
     :func:`acf_product` are derived from.  Only cells crossed by the circle
-    are subdivided.  Each side's one-sided gradient is computed at most
-    once per call, whatever the number of radii."""
+    are subdivided.  The one-sided gradients come from ``gradient``, a
+    :func:`phase_gradients` of (u, phi), or a new one if None, so each
+    side's is computed at most once, whatever the number of radii."""
     grid = u.grid
     h = grid.h
-    gradient = functools.cache(lambda side: one_sided_gradient(u, phi, side))
+    gradient = gradient or phase_gradients(u, phi)
     rows = []
     for r in radii:
         _check_ball(grid, center, r)
@@ -683,17 +691,18 @@ def oscillation_decay(u: ScalarField, x0, r0: float, levels: int,
 
 
 def acf_product(u: ScalarField, phi: LevelSet, center, radii,
-                quadrature: np.ndarray) -> ACFSeries:
+                quadrature: np.ndarray, gradient) -> ACFSeries:
     """Product monitor r^-4 * (positive-phase Dirichlet energy) *
     (negative-phase Dirichlet energy) over B_r(center), with the cell
     containing the center excluded, from the :func:`ball_quadrature` rows
-    ``quadrature`` of the same ball."""
+    ``quadrature`` of the same ball.  A cut center cell reads its one-sided
+    gradients from ``gradient``, the :func:`phase_gradients` of (u, phi)
+    that ``quadrature`` was computed with."""
     radii = np.asarray(radii, dtype=float)
     # remove the center cell's contribution from both factors
     ci, cj = u.grid.cell_of(center[0], center[1])
     sub_p, sub_m, _, _ = _cell_energy(
-        u, phi, ci, cj, np.full((1, 1), u.grid.h * u.grid.h),
-        lambda side: one_sided_gradient(u, phi, side))
+        u, phi, ci, cj, np.full((1, 1), u.grid.h * u.grid.h), gradient)
     vals = []
     for r, (grad_p, grad_m, _, _) in zip(radii, quadrature):
         grad_p = max(grad_p - sub_p, 0.0)

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dct, idct
 from scipy.spatial import cKDTree
 
@@ -313,26 +312,29 @@ def _anderson_mix(phi: np.ndarray, g: np.ndarray, memory):
     ``phi`` is the iterate, ``g`` its image G(phi) under the plain step and
     f = g - phi the residual.  ``memory`` is what the previous call returned
     since the last restart (None right after one): the previous residual
-    and image, and one sparse column per pair of consecutive iterates with
+    and image, and one dense column per pair of consecutive iterates with
     the difference of their residuals (dF) and of their images (dG).  The
-    step moves phi only in the velocity band, so the columns are as narrow
-    as that band.  The next iterate is G(phi) - dG gamma, where gamma fits
-    dF gamma ~ f in least squares, with no per-node clip.  Returns (next
-    iterate, memory for the next call).
+    step moves phi only in the velocity band, so the least-squares fit
+    reads only the rows where f or some dF column is nonzero.  The next
+    iterate is G(phi) - dG gamma, where gamma fits dF gamma ~ f in least
+    squares, with no per-node clip.  dG gamma is summed one column at a
+    time in column order, which rounds as a sparse column-major product
+    does.  Returns (next iterate, memory for the next call).
     """
-    f = sp.csc_array((g - phi).reshape(-1, 1))
+    f = (g - phi).ravel()
     mixed = g
     if memory is None:
-        dF = dG = sp.csc_array((g.size, 0))
+        dF = dG = np.empty((f.size, 0))
     else:
         f0, g0, dF, dG = memory
-        dF = sp.hstack([dF, f - f0], format="csc")
-        dG = sp.hstack([dG, sp.csc_array((g - g0).reshape(-1, 1))],
-                       format="csc")
-        rows = np.union1d(f.indices, dF.indices)
-        gamma = np.linalg.lstsq(dF[rows].toarray(), f[rows].toarray()[:, 0],
-                                rcond=1e-10)[0]
-        mixed = g - (dG @ gamma).reshape(g.shape)
+        dF = np.column_stack([dF, f - f0])
+        dG = np.column_stack([dG, (g - g0).ravel()])
+        rows = np.flatnonzero((f != 0) | np.any(dF != 0, axis=1))
+        gamma = np.linalg.lstsq(dF[rows], f[rows], rcond=1e-10)[0]
+        step = np.zeros(f.size)
+        for column, weight in zip(dG.T, gamma.tolist()):
+            step += column * weight
+        mixed = g - step.reshape(g.shape)
     return mixed, (f, g, dF, dG)
 
 

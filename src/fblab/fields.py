@@ -33,6 +33,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 _SQUARE_CELL_RTOL = 1e-12
+_LAYOUT_TOL = 1e-14  # largest origin shift and relative h change of a layout
 
 
 @dataclass(frozen=True)
@@ -73,12 +74,14 @@ class Grid2:
         return i.astype(int), j.astype(int)
 
     def same_layout(self, other: "Grid2") -> bool:
+        """Equal node counts, origins within _LAYOUT_TOL of each other and
+        spacings within _LAYOUT_TOL relative to ``other``'s."""
         return (
             self.nx == other.nx
             and self.ny == other.ny
-            and np.isclose(self.x0, other.x0, atol=1e-14)
-            and np.isclose(self.y0, other.y0, atol=1e-14)
-            and np.isclose(self.h, other.h, rtol=1e-14)
+            and abs(self.x0 - other.x0) <= _LAYOUT_TOL
+            and abs(self.y0 - other.y0) <= _LAYOUT_TOL
+            and abs(self.h - other.h) <= _LAYOUT_TOL * abs(other.h)
         )
 
 
@@ -441,8 +444,7 @@ def write_table(path, header: str, rows) -> None:
 
     The bytes are those of ``np.savetxt(path, data, delimiter=",",
     header=header, comments="", fmt=_FMT)``, but one ``%`` formats a whole
-    block of rows, which writes a 257^2 field about twice as fast as
-    savetxt's one ``%`` per row."""
+    block of rows in place of savetxt's one ``%`` per row."""
     data = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
     row_fmt = ",".join([_FMT] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
@@ -453,11 +455,18 @@ def write_table(path, header: str, rows) -> None:
 
 
 def write_field(f: ScalarField | LevelSet, path) -> None:
-    """Write a full-grid field as CSV ``x,y,value``, row-major by y then x."""
+    """Write a full-grid field as CSV ``x,y,value``, row-major by y then x.
+
+    The bytes are those of :func:`write_table` on the rows ``(x, y,
+    value)``, but each grid x and each grid y is formatted once, and one
+    ``%`` per grid row fills in only its values."""
     values = f.values if isinstance(f, ScalarField) else f.phi
-    xx, yy = f.grid.meshgrid()
-    write_table(path, "x,y,value",
-                np.column_stack([xx.ravel(), yy.ravel(), values.ravel()]))
+    xs = [_FMT % x for x in f.grid.xs.tolist()]
+    with open(path, "w") as fh:
+        fh.write("x,y,value\n")
+        for y, row in zip(f.grid.ys.tolist(), values):
+            tail = f",{_FMT % y},{_FMT}\n"
+            fh.write((tail.join(xs) + tail) % tuple(row.tolist()))
 
 
 def read_field(path) -> ScalarField:

@@ -17,6 +17,7 @@ import fblab
 import fblab.cli
 import fblab.diagnostics
 from fblab.cli import main
+from fblab.diagnostics import acf_product, ball_quadrature, phase_gradients
 from fblab.errors import SolverError, UnderResolvedError
 from fblab.fields import (
     ScalarField,
@@ -422,6 +423,42 @@ levels = 1
         assert len(calls) == 1
         summary = json.loads((tmp_path / "d" / "summary.json").read_text())
         assert len(summary["trapping_offsets"]) == 2
+
+    def test_cut_center_cell_shares_gradients(self, tmp_path, monkeypatch):
+        # the interface crosses the cell of the centre, so the ACF reads
+        # one-sided gradients too: the ones the quadrature computed
+        grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
+        nu, c = (0.6, 0.8), -0.5 * grid.h
+        u = two_plane_field(grid, 0.5, nu, c)
+        phi = two_plane_levelset(grid, nu, c)
+        write_field(u, str(tmp_path / "u.csv"))
+        write_field(phi, str(tmp_path / "phi.csv"))
+        center, radii = (0.0, 0.0), [0.2, 0.4]
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2, 0.4
+levels = 0
+""")
+        # each side computed twice, by the quadrature and by the ACF
+        quad = ball_quadrature(u, phi, center, radii)
+        expected = acf_product(u, phi, center, radii, quad,
+                               phase_gradients(u, phi))
+        sides = []
+        gradient = fblab.diagnostics.one_sided_gradient
+
+        def counted(u, phi, side):
+            sides.append(side)
+            return gradient(u, phi, side)
+
+        monkeypatch.setattr(fblab.diagnostics, "one_sided_gradient", counted)
+        assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 0
+        assert sorted(sides) == [-1, 1]
+        rows = np.loadtxt(tmp_path / "d" / "diagnostics.csv", delimiter=",",
+                          skiprows=1)
+        assert rows[:, 4].tobytes() == expected.values.tobytes()
 
     def test_unset_levels_runs_deepest_resolved(self, tmp_path):
         # 257^2 nodes on [-1, 1]^2 resolve r0/20 >= 4h at r0 = 0.9 but not

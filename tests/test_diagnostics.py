@@ -30,6 +30,7 @@ from fblab.diagnostics import (
     flatness_table,
     nondegeneracy,
     oscillation_decay,
+    phase_gradients,
     rescale,
     two_plane_fit,
     weiss_series,
@@ -57,8 +58,11 @@ def weiss(u, phi, center, radii, alpha, beta):
 
 
 def acf(u, phi, center, radii):
+    """ACF series from the ball quadrature rows, as the CLI computes it."""
+    gradient = phase_gradients(u, phi)
     return acf_product(u, phi, center, radii,
-                       ball_quadrature(u, phi, center, radii))
+                       ball_quadrature(u, phi, center, radii, gradient),
+                       gradient)
 
 
 @pytest.fixture(scope="module")
@@ -824,7 +828,8 @@ class TestBallQuadrature:
         assert sorted(sides) == [-1, 1]
         # an uncut centre cell needs no gradient
         sides.clear()
-        acf_product(u, phi, (0.03, -0.02), [0.2, 0.37, 0.6], quad)
+        acf_product(u, phi, (0.03, -0.02), [0.2, 0.37, 0.6], quad,
+                    phase_gradients(u, phi))
         assert sides == []
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -39,6 +41,33 @@ class TestMakeGrid:
     def test_inverted_box_rejected(self):
         with pytest.raises(GridError):
             make_grid(16, 16, (1, 1, 0, 0))
+
+
+class TestSameLayout:
+    grid = make_grid(129, 129, (-1.0, -1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("box", [
+        (-1.0 + 1e-6, -1.0, 1.0 + 1e-6, 1.0),  # x origin shifted by 1e-6
+        (-1.0, -1.0 - 1e-6, 1.0, 1.0 - 1e-6),  # y origin shifted by 1e-6
+        (-1.0, -1.0, 1.0 + 1.28e-7, 1.0 + 1.28e-7),  # h 6.4e-8 longer
+    ], ids=["shifted_x", "shifted_y", "stretched"])
+    def test_rejects_moved_grid(self, box):
+        other = make_grid(129, 129, box)
+        assert not self.grid.same_layout(other)
+        assert not other.same_layout(self.grid)
+
+    def test_accepts_rounding(self):
+        # origins 5e-15 off and a spacing 3 ulps off
+        g = self.grid
+        other = replace(g, x0=g.x0 + 5e-15, y0=g.y0 - 5e-15,
+                        h=g.h + 3 * np.spacing(g.h))
+        assert self.grid.same_layout(other)
+        assert other.same_layout(self.grid)
+
+    def test_round_tripped_grid_matches(self, tmp_path):
+        grid = make_grid(40, 17, (0.1, -0.3, 0.1 + 39 * 0.0375, 0.3))
+        write_field(ScalarField.constant(grid, 1.0), tmp_path / "u.csv")
+        assert read_field(tmp_path / "u.csv").grid.same_layout(grid)
 
 
 def centered_gradient(u):
@@ -703,6 +732,31 @@ class TestCsvRoundTrip:
         write_table(tmp_path / "new.csv", header, data)
         np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=header,
                    comments="", fmt="%.17g")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("n, box", [
+        ((129, 129), (-1.0, -1.0, 1.0, 1.0)),
+        ((257, 257), (-1.0, -1.0, 1.0, 1.0)),
+        ((40, 17), (0.1, -0.3, 0.1 + 39 * 0.0375, 0.3)),
+    ], ids=["129", "257", "non_square_box"])
+    def test_field_bytes_match_savetxt(self, tmp_path, n, box):
+        # the x and y columns are formatted once per grid line, the values
+        # per node; the special texts are -0, integers and subnormals
+        grid = make_grid(*n, box)
+        rng = np.random.default_rng(n[0])
+        values = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(
+            -300, 300, grid.shape)
+        special = [-0.0, 0.0, 3.0, -7.0, 1e16, 5e-324, -5e-324, 1e-323,
+                   2.2250738585072014e-308]
+        flat = values.reshape(-1)
+        flat[rng.choice(flat.size, 90, replace=False)] = np.resize(special, 90)
+        write_field(LevelSet(grid, values), tmp_path / "new.csv")
+        xx, yy = grid.meshgrid()
+        np.savetxt(tmp_path / "ref.csv",
+                   np.column_stack([xx.ravel(), yy.ravel(), values.ravel()]),
+                   delimiter=",", header="x,y,value", comments="",
+                   fmt="%.17g")
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
 

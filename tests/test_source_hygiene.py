@@ -9,7 +9,8 @@ fault injection is input data, such as the negated level set of
 calls ``time.time``: durations come from a monotonic clock, which a step
 of the wall clock cannot make negative.  Only
 ``fields.py`` spells the 17-digit table format, and no module calls
-``savetxt``: every CSV table goes through ``fields.write_table``.  Every
+``savetxt``: a field file goes through ``fields.write_field`` and every
+other CSV table through ``fields.write_table``.  Every
 public function, class and method is named by the package or the
 benchmark, apart from a few kept for a stated reason: an API that only
 tests reach is code nothing needs.  Every private module-level function,
