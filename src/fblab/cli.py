@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-solve     run the free-boundary fixed-point iteration from a config file
+solve     run the free-boundary fixed-point iteration from a config file,
+          then the diagnostic battery of its [diagnostics] block, if any
 diagnose  evaluate the diagnostic battery on saved u / phi fields
 prandtl   closed-form disk-problem roots, sweeps, and radial profiles
 verify    run the self-verification suite
@@ -110,14 +111,48 @@ def _flatness_payload(table):
     }
 
 
-def _fit_payload(tp, residual):
+def _diagnostic_battery(u, phi, spec, out_dir):
+    """Run the ``[diagnostics]`` battery on (u, phi): write
+    ``diagnostics.csv`` into ``out_dir`` and return the summary entries."""
+    tp, residual = two_plane_fit(u, spec.center, max(spec.radii))
+    gradient = phase_gradients(u, phi)
+    quad = ball_quadrature(u, phi, spec.center, spec.radii, gradient)
+    series = weiss_series(u, spec.center, spec.radii, tp.alpha, tp.beta,
+                          quad)
+    acf = acf_product(u, phi, spec.center, spec.radii, quad, gradient)
+    del gradient  # two whole-grid gradients, not needed past the ACF
+    table = flatness_table(phi, spec.center, spec.radii)
+    flat_by_r = {float(r): (d, *dirv)
+                 for r, d, dirv in zip(table.radii, table.deltas,
+                                       table.directions)}
+    nan3 = (float("nan"),) * 3
+    write_table(
+        os.path.join(out_dir, "diagnostics.csv"),
+        "r,E,boundary_term,phi_weiss,acf_J,delta_flat,nu_x,nu_y",
+        [(r, series.E_values[k], series.boundary_terms[k],
+          series.phi_values[k], acf.values[k],
+          *flat_by_r.get(float(r), nan3))
+         for k, r in enumerate(spec.radii)])
+
+    trapping = None
+    if spec.levels > 0:
+        try:
+            offsets = oscillation_decay(
+                u, spec.center, max(spec.radii), spec.levels, tp)
+            trapping = [[float(a), float(b)] for a, b in offsets]
+        except FblabError:
+            trapping = None  # scale ladder not resolvable here
+
     angle = math.degrees(math.atan2(-tp.nu[0], tp.nu[1]))
     return {
-        "beta": float(tp.beta),
-        "alpha": float(tp.alpha),
-        "angle_degrees": angle,
-        "offset": float(tp.c),
-        "residual": float(residual),
+        "two_plane_fit": {"beta": float(tp.beta), "alpha": float(tp.alpha),
+                          "angle_degrees": angle, "offset": float(tp.c),
+                          "residual": float(residual)},
+        "weiss_monotone": bool(series.monotone),
+        "weiss_first_violation": series.first_violation,
+        "acf_monotone": bool(acf.monotone),
+        "trapping_offsets": trapping,
+        "flatness": _flatness_payload(table),
     }
 
 
@@ -134,16 +169,6 @@ def cmd_solve(args) -> int:
         write_table(os.path.join(out_dir, "iterations.csv"),
                     "iter,jump_linf,displacement,area_plus", report.rows())
 
-        fit = monotone = None
-        if cfg.diagnostics is not None:
-            spec = cfg.diagnostics
-            tp, residual = two_plane_fit(u, spec.center, max(spec.radii))
-            fit = _fit_payload(tp, residual)
-            series = weiss_series(
-                u, spec.center, spec.radii, tp.alpha, tp.beta,
-                ball_quadrature(u, phi, spec.center, spec.radii))
-            monotone = bool(series.monotone)
-
         summary = {
             "schema_version": SCHEMA_VERSION,
             "converged": bool(report.converged),
@@ -152,11 +177,12 @@ def cmd_solve(args) -> int:
             "levels": list(report.levels),
             "final_jump": float(report.jump_history[-1])
             if report.iterations else None,
-            "two_plane_fit": fit,
-            "weiss_monotone": monotone,
             "flatness": _flatness_payload(report.flatness),
             "notes": list(report.notes),
         }
+        if cfg.diagnostics is not None:
+            summary.update(_diagnostic_battery(u, phi, cfg.diagnostics,
+                                               out_dir))
         _write_run_json(out_dir, summary, t0)
 
     if not report.converged:
@@ -178,46 +204,9 @@ def cmd_diagnose(args) -> int:
     if not u.grid.same_layout(cfg.grid):
         raise ConfigError("field grids do not match the config grid")
 
-    spec = cfg.diagnostics
     with _locked_output(args.out) as out_dir:
-        tp, residual = two_plane_fit(u, spec.center, max(spec.radii))
-        gradient = phase_gradients(u, phi)
-        quad = ball_quadrature(u, phi, spec.center, spec.radii, gradient)
-        series = weiss_series(u, spec.center, spec.radii, tp.alpha, tp.beta,
-                              quad)
-        acf = acf_product(u, phi, spec.center, spec.radii, quad, gradient)
-        del gradient  # two whole-grid gradients, not needed past the ACF
-        table = flatness_table(phi, spec.center, spec.radii)
-        flat_by_r = {float(r): (d, *dirv)
-                     for r, d, dirv in zip(table.radii, table.deltas,
-                                           table.directions)}
-        nan3 = (float("nan"),) * 3
-        write_table(
-            os.path.join(out_dir, "diagnostics.csv"),
-            "r,E,boundary_term,phi_weiss,acf_J,delta_flat,nu_x,nu_y",
-            [(r, series.E_values[k], series.boundary_terms[k],
-              series.phi_values[k], acf.values[k],
-              *flat_by_r.get(float(r), nan3))
-             for k, r in enumerate(spec.radii)])
-
-        trapping = None
-        if spec.levels > 0:
-            try:
-                offsets = oscillation_decay(
-                    u, spec.center, max(spec.radii), spec.levels, tp)
-                trapping = [[float(a), float(b)] for a, b in offsets]
-            except FblabError:
-                trapping = None  # scale ladder not resolvable here
-
-        summary = {
-            "schema_version": SCHEMA_VERSION,
-            "two_plane_fit": _fit_payload(tp, residual),
-            "weiss_monotone": bool(series.monotone),
-            "weiss_first_violation": series.first_violation,
-            "acf_monotone": bool(acf.monotone),
-            "trapping_offsets": trapping,
-            "flatness": _flatness_payload(table),
-        }
+        summary = {"schema_version": SCHEMA_VERSION,
+                   **_diagnostic_battery(u, phi, cfg.diagnostics, out_dir)}
         _write_run_json(out_dir, summary, t0)
     return EXIT_OK
 

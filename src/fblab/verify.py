@@ -208,9 +208,11 @@ def criterion_weiss_rescaling(ctx, out_dir=None) -> tuple[bool, str]:
     lhs = weiss_at(u_zoom, phi_zoom, r)
     rhs = weiss_at(u_n, data["phi"], lam * r)
     tol = 0.02 * abs(rhs) + 0.01
-    ok = abs(lhs - rhs) <= tol
+    converged = data["report"].converged
+    ok = converged and abs(lhs - rhs) <= tol
     detail = (f"zoomed {lhs:.5f} vs direct {rhs:.5f}, "
-              f"|diff| {abs(lhs - rhs):.4f} <= {tol:.4f}")
+              f"|diff| {abs(lhs - rhs):.4f} <= {tol:.4f}, "
+              f"converged={converged}")
     return ok, detail
 
 
@@ -221,11 +223,13 @@ def criterion_weiss_monotonicity(ctx, out_dir=None) -> tuple[bool, str]:
     radii = np.geomspace(0.05, 0.45, 8)
     series = weiss_series(u_n, center, radii, alpha, beta,
                           ball_quadrature(u_n, data["phi"], center, radii))
+    converged = data["report"].converged
     detail = f"8 radii in [{radii[0]:.3f}, {radii[-1]:.3f}], " \
              f"monotone={series.monotone}"
     if not series.monotone:
         detail += f", first violation at {series.first_violation}"
-    return series.monotone, detail
+    detail += f", converged={converged}"
+    return converged and series.monotone, detail
 
 
 def criterion_disk_roots(ctx, out_dir=None) -> tuple[bool, str]:
@@ -296,20 +300,22 @@ def criterion_flatness_decay(ctx, out_dir=None) -> tuple[bool, str]:
     pts = all_interface_points(interface_extract(data["phi"]))
     center = tuple(pts[np.argmin(np.abs(pts[:, 0]))])
     vals, fitted = flatness_ladder(data["phi"], center, [0.5, 0.25, 0.125])
-    ok = len(vals) == 3 and fitted <= 0.9
+    converged = data["report"].converged
+    ok = converged and len(vals) == 3 and fitted <= 0.9
     detail = (f"delta/r {np.array2string(vals, precision=5)}, "
-              f"fitted ratio {fitted:.3f} <= 0.9")
+              f"fitted ratio {fitted:.3f} <= 0.9, converged={converged}")
     return ok, detail
 
 
 def criterion_nondegeneracy(ctx, out_dir=None) -> tuple[bool, str]:
-    """The positive phase of the perturbed-plane run grows at least
-    linearly away from the interface with slope at least 0.5."""
+    """The positive phase of the converged perturbed-plane run grows at
+    least linearly away from the interface with slope at least 0.5."""
     data = ctx.perturbed()
     c0 = nondegeneracy(data["u"], data["phi"],
                        delta_band=2 * data["grid"].h)
-    ok = c0 >= 0.5
-    detail = f"c0 estimate {c0:.4f} >= 0.5"
+    converged = data["report"].converged
+    ok = converged and c0 >= 0.5
+    detail = f"c0 estimate {c0:.4f} >= 0.5, converged={converged}"
     return ok, detail
 
 

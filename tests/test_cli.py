@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -112,6 +114,28 @@ max_iters = 60
 tol_jump = 0.04
 tol_move = 0.5
 """
+
+
+DIAGNOSTICS_BLOCK = """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2, 0.4
+levels = 0
+"""
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# summary.json of every solve, and the entries a [diagnostics] block adds
+# (its flatness replaces the engine's)
+SOLVE_KEYS = {"schema_version", "converged", "stop_reason", "iterations",
+              "levels", "final_jump", "flatness", "notes"}
+BATTERY_KEYS = {"two_plane_fit", "weiss_monotone", "weiss_first_violation",
+                "acf_monotone", "trapping_offsets", "flatness"}
+
+
+def readme_ini():
+    """The example configuration of README.md."""
+    return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
 
 
 def write(tmp_path, name, text):
@@ -277,12 +301,12 @@ class TestSolve:
         assert (out / "u.csv").exists()
 
     def test_deterministic_outputs(self, tmp_path):
-        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + DIAGNOSTICS_BLOCK)
         for name in ("a", "b"):
             assert main(["solve", "--config", cfg,
                          "--out", str(tmp_path / name)]) == 0
         for fname in ("u.csv", "phi.csv", "interface.csv",
-                      "iterations.csv", "summary.json"):
+                      "iterations.csv", "diagnostics.csv", "summary.json"):
             assert (tmp_path / "a" / fname).read_bytes() \
                 == (tmp_path / "b" / fname).read_bytes()
         timings = json.loads((tmp_path / "a" / "timings.json").read_text())
@@ -323,6 +347,48 @@ class TestSolve:
         rows = np.loadtxt(tmp_path / "out" / "iterations.csv",
                           delimiter=",", skiprows=1, ndmin=2)
         assert len(rows) == summary["iterations"]
+
+    def test_summary_keys_without_a_block(self, tmp_path):
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert set(summary) == SOLVE_KEYS
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("case", [
+        "readme_example", "two_plane", "readme_example_on_interface",
+        "two_plane_trapping"])
+    def test_block_runs_the_diagnose_battery(self, tmp_path, case):
+        # solve with a [diagnostics] block writes what diagnose writes from
+        # solve's own u.csv and phi.csv; 201^2 nodes resolve one trapping
+        # level for radii up to 0.9
+        text = {
+            "readme_example": readme_ini(),
+            "two_plane": TWO_PLANE_INI + DIAGNOSTICS_BLOCK,
+            "readme_example_on_interface": readme_ini().replace(
+                "center = 0.0, 0.0", "center = 0.48, 0.0"),
+            "two_plane_trapping": TWO_PLANE_INI.replace(
+                "nx = 65\nny = 65", "nx = 201\nny = 201")
+            + DIAGNOSTICS_BLOCK.replace("0.2, 0.4", "0.45, 0.9").replace(
+                "levels = 0", "levels = 1"),
+        }[case]
+        cfg = write(tmp_path, "run.ini", text)
+        solve, diag = tmp_path / "solve", tmp_path / "diag"
+        assert main(["solve", "--config", cfg, "--out", str(solve)]) == 0
+        assert main(["diagnose", "--u", str(solve / "u.csv"),
+                     "--phi", str(solve / "phi.csv"), "--config", cfg,
+                     "--out", str(diag)]) == 0
+        assert (solve / "diagnostics.csv").read_bytes() \
+            == (diag / "diagnostics.csv").read_bytes()
+        solved = json.loads((solve / "summary.json").read_text())
+        diagnosed = json.loads((diag / "summary.json").read_text())
+        assert set(solved) == SOLVE_KEYS | BATTERY_KEYS
+        assert set(diagnosed) == BATTERY_KEYS | {"schema_version"}
+        for key in BATTERY_KEYS:
+            assert solved[key] == diagnosed[key], key
+        assert (solved["trapping_offsets"] is not None) \
+            == (case == "two_plane_trapping")
 
 
 def test_timings_survive_wall_clock_step_back(tmp_path, monkeypatch):
@@ -764,6 +830,15 @@ class TestArtifactFormat:
             "mu,omega,cond_holds,z0,z0_nonpositive,implication_ok",
     }
 
+    FILES = {
+        "solve": ["u.csv", "phi.csv", "interface.csv", "iterations.csv",
+                  "diagnostics.csv"],
+        "diagnose": ["diagnostics.csv"],
+        "prandtl": ["sweep.csv", "profile_branch1.csv",
+                    "profile_branch2.csv"],
+        "verify": ["jump_divergence_table.csv", "large_vorticity_sweep.csv"],
+    }
+
     def test_every_csv_artifact(self, tmp_path):
         from fblab.verify import SuiteContext, criterion_open_question_audits
 
@@ -787,7 +862,13 @@ levels = 0
         assert passed
 
         paths = sorted(tmp_path.glob("*/*.csv"))
-        assert sorted(p.name for p in paths) == sorted(self.HEADERS)
+        found = {}
+        for path in paths:
+            found.setdefault(path.parent.name, []).append(path.name)
+        assert found == {run: sorted(names)
+                         for run, names in self.FILES.items()}
+        assert {name for names in self.FILES.values() for name in names} \
+            == set(self.HEADERS)
         tokens = []
         for path in paths:
             text = path.read_text()

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -82,3 +83,29 @@ def test_disk_fixed_point_gates_on_build_time(pb_run):
 def test_runs_record_their_build_seconds(pb_run, perturbed_run):
     assert 0 < pb_run["seconds"] < 300
     assert 0 < perturbed_run["seconds"] < 300
+
+
+CONVERGED_RUN_CRITERIA = (
+    verify.criterion_weiss_rescaling,
+    verify.criterion_weiss_monotonicity,
+    verify.criterion_flatness_decay,
+    verify.criterion_nondegeneracy,
+)
+
+
+@pytest.mark.parametrize("criterion", CONVERGED_RUN_CRITERIA,
+                         ids=lambda fn: fn.__name__)
+def test_criteria_need_a_converged_run(criterion, pb_run, perturbed_run):
+    # run() hands back its best iterate when it stops early; a criterion
+    # on that iterate must not pass for a run that never converged
+    passed, detail = criterion(
+        verify.SuiteContext(disk=pb_run, perturbed=perturbed_run))
+    assert passed, detail
+    assert detail.endswith("converged=True")
+    unconverged = verify.SuiteContext(*(
+        dict(run, report=dataclasses.replace(
+            run["report"], stop_reason="budget_exhausted"))
+        for run in (pb_run, perturbed_run)))
+    passed, detail = criterion(unconverged)
+    assert not passed
+    assert detail.endswith("converged=False")
