@@ -260,6 +260,11 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("diagnostics radii must be positive")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("diagnostics radii must be strictly increasing")
+        if radii[0] < 2.0 * grid.h:
+            # a smaller ball holds at most a dozen nodes, as few as one,
+            # and a fit through one node reports residual 0 for any field
+            raise ConfigError(f"diagnostics radius {radii[0]:g} is below two "
+                              f"cells, 2h = {2.0 * grid.h:g}")
         cx, cy = center
         margin = min(cx - grid.x0, grid.x1 - cx, cy - grid.y0, grid.y1 - cy)
         if max(radii) > margin:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import FblabError, GridError, UnderResolvedError
 from .fields import (
@@ -442,6 +441,8 @@ def _polish(points, uvals, z, c_max):
     quarters the box.  The steps stop when the LP promises under 1e-12 of
     the residual or a few ulps of u.  alpha is flat at beta = 0, so steps
     that end there are taken again from beta = 1e-3."""
+    # imported here, not at module level, so a plain solve never loads it
+    from scipy.optimize import linprog
 
     def deviations(z):
         return _profile(points @ _unit(z[0]) + z[2],

@@ -406,6 +406,10 @@ def reinitialize(phi: LevelSet) -> LevelSet:
 # point-to-polyline distance
 # ---------------------------------------------------------------------------
 
+_DISTANCE_PAIRS = 65_536  # (point, segment) pairs per chunk: 1 MB per
+# (chunk, S, 2) temporary, however many nodes are measured
+
+
 def polyline_distance(points: np.ndarray, polylines) -> np.ndarray:
     """Distance from each query point to the nearest polyline segment."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -418,7 +422,7 @@ def polyline_distance(points: np.ndarray, polylines) -> np.ndarray:
     denom = np.maximum(np.einsum("sk,sk->s", ab, ab), 1e-300)
 
     best = np.full(len(points), np.inf)
-    chunk = max(1, int(2_000_000 // max(len(segs), 1)))
+    chunk = max(1, _DISTANCE_PAIRS // max(len(segs), 1))
     for s in range(0, len(points), chunk):
         e = min(s + chunk, len(points))
         ap = points[s:e, None, :] - a[None, :, :]        # (c, S, 2)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import FblabError
 
@@ -73,6 +72,9 @@ def _search(jump, h, mu, omega, sigma=None):
     of jump = h^2 sigma, by Brent's method; raises ConditionError when
     h^2 sigma does not exceed max(0, z0), and FblabError when ``jump`` is
     still falling at 1 - 1e-8, so the interval holds no minimum."""
+    # imported here, not at module level, so a plain solve never loads it
+    from scipy.optimize import brentq, minimize_scalar
+
     if mu <= 0 or h <= 0 or omega < 0:
         raise ValueError("h, mu must be positive and omega non-negative")
     where = f"h={h:g}, mu={mu:g}, omega={omega:g}" + (

@@ -418,6 +418,40 @@ levels = 0
         timings = json.loads((tmp_path / run / "timings.json").read_text())
         assert timings["seconds"] >= 0
 
+
+# Imports fblab.cli, then runs each argument list of sys.argv[1] (JSON)
+# through main; prints [exit code, scipy.optimize loaded] after each stage.
+_IMPORT_PROBE = """
+import json, sys
+import fblab.cli
+stages = [[None, "scipy.optimize" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    stages.append([fblab.cli.main(argv), "scipy.optimize" in sys.modules])
+print(json.dumps(stages))
+"""
+
+
+def test_plain_solve_never_loads_the_lp_stack(tmp_path):
+    # a fresh interpreter: the modules this process has loaded mask nothing
+    plain = TWO_PLANE_INI.replace("nx = 65\nny = 65", "nx = 33\nny = 33")
+    cfg = write(tmp_path, "run.ini", plain)
+    diag = write(tmp_path, "diag.ini", plain + DIAGNOSTICS_BLOCK)
+    out = str(tmp_path / "out")
+    commands = [["solve", "--config", cfg, "--out", out],
+                ["diagnose", "--u", out + "/u.csv", "--phi", out + "/phi.csv",
+                 "--config", diag, "--out", str(tmp_path / "d")]]
+    src = os.path.dirname(os.path.dirname(fblab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    # import, solve without a [diagnostics] block, then diagnose
+    assert stages == [[None, False], [0, False], [0, True]]
+
+
 class TestDiagnose:
     def test_two_plane_fields(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
@@ -640,6 +674,22 @@ radii = 0.2
                      "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
                      "--out", str(tmp_path / "d")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sub_cell_radii_exit_three(self, tmp_path, capsys):
+        # h = 0.031: balls this small would make a one-node fit
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI
+                    + "\n[diagnostics]\ncenter = 0.0, 0.0\n"
+                    "radii = 0.01, 0.02\n")
+        grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
+        write_field(two_plane_field(grid, 0.5), str(tmp_path / "u.csv"))
+        write_field(two_plane_levelset(grid), str(tmp_path / "phi.csv"))
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 2 and "below two cells" in err
 
     def test_missing_diagnostics_block_exit_three(self, tmp_path):
         cfg = write(tmp_path, "run.ini", TWO_PLANE_INI)

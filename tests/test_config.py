@@ -210,6 +210,27 @@ radii = 0.5
         with pytest.raises(ConfigError, match="leave the domain"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("radii", ["0.01, 0.02", "0.0624, 0.2"])
+    def test_diagnostics_radii_below_two_cells_rejected(self, tmp_path,
+                                                        radii):
+        # h = 2/64: a smaller ball holds too few nodes for a fit
+        text = BASE + f"""
+[diagnostics]
+center = 0.0, 0.0
+radii = {radii}
+"""
+        with pytest.raises(ConfigError, match="below two cells"):
+            load_config(write_config(tmp_path, text))
+
+    def test_diagnostics_radius_of_two_cells_accepted(self, tmp_path):
+        text = BASE + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.0625, 0.2
+"""
+        cfg = load_config(write_config(tmp_path, text))
+        assert cfg.diagnostics.radii[0] == 2 * cfg.grid.h
+
     def test_diagnostics_radii_must_be_numbers(self, tmp_path):
         text = BASE + """
 [diagnostics]

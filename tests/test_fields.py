@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from fblab.fields import (
     write_field,
     write_table,
 )
-from fblab.problems import perturbed_plane_problem
+from fblab.problems import perturbed_plane_levelset, perturbed_plane_problem
 
 
 class TestMakeGrid:
@@ -615,6 +616,36 @@ def reference_reinitialize(phi):
         + (yy[far][:, None] - py[None, :]) ** 2
     d[far] = np.sqrt(np.min(dist2, axis=1))
     return d * np.sign(p)
+
+
+class TestPolylineDistance:
+    @pytest.fixture(scope="class")
+    def nodes(self):
+        """The 129^2 nodes of [-1, 1]^2 and the perturbed plane's interface,
+        as nondegeneracy measures them."""
+        grid = make_grid(129, 129, (-1, -1, 1, 1))
+        xx, yy = grid.meshgrid()
+        return (np.column_stack([xx.ravel(), yy.ravel()]),
+                interface_extract(perturbed_plane_levelset(grid)))
+
+    def test_working_set_is_bounded(self, nodes):
+        # 16 641 nodes against 141 segments: chunked (point, segment)
+        # temporaries, not one block of millions of pairs
+        pts, pls = nodes
+        tracemalloc.start()
+        try:
+            polyline_distance(pts, pls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_chunks_match_single_points(self, nodes):
+        pts, pls = nodes
+        rows = np.random.default_rng(0).choice(len(pts), 200, replace=False)
+        whole = polyline_distance(pts, pls)
+        single = [polyline_distance(pts[i], pls)[0] for i in rows]
+        assert np.array_equal(whole[rows], single)
 
 
 class TestReinitializeExact:

@@ -10,7 +10,9 @@ calls ``time.time``: durations come from a monotonic clock, which a step
 of the wall clock cannot make negative.  Only
 ``fields.py`` spells the 17-digit table format, and no module calls
 ``savetxt``: a field file goes through ``fields.write_field`` and every
-other CSV table through ``fields.write_table``.  Every
+other CSV table through ``fields.write_table``.  No module imports
+``scipy.optimize`` at import time: only the functions that solve an LP or
+find a root load it, so a plain ``fblab solve`` never does.  Every
 public function, class and method is named by the package or the
 benchmark, apart from a few kept for a stated reason: an API that only
 tests reach is code nothing needs.  Every private module-level function,
@@ -112,6 +114,65 @@ def test_no_wall_clock_durations(path):
                 and any(a.name == "time" for a in node.names):
             calls.append(node.lineno)
     assert not calls, f"{path.name}: time.time used at lines {calls}"
+
+
+def _import_time_imports(tree):
+    """Import statements that run when the module is imported: every one
+    outside a function body, under ``if``, ``try`` or a class included."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _optimize_imports(tree):
+    """Lines of the import-time imports of scipy.optimize in ``tree``."""
+    lines = []
+    for node in _import_time_imports(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:  # "from scipy import optimize" names scipy.optimize too
+            names = [f"{'.' * node.level}{node.module}.{a.name}"
+                     for a in node.names]
+        if any((name + ".").startswith("scipy.optimize.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_time_optimize(path):
+    lines = _optimize_imports(_tree(path))
+    assert not lines, "; ".join(
+        f"{path.name}:{line} imports scipy.optimize at module level: import "
+        f"it in the function that solves the LP or finds the root"
+        for line in lines)
+
+
+def test_import_time_optimize_found():
+    module = ast.parse(textwrap.dedent("""
+        import scipy.optimize
+        from scipy import optimize, sparse
+        from scipy.optimize import linprog
+        import scipy.sparse
+        from .optimize import step
+        try:
+            from scipy.optimize._linprog import linprog
+        except ImportError:
+            pass
+
+        class Solver:
+            from scipy.optimize import brentq
+
+        def polish():
+            from scipy.optimize import linprog
+            return linprog
+    """))
+    assert _optimize_imports(module) == [2, 3, 4, 8, 13]
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"
