@@ -1,8 +1,9 @@
 """Variable-coefficient divergence-form Dirichlet solver on one phase of a
 level-set-partitioned box, plus one-sided interface gradient extraction.
 
-Interface gradients are measured for a whole batch of interface points at
-once: one whole-array one-sided node gradient per phase, blended bilinearly
+Interface gradients are measured for a whole batch of interface points and
+both phases in one call: the normals and A are sampled once at the points,
+then one whole-array one-sided node gradient per phase is blended bilinearly
 at probe points along the normal and extrapolated back to the interface.
 
 Discretization: node-centered finite-volume fluxes with arithmetic face
@@ -92,13 +93,6 @@ class CoefficientField:
         return cls(grid, np.asarray(f11(xx, yy), dtype=float) + 0 * xx,
                    np.asarray(f12(xx, yy), dtype=float) + 0 * xx,
                    np.asarray(f22(xx, yy), dtype=float) + 0 * xx)
-
-    def matrix_at(self, x: float, y: float) -> np.ndarray:
-        g = self.grid
-        m11 = bilinear_sample(g, self.a11, x, y)
-        m12 = bilinear_sample(g, self.a12, x, y)
-        m22 = bilinear_sample(g, self.a22, x, y)
-        return np.array([[m11, m12], [m12, m22]])
 
 
 @dataclass
@@ -324,54 +318,57 @@ def _blend_at_points(grads, valid, grid, px, py):
     return acc / np.where(ok, total, 1.0)[:, None], ok
 
 
-def interface_normal_gradient(u: ScalarField, A: CoefficientField,
-                              phi: LevelSet, points, side: int):
-    """One-sided gradient of u at interface points and its A-energy.
-
-    ``points`` has shape ``(m, 2)``.  The gradient is
-    evaluated at probe points offset 1.5h and 2.5h along the interface
-    normal into the requested side and extrapolated linearly back to the
+def interface_normal_gradient(fields, A: CoefficientField, phi: LevelSet,
+                              points):
+    """One-sided gradients at interface points ``(m, 2)`` and their
+    A-energies, for each side (+1 or -1) of ``fields``, a mapping from side
+    to u.  The normals and A at the points are computed once per call.  Per
+    side, the gradient is evaluated at probe points offset 1.5h and 2.5h
+    along the normal into that side and extrapolated linearly back to the
     interface; each probe blends the one-sided node gradients of
-    :func:`~fblab.fields.one_sided_gradient`, computed once per call.
-    Returns ``(grad, q_A)`` with ``q_A = <A grad, grad>``, of shapes
-    ``(m, 2)`` and ``(m,)``.  Raises
-    UnderResolvedError naming the first point with a vanishing level-set
-    gradient or with no usable corner around a probe.
+    :func:`~fblab.fields.one_sided_gradient`.  Returns a mapping from side
+    to ``(grad, q_A)`` with ``q_A = <A grad, grad>``, of shapes ``(m, 2)``
+    and ``(m,)``.  Sides are measured in the order given; the first to fail
+    raises UnderResolvedError naming the first point with a vanishing
+    level-set gradient or with no usable corner around a probe.
     """
-    if side not in (1, -1):
+    if any(side not in (1, -1) for side in fields):
         raise FieldError("side must be +1 or -1")
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    g = u.grid
+    x, y = np.asarray(points, dtype=float).T
+    g = phi.grid
     h = g.h
-    # normal from phi, oriented into the requested side
-    eps = h
-    nx = (phi.sample(x + eps, y) - phi.sample(x - eps, y)) / (2 * eps)
-    ny = (phi.sample(x, y + eps) - phi.sample(x, y - eps)) / (2 * eps)
+    # unoriented normal from phi; each side orients it into its own phase
+    nx = (phi.sample(x + h, y) - phi.sample(x - h, y)) / (2 * h)
+    ny = (phi.sample(x, y + h) - phi.sample(x, y - h)) / (2 * h)
     nrm = np.hypot(nx, ny)
     flat = nrm < 1e-14
     nrm = np.where(flat, 1.0, nrm)
-    nx = nx / nrm * side
-    ny = ny / nrm * side
-
-    gx, gy, valid = one_sided_gradient(u, phi, side)
-    node_grads = np.stack([gx, gy], axis=-1)
-    probes = []
-    bad = flat
-    for off in _PROBE_OFFSETS:
-        px = np.clip(x + off * h * nx, g.x0, g.x1)
-        py = np.clip(y + off * h * ny, g.y0, g.y1)
-        grads, ok = _blend_at_points(node_grads, valid, g, px, py)
-        probes.append(grads)
-        bad = bad | ~ok
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        what = ("vanishing level-set gradient" if flat[k]
-                else "no usable corner for the one-sided gradient")
-        raise UnderResolvedError(f"{what} at ({x[k]:.4f}, {y[k]:.4f})")
+    a11, a12, a22 = (bilinear_sample(A.grid, a, x, y)
+                     for a in (A.a11, A.a12, A.a22))
+    Am = np.stack([a11, a12, a12, a22], axis=-1).reshape(-1, 2, 2)
     d1, d2 = _PROBE_OFFSETS
-    grad0 = (d2 * probes[0] - d1 * probes[1]) / (d2 - d1)
-    # stacked matmul rounds exactly as the per-point grad @ A @ grad
-    Am = np.ascontiguousarray(np.moveaxis(A.matrix_at(x, y), -1, 0))
-    q_A = (grad0[:, None, :] @ Am @ grad0[:, :, None])[:, 0, 0]
-    return grad0, q_A
+
+    measured = {}
+    for side, u in fields.items():
+        sx = nx / nrm * side
+        sy = ny / nrm * side
+        gx, gy, valid = one_sided_gradient(u, phi, side)
+        node_grads = np.stack([gx, gy], axis=-1)
+        probes = []
+        bad = flat
+        for off in _PROBE_OFFSETS:
+            px = np.clip(x + off * h * sx, g.x0, g.x1)
+            py = np.clip(y + off * h * sy, g.y0, g.y1)
+            grads, ok = _blend_at_points(node_grads, valid, g, px, py)
+            probes.append(grads)
+            bad = bad | ~ok
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            what = ("vanishing level-set gradient" if flat[k]
+                    else "no usable corner for the one-sided gradient")
+            raise UnderResolvedError(f"{what} at ({x[k]:.4f}, {y[k]:.4f})")
+        grad0 = (d2 * probes[0] - d1 * probes[1]) / (d2 - d1)
+        # stacked matmul rounds exactly as the per-point grad @ A @ grad
+        q_A = (grad0[:, None, :] @ Am @ grad0[:, :, None])[:, 0, 0]
+        measured[side] = grad0, q_A
+    return measured

@@ -183,8 +183,9 @@ class IterationReport:
 
 def _jump_at_points(u_plus, u_minus, A, phi, Q, points):
     """Jump defect and one-sided energies at the given interface points."""
-    _, qp = interface_normal_gradient(u_plus, A, phi, points, +1)
-    _, qm = interface_normal_gradient(u_minus, A, phi, points, -1)
+    measured = interface_normal_gradient({+1: u_plus, -1: u_minus}, A, phi,
+                                         points)
+    (_, qp), (_, qm) = measured[+1], measured[-1]
     target = Q.sample(points[:, 0], points[:, 1])
     return qp - qm - target, qp, qm
 

@@ -483,21 +483,25 @@ def read_field(path) -> ScalarField:
         raise FieldError(f"cannot read field file {path}: {err}") from err
     if data.ndim != 2 or data.shape[1] != 3:
         raise FieldError(f"malformed field file {path}")
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
-    nx, ny = len(xs), len(ys)
+    x, y, values = data.T
+    # the first grid row is the leading run of rows that share y[0]; it is
+    # empty when y[0] is NaN
+    differs = y != y[0]
+    nx = int(np.argmax(differs)) if differs.any() else len(y)
+    ny = len(y) // max(nx, 1)
     if nx * ny != len(data):
         raise FieldError(f"field file {path} is not a full grid")
     try:
-        grid = make_grid(nx, ny, (xs[0], ys[0], xs[-1], ys[-1]))
-    except GridError as err:
+        grid = make_grid(nx, ny, (x[0], y[0], x[nx - 1], y[-1]))
+        field = ScalarField(grid, values.reshape(ny, nx))
+    except (GridError, FieldError) as err:
         raise FieldError(f"field file {path}: {err}") from err
-    xx, yy = grid.meshgrid()
-    off = np.abs(data[:, :2] - np.column_stack([xx.ravel(), yy.ravel()]))
-    if np.max(off) > 1e-9 * grid.h:
+    max_off = np.maximum(np.max(np.abs(x.reshape(ny, nx) - grid.xs)),
+                         np.max(np.abs(y.reshape(ny, nx) - grid.ys[:, None])))
+    if not max_off <= 1e-9 * grid.h:  # a NaN coordinate fails too
         raise FieldError(f"field file {path} is not a uniform grid in "
                          "row-major order (y, then x)")
-    return ScalarField(grid, data[:, 2].reshape(ny, nx))
+    return field
 
 
 def read_levelset(path) -> LevelSet:

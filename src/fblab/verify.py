@@ -384,16 +384,6 @@ def criterion_open_question_audits(ctx, out_dir=None) -> tuple[bool, str]:
     return ok, detail
 
 
-QUICK_CRITERIA = (
-    criterion_two_plane_stationarity,
-    criterion_weiss_closed_form,
-    criterion_disk_roots,
-    criterion_elliptic_convergence,
-    criterion_branch_ordering,
-    criterion_negative_control,
-    criterion_open_question_audits,
-)
-
 FULL_CRITERIA = (
     criterion_two_plane_stationarity,
     criterion_weiss_closed_form,
@@ -408,6 +398,12 @@ FULL_CRITERIA = (
     criterion_negative_control,
     criterion_open_question_audits,
 )
+
+# the quick level leaves out every criterion that reads a converged run
+QUICK_CRITERIA = tuple(fn for fn in FULL_CRITERIA if fn not in (
+    criterion_weiss_rescaling, criterion_weiss_monotonicity,
+    criterion_disk_fixed_point, criterion_flatness_decay,
+    criterion_nondegeneracy))
 
 
 def run_suite(level: str = "quick", out_dir: Optional[str] = None):

@@ -657,6 +657,26 @@ radii = 0.2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "g4.csv" in err
 
+    def test_non_finite_phi_names_file(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.ini", TWO_PLANE_INI + """
+[diagnostics]
+center = 0.0, 0.0
+radii = 0.2
+""")
+        grid = make_grid(65, 65, (-1.0, -1.0, 1.0, 1.0))
+        write_field(two_plane_field(grid, 0.5), str(tmp_path / "u.csv"))
+        xx, yy = grid.meshgrid()
+        values = two_plane_levelset(grid).phi.copy()
+        values[20, 30] = np.nan
+        write_table(tmp_path / "phi.csv", "x,y,value",
+                    np.column_stack([xx.ravel(), yy.ravel(), values.ravel()]))
+        assert main(["diagnose", "--u", str(tmp_path / "u.csv"),
+                     "--phi", str(tmp_path / "phi.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "phi.csv" in err
+        assert "u.csv" not in err
+
     @pytest.mark.parametrize("spec", [
         "center = 0.0, 0.0\nradii = 0.2, 0.2, 0.4",
         "center = nan, 0\nradii = 0.2",

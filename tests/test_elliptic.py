@@ -17,7 +17,11 @@ from fblab.fields import (
     interface_extract,
     make_grid,
 )
-from fblab.problems import two_plane_field
+from fblab.problems import (
+    perturbed_plane_levelset,
+    perturbed_plane_problem,
+    two_plane_field,
+)
 
 
 def full_box_region(grid, boundary_fn):
@@ -364,8 +368,9 @@ class TestInterfaceNormalGradient:
         A = CoefficientField.identity(grid)
         u = two_plane_field(grid, 0.5)
         phi = LevelSet.from_function(grid, lambda x, y: y)
-        _, (qp,) = interface_normal_gradient(u, A, phi, [(0.1, 0.0)], +1)
-        _, (qm,) = interface_normal_gradient(u, A, phi, [(0.1, 0.0)], -1)
+        measured = interface_normal_gradient({+1: u, -1: u}, A, phi,
+                                             [(0.1, 0.0)])
+        (_, (qp,)), (_, (qm,)) = measured[+1], measured[-1]
         assert qp == pytest.approx(1.25, abs=1e-10)
         assert qm == pytest.approx(0.25, abs=1e-10)
 
@@ -382,7 +387,8 @@ class TestInterfaceNormalGradient:
 
         u = ScalarField.from_function(grid, uplus)
         phi = LevelSet.from_function(grid, lambda x, y: np.hypot(x, y) - rho)
-        _, (qp,) = interface_normal_gradient(u, A, phi, [(rho, 0.0)], +1)
+        _, (qp,) = interface_normal_gradient({+1: u}, A, phi,
+                                             [(rho, 0.0)])[+1]
         assert qp == pytest.approx(np.e**2, rel=0.03)
 
     def test_scaled_identity_coefficients(self):
@@ -390,16 +396,17 @@ class TestInterfaceNormalGradient:
         A = CoefficientField.constant(grid, 2.0, 0.0, 2.0)
         u = two_plane_field(grid, 0.0)
         phi = LevelSet.from_function(grid, lambda x, y: y)
-        _, (qp,) = interface_normal_gradient(u, A, phi, [(-0.2, 0.0)], +1)
+        _, (qp,) = interface_normal_gradient({+1: u}, A, phi,
+                                             [(-0.2, 0.0)])[+1]
         assert qp == pytest.approx(2.0, abs=1e-10)
 
     def check_batched_matches_points(self, u, A, phi, side):
         pts = all_interface_points(interface_extract(phi))
-        grads, qs = interface_normal_gradient(u, A, phi, pts, side)
+        grads, qs = interface_normal_gradient({side: u}, A, phi, pts)[side]
         assert grads.shape == (len(pts), 2) and qs.shape == (len(pts),)
         for p, g, q in zip(pts, grads, qs):
-            (g1,), (q1,) = interface_normal_gradient(u, A, phi, p[None],
-                                                     side)
+            (g1,), (q1,) = interface_normal_gradient({side: u}, A, phi,
+                                                     p[None])[side]
             assert g1.shape == (2,) and np.ndim(q1) == 0
             np.testing.assert_allclose(g, g1, rtol=1e-14, atol=0)
             assert q == pytest.approx(q1, rel=1e-14, abs=0)
@@ -436,6 +443,74 @@ class TestInterfaceNormalGradient:
             np.isclose(grid.meshgrid()[1], grid.ys[8]), 1.0, -1.0))
         pts = all_interface_points(interface_extract(phi))
         with pytest.raises(UnderResolvedError, match="no usable corner"):
-            interface_normal_gradient(u, A, phi, pts, +1)
+            interface_normal_gradient({+1: u}, A, phi, pts)
         with pytest.raises(UnderResolvedError):
-            interface_normal_gradient(u, A, phi, pts[:1], +1)
+            interface_normal_gradient({+1: u}, A, phi, pts[:1])
+
+    @staticmethod
+    def check_together_equals_alone(fields, A, phi, pts):
+        together = interface_normal_gradient(fields, A, phi, pts)
+        assert list(together) == list(fields)
+        for side, u in fields.items():
+            alone = interface_normal_gradient({side: u}, A, phi, pts)[side]
+            for a, b in zip(together[side], alone):
+                assert a.tobytes() == b.tobytes()
+
+    def test_together_equals_alone_two_plane(self):
+        grid = make_grid(65, 65, (-1, -1, 1, 1))
+        A = CoefficientField.constant(grid, 1.5, 0.2, 0.8)
+        u = two_plane_field(grid, 0.5)
+        phi = LevelSet.from_function(grid, lambda x, y: y - 0.1 * x + 0.013)
+        pts = all_interface_points(interface_extract(phi))
+        self.check_together_equals_alone({+1: u, -1: u}, A, phi, pts)
+
+    def test_together_equals_alone_disk(self):
+        grid = make_grid(193, 193, (-1, -1, 1, 1))
+        A = CoefficientField.from_functions(
+            grid, lambda x, y: 1 + 0.2 * x, lambda x, y: 0.1 * y,
+            lambda x, y: 1.5 + 0 * x)
+        rho = 1 / np.e
+        u_plus = ScalarField.from_function(
+            grid, lambda x, y: np.log(np.hypot(x, y) / rho + 1e-12))
+        u_minus = ScalarField.from_function(
+            grid, lambda x, y: 0.5 * (x**2 + y**2 - rho**2))
+        phi = LevelSet.from_function(grid, lambda x, y: np.hypot(x, y) - rho)
+        pts = all_interface_points(interface_extract(phi))
+        self.check_together_equals_alone({+1: u_plus, -1: u_minus}, A, phi,
+                                         pts)
+
+    def test_together_equals_alone_perturbed_plane(self):
+        grid = make_grid(129, 129, (-1, -1, 1, 1))
+        problem = perturbed_plane_problem(grid)
+        phi = perturbed_plane_levelset(grid)
+        u_plus, u_minus = (
+            solve_phase(problem.A, f, PhaseRegion(phi, side,
+                                                  problem.outer_data))
+            for f, side in ((problem.f_plus, 1), (problem.f_minus, -1)))
+        pts = all_interface_points(interface_extract(phi))
+        self.check_together_equals_alone({+1: u_plus, -1: u_minus},
+                                         problem.A, phi, pts)
+
+    def test_sides_fail_in_the_order_given(self):
+        # a one-node positive sliver at y = 0.25 and a one-node negative
+        # sliver at y = 0.875: each side fails alone, at its own point
+        grid = make_grid(17, 17, (0, 0, 1, 1))
+        u = ScalarField.from_function(grid, lambda x, y: y)
+        A = CoefficientField.identity(grid)
+        values = np.where(np.isclose(grid.meshgrid()[1], grid.ys[4]),
+                          1.0, -1.0)
+        values[12:, :] = 1.0
+        values[14, :] = -1.0
+        phi = LevelSet(grid, values)
+        pts = all_interface_points(interface_extract(phi))
+        errors = {}
+        for side in (1, -1):
+            with pytest.raises(UnderResolvedError) as err:
+                interface_normal_gradient({side: u}, A, phi, pts)
+            errors[side] = str(err.value)
+        assert errors[+1] != errors[-1]
+        for first, second in ((1, -1), (-1, 1)):
+            with pytest.raises(UnderResolvedError) as err:
+                interface_normal_gradient({first: u, second: u}, A, phi,
+                                          pts)
+            assert str(err.value) == errors[first]

@@ -791,6 +791,26 @@ class TestCsvRoundTrip:
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_path(self, tmp_path, bad):
+        rows = self.grid_rows(9)
+        rows[40, 2] = bad
+        path = tmp_path / "u.csv"
+        write_table(path, "x,y,value", rows)
+        with pytest.raises(FieldError, match="u.csv.*non-finite"):
+            read_field(path)
+
+    @pytest.mark.parametrize("row, col", [
+        (0, 1), (0, 0), (8, 0), (40, 0), (40, 1), (80, 1),
+    ])
+    def test_nan_coordinate_names_path(self, tmp_path, row, col):
+        rows = self.grid_rows(9)
+        rows[row, col] = np.nan
+        path = tmp_path / "u.csv"
+        write_table(path, "x,y,value", rows)
+        with pytest.raises(FieldError, match="u.csv"):
+            read_field(path)
+
     def test_too_small_grid_names_path(self, tmp_path):
         path = tmp_path / "u.csv"
         write_table(path, "x,y,value", self.grid_rows(4))

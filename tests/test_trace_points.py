@@ -79,6 +79,8 @@ def test_run_calls_layers_through_module_attributes(tracer):
     assert names.count("fbiter.step") == 2
     assert names.count("elliptic.solve_phase") == 4
     assert names.count("fbiter.jump") == 2
+    # one measurement of both phases per step
+    assert names.count("elliptic.interface_normal_gradient") == 2
 
 
 def test_perturbed_inputs_match_the_problem_builders(bench, tmp_path):

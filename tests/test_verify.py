@@ -16,6 +16,17 @@ class TestSuiteComposition:
         names = [fn.__name__ for fn in verify.FULL_CRITERIA]
         assert len(names) == len(set(names)) == 12
 
+    def test_quick_leaves_out_the_converged_run_criteria(self):
+        assert [fn.__name__ for fn in verify.QUICK_CRITERIA] == [
+            "criterion_two_plane_stationarity",
+            "criterion_weiss_closed_form",
+            "criterion_disk_roots",
+            "criterion_elliptic_convergence",
+            "criterion_branch_ordering",
+            "criterion_negative_control",
+            "criterion_open_question_audits",
+        ]
+
     def test_crashing_criterion_reports_failure(self, monkeypatch):
         def boom(ctx, out_dir=None):
             raise RuntimeError("intentional")
