@@ -33,7 +33,6 @@ from .diagnostics import (
     ball_quadrature,
     flatness_table,
     oscillation_decay,
-    phase_gradients,
     two_plane_fit,
     weiss_series,
 )
@@ -115,12 +114,9 @@ def _diagnostic_battery(u, phi, spec, out_dir):
     """Run the ``[diagnostics]`` battery on (u, phi): write
     ``diagnostics.csv`` into ``out_dir`` and return the summary entries."""
     tp, residual = two_plane_fit(u, spec.center, max(spec.radii))
-    gradient = phase_gradients(u, phi)
-    quad = ball_quadrature(u, phi, spec.center, spec.radii, gradient)
-    series = weiss_series(u, spec.center, spec.radii, tp.alpha, tp.beta,
-                          quad)
-    acf = acf_product(u, phi, spec.center, spec.radii, quad, gradient)
-    del gradient  # two whole-grid gradients, not needed past the ACF
+    quad = ball_quadrature(u, phi, spec.center, spec.radii)
+    series = weiss_series(spec.radii, tp.alpha, tp.beta, quad)
+    acf = acf_product(spec.radii, quad)
     table = flatness_table(phi, spec.center, spec.radii)
     flat_by_r = {float(r): (d, *dirv)
                  for r, d, dirv in zip(table.radii, table.deltas,

@@ -234,8 +234,6 @@ def load_config(path: str) -> RunConfig:
     Q = field("problem", "jump_target", _SCALAR_KINDS)
     outer = field("problem", "outer", _OUTER_KINDS)
     mask_radius = _number(parser, "problem", "mask_radius", float)
-    if mask_radius is not None and mask_radius <= 0:
-        raise ConfigError("mask_radius must be positive")
     try:
         problem = PhaseProblem(A=A, f_plus=f_plus, f_minus=f_minus, Q=Q,
                                outer_data=outer, mask_radius=mask_radius)

@@ -4,11 +4,11 @@ non-degeneracy ratios, trapping-offset decay, and the two-phase energy
 product.
 
 All routines are pure functions of their arguments.  The Weiss and ACF
-monitors read the rows of :func:`ball_quadrature`, which alone integrates
-(u, phi) over the balls: cell-wise with linear-cut area fractions, and cells
-crossed by the ball boundary are subdivided with exact signed distances at
-subcell corners so that constancy checks are not polluted by staircase
-noise.
+monitors are arithmetic on the rows of :func:`ball_quadrature`, which alone
+integrates (u, phi) over the balls and u^2 over their circles: cell-wise
+with linear-cut area fractions, and cells crossed by the ball boundary are
+subdivided with exact signed distances at subcell corners so that constancy
+checks are not polluted by staircase noise.
 
 The two-plane fit's offsets leave residuals at most sqrt(1 + beta**2)
 2 c_max 2**-48 plus rounding above a 48-step bisection's.  Its grid search
@@ -54,6 +54,9 @@ _POLISH_ROWS = 16  # LP rows of each sign, and most cuts per step
 _POLISH_TOL = 1e-12  # least promised share of the residual worth a step
 _POLISH_STEPS = 200  # most LP steps per start
 _POLISH_BETA0 = 1e-3  # second start of a polish ending at beta = 0
+# columns of a ball_quadrature row
+(_GRAD_PLUS, _GRAD_MINUS, _AREA_PLUS, _AREA_MINUS, _ACF_PLUS, _ACF_MINUS,
+ _SHELL) = range(7)
 
 
 def _profile(s, alpha, beta):
@@ -90,13 +93,10 @@ class WeissSeries:
     """Scale-normalized energy values over an increasing list of radii,
     with the raw energy and shell terms kept for re-derivation."""
 
-    center: np.ndarray
     radii: np.ndarray
     E_values: np.ndarray
     boundary_terms: np.ndarray
     phi_values: np.ndarray
-    alpha: float
-    beta: float
     monotone: bool
     first_violation: Optional[tuple] = None
 
@@ -128,7 +128,6 @@ class FlatnessTable:
 class ACFSeries:
     """Product-of-phases monitor values over increasing radii."""
 
-    center: np.ndarray
     radii: np.ndarray
     values: np.ndarray
     monotone: bool
@@ -244,25 +243,31 @@ def _cell_energy(u, phi, i0, j0, cell, gradient):
             float(np.sum(cell * f_pos)), float(np.sum(cell * (1.0 - f_pos))))
 
 
-def phase_gradients(u: ScalarField, phi: LevelSet):
-    """``side -> one_sided_gradient(u, phi, side)``, each side computed at
-    most once, to share between :func:`ball_quadrature` and
-    :func:`acf_product` on the same (u, phi)."""
-    return functools.cache(lambda side: one_sided_gradient(u, phi, side))
+def boundary_square_integral(u: ScalarField, center, r: float) -> float:
+    """Integral of u^2 over the circle of radius r by the midpoint angular
+    rule with bilinear sampling."""
+    _check_ball(u.grid, center, r)
+    n = _BOUNDARY_SAMPLES
+    theta = (np.arange(n) + 0.5) * (2 * np.pi / n)
+    vals = u.sample(center[0] + r * np.cos(theta),
+                    center[1] + r * np.sin(theta))
+    return float(np.sum(vals**2) * r * (2 * np.pi / n))
 
 
-def ball_quadrature(u: ScalarField, phi: LevelSet, center, radii,
-                    gradient=None) -> np.ndarray:
-    """Rows (grad_plus, grad_minus, area_plus, area_minus), one per radius:
-    sums over the cells inside B_r(center) of the phase-restricted Dirichlet
-    energies and the phase areas, the terms :func:`weiss_series` and
-    :func:`acf_product` are derived from.  Only cells crossed by the circle
-    are subdivided.  The one-sided gradients come from ``gradient``, a
-    :func:`phase_gradients` of (u, phi), or a new one if None, so each
-    side's is computed at most once, whatever the number of radii."""
+def ball_quadrature(u: ScalarField, phi: LevelSet, center,
+                    radii) -> np.ndarray:
+    """Rows, one per radius, of the terms :func:`weiss_series` and
+    :func:`acf_product` are arithmetic on, in the columns ``_GRAD_PLUS``
+    to ``_SHELL``: sums over the cells inside B_r(center) of the
+    phase-restricted Dirichlet energies and of the phase areas; the two
+    energies without the cell that holds the centre, taken whole and
+    floored at zero; and the integral of u^2 over the circle,
+    :func:`boundary_square_integral`.  Only cells crossed by the circle are
+    subdivided.  Each side's one-sided gradient is computed at most once,
+    whatever the number of radii, and only if a cell is cut."""
     grid = u.grid
     h = grid.h
-    gradient = gradient or phase_gradients(u, phi)
+    gradient = functools.cache(lambda side: one_sided_gradient(u, phi, side))
     rows = []
     for r in radii:
         _check_ball(grid, center, r)
@@ -281,27 +286,15 @@ def ball_quadrature(u: ScalarField, phi: LevelSet, center, radii,
                             & (w_ball == 0.0))
         w_ball[jc, ic] = _ball_fraction(grid, ic + i_lo, jc + j_lo, center, r)
         del s
-        rows.append(_cell_energy(u, phi, i_lo, j_lo, w_ball * h * h,
-                                 gradient))
-    return np.array(rows).reshape(-1, 4)
-
-
-def _weighted_energy(terms, alpha, beta):
-    if abs(alpha**2 - beta**2 - 1.0) > 1e-10:
-        raise ValueError("weights must satisfy alpha^2 - beta^2 = 1")
-    grad_p, grad_m, area_p, area_m = terms
-    return grad_p + grad_m + alpha**2 * area_p + beta**2 * area_m
-
-
-def boundary_square_integral(u: ScalarField, center, r: float) -> float:
-    """Integral of u^2 over the circle of radius r by the midpoint angular
-    rule with bilinear sampling."""
-    _check_ball(u.grid, center, r)
-    n = _BOUNDARY_SAMPLES
-    theta = (np.arange(n) + 0.5) * (2 * np.pi / n)
-    vals = u.sample(center[0] + r * np.cos(theta),
-                    center[1] + r * np.sin(theta))
-    return float(np.sum(vals**2) * r * (2 * np.pi / n))
+        rows.append((*_cell_energy(u, phi, i_lo, j_lo, w_ball * h * h,
+                                   gradient),
+                     boundary_square_integral(u, center, r)))
+    ci, cj = grid.cell_of(center[0], center[1])
+    sub_p, sub_m, _, _ = _cell_energy(u, phi, ci, cj,
+                                      np.full((1, 1), h * h), gradient)
+    return np.array([(gp, gm, ap, am, max(gp - sub_p, 0.0),
+                      max(gm - sub_m, 0.0), shell)
+                     for gp, gm, ap, am, shell in rows]).reshape(-1, 7)
 
 
 def _monotone_verdict(radii, values):
@@ -312,22 +305,25 @@ def _monotone_verdict(radii, values):
     return True, None
 
 
-def weiss_series(u: ScalarField, center, radii, alpha: float, beta: float,
+def weiss_series(radii, alpha: float, beta: float,
                  quadrature: np.ndarray) -> WeissSeries:
     """Scale-normalized energy r^-2 E - r^-3 * (shell integral of u^2) on an
     increasing list of radii, where the weighted energy E is the Dirichlet
     part plus alpha^2 times the positive-phase area plus beta^2 times the
     negative-phase area, from the :func:`ball_quadrature` rows
-    ``quadrature`` of the same ball; reports whether the values are
+    ``quadrature`` of the same radii; reports whether the values are
     non-decreasing up to quadrature slack."""
+    if abs(alpha**2 - beta**2 - 1.0) > 1e-10:
+        raise ValueError("weights must satisfy alpha^2 - beta^2 = 1")
     radii = np.asarray(radii, dtype=float)
-    Es = np.asarray([_weighted_energy(q, alpha, beta) for q in quadrature])
-    bts = np.asarray([boundary_square_integral(u, center, r) for r in radii])
+    q = np.asarray(quadrature)
+    Es = q[:, _GRAD_PLUS] + q[:, _GRAD_MINUS] + alpha**2 * q[:, _AREA_PLUS] \
+        + beta**2 * q[:, _AREA_MINUS]
+    bts = q[:, _SHELL]
     phis = Es / radii**2 - bts / radii**3
     monotone, violation = _monotone_verdict(radii, phis)
-    return WeissSeries(center=np.asarray(center, dtype=float), radii=radii,
-                       E_values=Es, boundary_terms=bts, phi_values=phis,
-                       alpha=alpha, beta=beta, monotone=monotone,
+    return WeissSeries(radii=radii, E_values=Es, boundary_terms=bts,
+                       phi_values=phis, monotone=monotone,
                        first_violation=violation)
 
 
@@ -691,27 +687,15 @@ def oscillation_decay(u: ScalarField, x0, r0: float, levels: int,
     return out
 
 
-def acf_product(u: ScalarField, phi: LevelSet, center, radii,
-                quadrature: np.ndarray, gradient) -> ACFSeries:
+def acf_product(radii, quadrature: np.ndarray) -> ACFSeries:
     """Product monitor r^-4 * (positive-phase Dirichlet energy) *
     (negative-phase Dirichlet energy) over B_r(center), with the cell
     containing the center excluded, from the :func:`ball_quadrature` rows
-    ``quadrature`` of the same ball.  A cut center cell reads its one-sided
-    gradients from ``gradient``, the :func:`phase_gradients` of (u, phi)
-    that ``quadrature`` was computed with."""
+    ``quadrature`` of the same radii."""
     radii = np.asarray(radii, dtype=float)
-    # remove the center cell's contribution from both factors
-    ci, cj = u.grid.cell_of(center[0], center[1])
-    sub_p, sub_m, _, _ = _cell_energy(
-        u, phi, ci, cj, np.full((1, 1), u.grid.h * u.grid.h), gradient)
-    vals = []
-    for r, (grad_p, grad_m, _, _) in zip(radii, quadrature):
-        grad_p = max(grad_p - sub_p, 0.0)
-        grad_m = max(grad_m - sub_m, 0.0)
-        vals.append(grad_p * grad_m / r**4)
-    vals = np.asarray(vals)
+    # r**4 per scalar: an array power may round differently
+    vals = np.asarray([p * m / r**4 for r, p, m in zip(
+        radii, quadrature[:, _ACF_PLUS], quadrature[:, _ACF_MINUS])])
     monotone, violation = _monotone_verdict(radii, vals)
-    return ACFSeries(center=np.asarray(center, dtype=float), radii=radii,
-                     values=vals, monotone=monotone,
+    return ACFSeries(radii=radii, values=vals, monotone=monotone,
                      first_violation=violation)
-

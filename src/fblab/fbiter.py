@@ -49,7 +49,6 @@ from .elliptic import (
 )
 from .errors import (
     DegenerateInterfaceError,
-    FblabError,
     FieldError,
     PhaseCollapseError,
     UnderResolvedError,
@@ -96,6 +95,8 @@ class PhaseProblem:
                 raise FieldError(f"{name} contains non-finite values")
         if np.min(self.Q.values) <= 0:
             raise FieldError("jump target Q must be positive everywhere")
+        if self.mask_radius is not None and not self.mask_radius > 0:
+            raise FieldError("mask_radius must be positive")
 
     def pinned_mask(self):
         """Boolean node mask held at outer_data (None without a ball)."""
@@ -127,9 +128,10 @@ class IterationOptions:
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.tol_jump is not None and self.tol_jump <= 0:
+        # "not > 0" rejects NaN too, a tolerance no run could meet
+        if self.tol_jump is not None and not self.tol_jump > 0:
             raise ValueError("tol_jump must be positive")
-        if self.tol_move <= 0 or self.max_iters <= 0:
+        if not self.tol_move > 0 or self.max_iters <= 0:
             raise ValueError("tol_move and max_iters must be positive")
 
     def resolved_tol_jump(self, problem: PhaseProblem) -> float:
@@ -518,21 +520,19 @@ def run(problem: PhaseProblem, phi0: LevelSet, opts: IterationOptions):
 
 
 def _final_flatness(problem, phi):
-    """Flatness table around the interface centroid; None if the geometry
-    does not admit one (no interface, or balls leaving the domain)."""
+    """Flatness table around the interface centroid at radii of an eighth,
+    a quarter and half its distance to the box edge, those spanning over
+    four cells; None if there is no interface or no such radius.  The balls
+    stay inside the box, so the table raises no toolkit error."""
     grid = problem.A.grid
-    try:
-        pts = all_interface_points(interface_extract(phi))
-        if pts.size == 0:
-            return None
-        center = pts.mean(axis=0)
-        margin = min(center[0] - grid.x0, grid.x1 - center[0],
-                     center[1] - grid.y0, grid.y1 - center[1])
-        radii = [r for r in (margin / 8, margin / 4, margin / 2)
-                 if r > 4 * grid.h]
-        if not radii:
-            return None
-        return flatness_table(phi, center, radii)
-    except FblabError:  # diagnostics are best-effort here
-        log.debug("flatness table unavailable", exc_info=True)
+    pts = all_interface_points(interface_extract(phi))
+    if pts.size == 0:
         return None
+    center = pts.mean(axis=0)
+    margin = min(center[0] - grid.x0, grid.x1 - center[0],
+                 center[1] - grid.y0, grid.y1 - center[1])
+    radii = [r for r in (margin / 8, margin / 4, margin / 2)
+             if r > 4 * grid.h]
+    if not radii:
+        return None
+    return flatness_table(phi, center, radii)

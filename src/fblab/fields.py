@@ -364,12 +364,14 @@ def reinitialize(phi: LevelSet) -> LevelSet:
 
     Zero nodes and both ends of every strict sign-change edge are anchors.
     They keep the first-order estimate ``|phi| / |grad phi|``, or ``|phi|``
-    itself where the gradient is already near unit, which makes the
-    operation idempotent.  The anchors alone fix the zero set of
-    :func:`interface_extract`, so where the gradient is near unit it is
-    unchanged bit for bit.  Every other node takes its distance to the
-    nearest vertex of that zero set, an upper bound on its distance to the
-    polylines.
+    itself where |grad phi| is within 0.35 of 1.  The anchors alone fix the
+    zero set of :func:`interface_extract`, so where the gradient is near
+    unit it is unchanged bit for bit.  Every other node takes its distance
+    to the nearest vertex of that zero set, an upper bound on its distance
+    to the polylines.  Applied to its own output, it returns that output
+    bit for bit when the output's |grad phi| is within 0.35 of 1 at every
+    anchor.  Elsewhere an anchor is rescaled again: on a random 41^2 level
+    set, one anchor read 0.767 after one application and 27.8 after two.
     """
     if not phi.has_both_signs():
         raise DegenerateInterfaceError("reinitialize requires a two-signed phi")

@@ -178,9 +178,8 @@ def criterion_weiss_closed_form(ctx, out_dir=None) -> tuple[bool, str]:
         u = two_plane_field(grid, beta)
         phi = two_plane_levelset(grid)
         target = (1.0 + 2.0 * beta**2) * math.pi / 2.0
-        vals = weiss_series(u, (0.0, 0.0), radii, alpha, beta,
-                            ball_quadrature(u, phi, (0.0, 0.0), radii)
-                            ).phi_values
+        quad = ball_quadrature(u, phi, (0.0, 0.0), radii)
+        vals = weiss_series(radii, alpha, beta, quad).phi_values
         worst_rel = max(worst_rel,
                         max(abs(v - target) / target for v in vals))
         worst_spread = max(worst_spread,
@@ -201,7 +200,7 @@ def criterion_weiss_rescaling(ctx, out_dir=None) -> tuple[bool, str]:
     phi_zoom = LevelSet(data["grid"], rescale(phi_field, lam, center).values)
 
     def weiss_at(v, levelset, radius):
-        return weiss_series(v, center, [radius], alpha, beta,
+        return weiss_series([radius], alpha, beta,
                             ball_quadrature(v, levelset, center, [radius])
                             ).phi_values[0]
 
@@ -221,7 +220,7 @@ def criterion_weiss_monotonicity(ctx, out_dir=None) -> tuple[bool, str]:
     interface point of the converged disk solution."""
     data, u_n, center, alpha, beta = _disk_weiss_frame(ctx)
     radii = np.geomspace(0.05, 0.45, 8)
-    series = weiss_series(u_n, center, radii, alpha, beta,
+    series = weiss_series(radii, alpha, beta,
                           ball_quadrature(u_n, data["phi"], center, radii))
     converged = data["report"].converged
     detail = f"8 radii in [{radii[0]:.3f}, {radii[-1]:.3f}], " \

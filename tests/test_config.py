@@ -290,6 +290,14 @@ radii = 0.2, 0.2, 0.4
         assert cfg.problem.mask_radius == 0.9
         assert cfg.problem.pinned_mask() is not None
 
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_nonpositive_mask_radius_is_an_invalid_problem(self, tmp_path,
+                                                            radius):
+        text = BASE.replace("[init]", f"mask_radius = {radius}\n\n[init]")
+        with pytest.raises(ConfigError,
+                           match="invalid problem: mask_radius must be"):
+            load_config(write_config(tmp_path, text))
+
     @pytest.mark.parametrize("section, line", [
         ("meta", "schema_verison = 1"),
         ("grid", "nz = 65"),

@@ -10,9 +10,16 @@ from hypothesis import strategies as st
 import fblab.diagnostics
 from fblab.cli import _flatness_payload
 from fblab.diagnostics import (
+    _ACF_MINUS,
+    _ACF_PLUS,
+    _AREA_MINUS,
+    _AREA_PLUS,
     _FIT_BETA_MAX,
     _FIT_NODES,
     _FIT_ROUNDS,
+    _GRAD_MINUS,
+    _GRAD_PLUS,
+    _SHELL,
     ACFSeries,
     FlatnessTable,
     TwoPlane,
@@ -30,7 +37,6 @@ from fblab.diagnostics import (
     flatness_table,
     nondegeneracy,
     oscillation_decay,
-    phase_gradients,
     rescale,
     two_plane_fit,
     weiss_series,
@@ -53,16 +59,13 @@ from fblab.problems import (
 
 def weiss(u, phi, center, radii, alpha, beta):
     """Weiss series from the ball quadrature rows, as the CLI computes it."""
-    return weiss_series(u, center, radii, alpha, beta,
+    return weiss_series(radii, alpha, beta,
                         ball_quadrature(u, phi, center, radii))
 
 
 def acf(u, phi, center, radii):
     """ACF series from the ball quadrature rows, as the CLI computes it."""
-    gradient = phase_gradients(u, phi)
-    return acf_product(u, phi, center, radii,
-                       ball_quadrature(u, phi, center, radii, gradient),
-                       gradient)
+    return acf_product(radii, ball_quadrature(u, phi, center, radii))
 
 
 @pytest.fixture(scope="module")
@@ -758,12 +761,36 @@ def reference_positive_fraction(v):
     return min(0.5 * abs(area), 1.0)
 
 
+def reference_cell_terms(u, phi, i, j, cell, one_sided):
+    """(grad_plus, grad_minus, area_plus, area_minus) of the cell (i, j)
+    with covered area ``cell``: a cut cell splits by its linear-cut
+    fraction, with corner-averaged one-sided gradients ``one_sided``."""
+    h, v = u.grid.h, u.values
+    corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+    f = reference_positive_fraction([phi.phi[b, a] for a, b in corners])
+    if f in (0.0, 1.0):
+        ux = (v[j, i + 1] + v[j + 1, i + 1] - v[j, i] - v[j + 1, i])
+        uy = (v[j + 1, i] + v[j + 1, i + 1] - v[j, i] - v[j, i + 1])
+        g2 = cell * (ux**2 + uy**2) / (2 * h)**2
+        return np.array([g2 * f, g2 * (1 - f), cell * f, cell * (1 - f)])
+    terms = np.array([0.0, 0.0, cell * f, cell * (1 - f)])
+    for k, (side, frac) in enumerate(((1, f), (-1, 1 - f))):
+        gx, gy, valid = one_sided[side]
+        grads = [(gx[b, a], gy[b, a]) for a, b in corners if valid[b, a]]
+        if grads:
+            terms[k] = cell * frac * np.sum(np.mean(grads, 0)**2)
+    return terms
+
+
+def reference_one_sided(u, phi):
+    return {side: one_sided_gradient(u, phi, side) for side in (1, -1)}
+
+
 def reference_cell_quadrature(u, phi, center, r, sub=8):
     """Per-cell loop: cells with a corner in the ball, covered fraction by
-    subcells, cut cells split by their linear-cut fraction with
-    corner-averaged one-sided gradients."""
-    g, h, v = u.grid, u.grid.h, u.values
-    one_sided = {side: one_sided_gradient(u, phi, side) for side in (1, -1)}
+    subcells, each cell's terms by :func:`reference_cell_terms`."""
+    g, h = u.grid, u.grid.h
+    one_sided = reference_one_sided(u, phi)
     terms = np.zeros(4)
     for j in range(g.ny - 1):
         for i in range(g.nx - 1):
@@ -775,40 +802,50 @@ def reference_cell_quadrature(u, phi, center, r, sub=8):
             w = np.mean([reference_positive_fraction(
                 (s[a, b], s[a + 1, b], s[a + 1, b + 1], s[a, b + 1]))
                 for a in range(sub) for b in range(sub)])
-            cell = w * h * h
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            f = reference_positive_fraction([phi.phi[b, a] for a, b in corners])
-            if f in (0.0, 1.0):
-                ux = (v[j, i + 1] + v[j + 1, i + 1] - v[j, i] - v[j + 1, i])
-                uy = (v[j + 1, i] + v[j + 1, i + 1] - v[j, i] - v[j, i + 1])
-                g2 = cell * (ux**2 + uy**2) / (2 * h)**2
-                terms += (g2 * f, g2 * (1 - f), cell * f, cell * (1 - f))
-                continue
-            for k, (side, frac) in enumerate(((1, f), (-1, 1 - f))):
-                gx, gy, valid = one_sided[side]
-                grads = [(gx[b, a], gy[b, a]) for a, b in corners
-                         if valid[b, a]]
-                if grads:
-                    terms[k] += cell * frac * np.sum(np.mean(grads, 0)**2)
-            terms[2:] += (cell * f, cell * (1 - f))
+            terms += reference_cell_terms(u, phi, i, j, w * h * h, one_sided)
     return terms
+
+
+def circle_case(grid):
+    """A circle interface about (0.1, -0.05) of radius 0.35 and a field
+    with different slopes on its two sides."""
+    phi = LevelSet.from_function(
+        grid, lambda x, y: np.hypot(x - 0.1, y + 0.05) - 0.35)
+    u = ScalarField.from_function(
+        grid, lambda x, y: np.where(phi.sample(x, y) > 0, 2.0, 0.7)
+        * phi.sample(x, y) + 0.05 * np.sin(3 * x))
+    return u, phi
 
 
 class TestBallQuadrature:
     def test_matches_per_cell_reference(self):
-        grid = make_grid(33, 33, (-1, -1, 1, 1))
-        phi = LevelSet.from_function(
-            grid, lambda x, y: np.hypot(x - 0.1, y + 0.05) - 0.35)
-        u = ScalarField.from_function(
-            grid, lambda x, y: np.where(phi.sample(x, y) > 0, 2.0, 0.7)
-            * phi.sample(x, y) + 0.05 * np.sin(3 * x))
+        u, phi = circle_case(make_grid(33, 33, (-1, -1, 1, 1)))
         center, radii = (0.03, -0.02), [0.2, 0.37, 0.6]
         quad = ball_quadrature(u, phi, center, radii)
         for r, row in zip(radii, quad):
             np.testing.assert_allclose(
-                row, reference_cell_quadrature(u, phi, center, r),
+                row[[_GRAD_PLUS, _GRAD_MINUS, _AREA_PLUS, _AREA_MINUS]],
+                reference_cell_quadrature(u, phi, center, r),
                 rtol=1e-12, atol=0)
+            assert row[_SHELL] == boundary_square_integral(u, center, r)
 
+    def test_acf_columns_drop_the_centre_cell(self):
+        # the centre (0.1, 0.3) lies on the circle, so its cell is cut and
+        # its energies come from the one-sided gradients
+        grid = make_grid(33, 33, (-1, -1, 1, 1))
+        u, phi = circle_case(grid)
+        center, radii = (0.1, 0.3), [0.2, 0.37, 0.6]
+        i, j = (int(k) for k in grid.cell_of(*center))
+        corners = phi.phi[j:j + 2, i:i + 2]
+        assert np.min(corners) < 0 < np.max(corners)
+        centre = reference_cell_terms(u, phi, i, j, grid.h**2,
+                                      reference_one_sided(u, phi))
+        assert np.all(centre[:2] > 0)
+        quad = ball_quadrature(u, phi, center, radii)
+        np.testing.assert_allclose(
+            quad[:, [_ACF_PLUS, _ACF_MINUS]],
+            quad[:, [_GRAD_PLUS, _GRAD_MINUS]] - centre[:2],
+            rtol=1e-12, atol=0)
 
     def test_one_gradient_per_side(self, monkeypatch):
         # the cut cells of every radius read one whole-grid gradient per
@@ -824,13 +861,20 @@ class TestBallQuadrature:
             return one_sided_gradient(u, phi, side)
 
         monkeypatch.setattr(fblab.diagnostics, "one_sided_gradient", counted)
-        quad = ball_quadrature(u, phi, (0.03, -0.02), [0.2, 0.37, 0.6])
+        radii = [0.2, 0.37, 0.6]
+        quad = ball_quadrature(u, phi, (0.03, -0.02), radii)
         assert sorted(sides) == [-1, 1]
-        # an uncut centre cell needs no gradient
-        sides.clear()
-        acf_product(u, phi, (0.03, -0.02), [0.2, 0.37, 0.6], quad,
-                    phase_gradients(u, phi))
-        assert sides == []
+
+        # the monitors are arithmetic on the rows and read no field
+        def reads_field(*args):
+            raise AssertionError("a monitor integrated a field")
+
+        for name in ("one_sided_gradient", "_cell_energy",
+                     "boundary_square_integral"):
+            monkeypatch.setattr(fblab.diagnostics, name, reads_field)
+        acf_product(radii, quad)
+        weiss_series(radii, 1.0, 0.0, quad)
+        assert sorted(sides) == [-1, 1]
 
 
 class TestBoundaryIntegral:

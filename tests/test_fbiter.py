@@ -11,7 +11,6 @@ from fblab.elliptic import CoefficientField
 from fblab.errors import (
     DegenerateInterfaceError,
     FieldError,
-    GridError,
     PhaseCollapseError,
     UnderResolvedError,
 )
@@ -84,6 +83,13 @@ class TestPhaseProblem:
             replace(two_plane_problem(grid65, 1.0),
                     f_plus=ScalarField(grid65, bad))
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_mask_radius(self, grid65, radius):
+        # unchecked, 0 or -1 pinned every node, so the run collapsed
+        # before its first step, and NaN failed on a non-finite field
+        with pytest.raises(FieldError, match="mask_radius"):
+            replace(two_plane_problem(grid65, 1.0), mask_radius=radius)
+
     def test_pinned_mask_and_domain_radius(self, grid65):
         prob = two_plane_problem(grid65, 1.0)
         assert prob.pinned_mask() is None
@@ -102,6 +108,11 @@ class TestIterationOptions:
             IterationOptions(max_iters=0)
         with pytest.raises(ValueError):
             IterationOptions(tol_move=0.0)
+        # a NaN tolerance is never met
+        with pytest.raises(ValueError):
+            IterationOptions(tol_jump=float("nan"))
+        with pytest.raises(ValueError):
+            IterationOptions(tol_move=float("nan"))
 
     def test_default_jump_tolerance_tracks_target(self, grid65):
         prob = two_plane_problem(grid65, 1.0, Q=4.0)
@@ -337,15 +348,6 @@ class TestRun:
         with pytest.raises(ValueError, match="half-widths"):
             fblab.fbiter._final_flatness(two_plane_problem(grid65, 0.5),
                                          two_plane_levelset(grid65))
-
-    def test_final_flatness_toolkit_error_means_no_table(self, grid65,
-                                                         monkeypatch):
-        def unresolved(*args, **kwargs):
-            raise GridError("ball exits the domain")
-
-        monkeypatch.setattr(fblab.fbiter, "flatness_table", unresolved)
-        assert fblab.fbiter._final_flatness(
-            two_plane_problem(grid65, 0.5), two_plane_levelset(grid65)) is None
 
     def test_disk_start_with_modes_2_to_4_converges(self):
         # a twelfth-of-the-curve smoothing window kept these modes alive

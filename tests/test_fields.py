@@ -568,11 +568,12 @@ class TestReinitialize:
         assert np.all(d**2 <= exact**2 + half**2 + 1e-12)
 
     def test_idempotent(self):
+        # every anchor of these fields keeps |phi|, so reapplying is a
+        # fixed point to the bit
         grid = make_grid(65, 65, (-1, -1, 1, 1))
-        phi = LevelSet.from_function(grid, lambda x, y: x**2 + y**2 - 0.25)
-        d1 = reinitialize(phi)
-        d2 = reinitialize(d1)
-        assert np.max(np.abs(d2.phi - d1.phi)) < 1e-6
+        for fn in _UNIT_FIELDS.values():
+            d1 = reinitialize(LevelSet.from_function(grid, fn))
+            assert np.array_equal(reinitialize(d1).phi, d1.phi)
 
     def test_sign_pattern_preserved(self):
         grid = make_grid(65, 65, (-1, -1, 1, 1))

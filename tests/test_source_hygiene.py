@@ -20,6 +20,10 @@ class and constant is read by the package or the benchmark: a helper left
 behind when its caller goes is dead code.  Every parameter is read by its
 function, apart from an interface's that a caller passes to every
 implementation: an argument nothing reads is a knob that does nothing.
+Only ``diagnostics.ball_quadrature`` integrates over the balls, through
+``_cell_energy`` and ``boundary_square_integral``: the Weiss and ACF
+monitors are arithmetic on its rows, so no monitor integrates a field of
+its own.
 """
 
 import ast
@@ -173,6 +177,50 @@ def test_import_time_optimize_found():
             return linprog
     """))
     assert _optimize_imports(module) == [2, 3, 4, 8, 13]
+
+
+# the ball integrals, and the one function that may use them
+BALL_INTEGRALS = ("_cell_energy", "boundary_square_integral")
+INTEGRATOR = "ball_quadrature"
+
+
+def _integral_users(tree):
+    """(owner, name, line) of each use of a ball integral in ``tree``; the
+    owner is the top-level definition that holds it, None at module level.
+    """
+    found = []
+    for node in tree.body:
+        owner = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            name = getattr(sub, "id", None) if isinstance(sub, ast.Name) \
+                else getattr(sub, "attr", None)
+            if name in BALL_INTEGRALS:
+                found.append((owner, name, sub.lineno))
+    return found
+
+
+def test_only_ball_quadrature_integrates():
+    found = [f"{path.name}:{line} {owner} uses {name}"
+             for path in MODULES
+             for owner, name, line in _integral_users(_tree(path))
+             if owner != INTEGRATOR]
+    assert not found, f"only {INTEGRATOR} may integrate: {found}"
+
+
+def test_integral_user_found():
+    module = ast.parse(textwrap.dedent("""
+        def ball_quadrature(u):
+            return _cell_energy(u)
+
+        def acf_product(u):
+            return diagnostics.boundary_square_integral(u)
+
+        energy = _cell_energy
+    """))
+    assert _integral_users(module) == [
+        ("ball_quadrature", "_cell_energy", 3),
+        ("acf_product", "boundary_square_integral", 6),
+        (None, "_cell_energy", 8)]
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"
