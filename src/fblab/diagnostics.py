@@ -16,7 +16,8 @@ skips only work that cannot change its result, so it is the exhaustive
 search's to the bit: a grid candidate is solved only if a lower bound on
 its residual, resting on deviations rising with the offset, does not
 exceed the incumbent's.  Its polish solves small linear programs on a
-working set of nodes but evaluates every trial on every node, so the
+working set of nodes, each by a dual simplex of its own rather than a
+general LP solver, but evaluates every trial on every node, so the
 residual it reports is exact.
 """
 
@@ -54,6 +55,9 @@ _POLISH_ROWS = 16  # LP rows of each sign, and most cuts per step
 _POLISH_TOL = 1e-12  # least promised share of the residual worth a step
 _POLISH_STEPS = 200  # most LP steps per start
 _POLISH_BETA0 = 1e-3  # second start of a polish ending at beta = 0
+_LP_TOL = 1e-13  # most violation of an optimal LP vertex, in scaled units
+_LP_PIVOT = 1e-12  # least ratio-test pivot of the dual simplex
+_LP_PIVOTS = 100  # most dual simplex pivots per LP
 # columns of a ball_quadrature row
 (_GRAD_PLUS, _GRAD_MINUS, _AREA_PLUS, _AREA_MINUS, _ACF_PLUS, _ACF_MINUS,
  _SHELL) = range(7)
@@ -320,7 +324,9 @@ def weiss_series(radii, alpha: float, beta: float,
     Es = q[:, _GRAD_PLUS] + q[:, _GRAD_MINUS] + alpha**2 * q[:, _AREA_PLUS] \
         + beta**2 * q[:, _AREA_MINUS]
     bts = q[:, _SHELL]
-    phis = Es / radii**2 - bts / radii**3
+    # r**3 per scalar: an array power may round differently (numpy squares
+    # exactly, so r**2 may stay an array power)
+    phis = Es / radii**2 - bts / np.array([r**3 for r in radii])
     monotone, violation = _monotone_verdict(radii, phis)
     return WeissSeries(radii=radii, E_values=Es, boundary_terms=bts,
                        phi_values=phis, monotone=monotone,
@@ -422,24 +428,68 @@ def _unit(theta):
     return np.array([-math.sin(theta), math.cos(theta)])
 
 
+def _minimax_lp(a, d, lower, upper):
+    """The x in the box [lower, upper] that minimizes max |d + a x|; None
+    if the dual simplex finds no pivot or does not stop within 100 pivots.
+
+    The LP in (x, E) minimizes E over rows g.(x, E) <= h: d + a x <= E and
+    -(d + a x) <= E for each row of ``a``, the box, and E >= 0.  Its dual
+    simplex for linear Chebyshev approximation (Barrodale & Phillips 1975)
+    keeps len(x) + 1 rows tight at a vertex whose multipliers, the lam with
+    g_B^T lam = -(0, ..., 0, 1), are non-negative, so the vertex's E never
+    exceeds the optimum.  It starts from x = upper, E = 0.  Each pivot
+    enters the most violated row and swaps out the basis row of least
+    ratio lam / mu, where g_B^T mu is the entering row, so E does not fall.
+    Pivots that leave E where it was could cycle: once a basis repeats,
+    every later pivot takes the first violated row and the first tied
+    basis row (Bland's rule), which cannot cycle.  The vertex is optimal
+    once no row is violated by over 1e-13.
+    """
+    m, n = a.shape
+    ones, eye, zero = np.ones((m, 1)), np.eye(n), np.zeros((n, 1))
+    g = np.block([[a, -ones], [-a, -ones], [eye, zero], [-eye, zero],
+                  [zero.T, -np.ones((1, 1))]])
+    h = np.concatenate([-d, d, upper, -lower, [0.0]])
+    basis = np.array([*range(2 * m, 2 * m + n), 2 * m + 2 * n])
+    seen, bland = set(), False
+    for _ in range(_LP_PIVOTS):
+        key = tuple(sorted(basis))
+        bland = bland or key in seen
+        seen.add(key)
+        inverse = np.linalg.inv(g[basis])
+        w = inverse @ h[basis]
+        violation = g @ w - h
+        violation[basis] = 0.0  # tight by construction, up to rounding
+        over = np.flatnonzero(violation > _LP_TOL)
+        if not len(over):
+            return w[:n]
+        q = over[0] if bland else over[np.argmax(violation[over])]
+        lam, mu = np.maximum(-inverse[n], 0.0), g[q] @ inverse
+        ok = np.flatnonzero(mu > _LP_PIVOT)
+        if not len(ok):
+            return None
+        ratio = lam[ok] / mu[ok]
+        tied = ok[ratio == np.min(ratio)]
+        basis[tied[np.argmin(basis[tied])] if bland else tied[0]] = q
+    return None
+
+
 def _polish(points, uvals, z, c_max):
     """Sequential-LP minimax steps (Osborne & Watson 1969) on z = (theta,
     beta, c) from ``z``; returns (z, max |deviation| over every node).
 
-    Each LP minimizes E subject to |d + g.dz| <= E over the 16 most
-    positive and the 16 most negative d and the cuts, g from each node's
-    own piece, in a trust box of 4 res / (alpha r, r, alpha).  A minimax
-    optimum equioscillates, so rows of both signs keep the LP from lowering
-    one extreme while it lifts the other, a trial every node would reject.
+    Each LP (:func:`_minimax_lp`) minimizes E subject to |d + g.dz| <= E
+    over the 16 most positive and the 16 most negative d and the cuts, g
+    from each node's own piece, in a trust box of 4 res / (alpha r, r,
+    alpha).  A minimax optimum equioscillates, so rows of both signs keep
+    the LP from lowering one extreme while it lifts the other, a trial
+    every node would reject.
     A trial is taken only if the max over every node falls, so the residual
     is exact.  Nodes it lifts past halfway from the LP's level back to the
     residual become cuts, 16 at most; a failed trial with no new cut
     quarters the box.  The steps stop when the LP promises under 1e-12 of
     the residual or a few ulps of u.  alpha is flat at beta = 0, so steps
     that end there are taken again from beta = 1e-3."""
-    # imported here, not at module level, so a plain solve never loads it
-    from scipy.optimize import linprog
-
     def deviations(z):
         return _profile(points @ _unit(z[0]) + z[2],
                         math.sqrt(1.0 + z[1]**2), z[1]) - uvals
@@ -471,27 +521,21 @@ def _polish(points, uvals, z, c_max):
             # unknowns in units of the box, rows in units of the residual
             box = trust * 4.0 * res / np.array([alpha * r, r, alpha])
             a, d = grad * box / res, dev[rows] / res
-            ones = np.ones((len(rows), 1))
-            lp = linprog((0.0, 0.0, 0.0, 1.0),
-                         A_ub=np.block([[a, -ones], [-a, -ones]]),
-                         b_ub=np.concatenate([-d, d]),
-                         bounds=[*zip(np.maximum((lower - z) / box, -1.0),
-                                      np.minimum((upper - z) / box, 1.0)),
-                                 (0.0, None)],
-                         options={"primal_feasibility_tolerance": 1e-10,
-                                  "dual_feasibility_tolerance": 1e-10})
-            if lp.status != 0:
+            x = _minimax_lp(a, d, np.maximum((lower - z) / box, -1.0),
+                            np.minimum((upper - z) / box, 1.0))
+            if x is None:
                 break
-            # the model's own level: HiGHS's objective may undercut it by
-            # the feasibility tolerance
-            level = float(np.max(np.abs(d + a @ lp.x[:3])))
+            # the model's own level: the vertex's E may undercut it by the
+            # LP's stopping tolerance
+            level = float(np.max(np.abs(d + a @ x)))
             if not (1.0 - level) * res > max(_POLISH_TOL * res, floor):
                 break
-            trial = np.clip(z + lp.x[:3] * box, lower, upper)
+            trial = np.clip(z + x * box, lower, upper)
             trial_dev = deviations(trial)
             size = np.abs(trial_dev)
-            lifted = np.setdiff1d(
-                np.flatnonzero(size > 0.5 * (1.0 + level) * res), rows)
+            over = size > 0.5 * (1.0 + level) * res
+            over[rows] = False
+            lifted = np.flatnonzero(over)
             new = lifted[np.argsort(-size[lifted], kind="stable")][:k]
             cuts = np.union1d(cuts, new)
             if np.max(size) < res:

@@ -431,7 +431,7 @@ print(json.dumps(stages))
 """
 
 
-def test_plain_solve_never_loads_the_lp_stack(tmp_path):
+def test_solve_and_diagnose_never_load_the_lp_stack(tmp_path):
     # a fresh interpreter: the modules this process has loaded mask nothing
     plain = TWO_PLANE_INI.replace("nx = 65\nny = 65", "nx = 33\nny = 33")
     cfg = write(tmp_path, "run.ini", plain)
@@ -449,7 +449,7 @@ def test_plain_solve_never_loads_the_lp_stack(tmp_path):
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout.splitlines()[-1])
     # import, solve without a [diagnostics] block, then diagnose
-    assert stages == [[None, False], [0, False], [0, True]]
+    assert stages == [[None, False], [0, False], [0, False]]
 
 
 class TestDiagnose:

@@ -25,6 +25,7 @@ from fblab.diagnostics import (
     TwoPlane,
     WeissSeries,
     _best_offsets,
+    _minimax_lp,
     _offset_lower_bound,
     _polish,
     _profile,
@@ -204,6 +205,16 @@ class TestWeissSeries:
         recomputed = ws.E_values / ws.radii**2 \
             - ws.boundary_terms / ws.radii**3
         assert np.max(np.abs(recomputed - ws.phi_values)) < 1e-12
+
+    def test_values_portable(self, grid65):
+        # where numpy's array power is vectorized (AVX-512), 0.32**3 as an
+        # array power rounds differently from the scalar power
+        radii = [0.2, 0.32, 0.5]
+        ws = weiss(two_plane_field(grid65, 1.0), two_plane_levelset(grid65),
+                   (0, 0), radii, math.sqrt(2), 1.0)
+        expected = [float(e) / r**2 - float(b) / r**3 for r, e, b
+                    in zip(radii, ws.E_values, ws.boundary_terms)]
+        assert ws.phi_values.tolist() == expected
 
 
 class TestRescale:
@@ -446,6 +457,80 @@ class TestTwoPlaneFit:
             ScalarField(grid257, np.nextafter(vals, np.inf)), (0, 0), 0.8)
         assert abs(nudged.beta - plane.beta) <= 1e-14
         assert abs(nudged_res - res) <= 1e-14
+
+
+@st.composite
+def minimax_lps(draw):
+    """(a, d, lower, upper) shaped like a polish LP: gradients in units of
+    the trust box, deviations in units of the residual, a box about 0.
+    Some gradient rows are zero, some rows repeat, with d equal or 1e-9
+    apart, and box ends may be 0, collapsed as at beta = 0 or c = +-c_max.
+    Gradients are multiples of 1e-6: HiGHS drops matrix entries below
+    1e-9, so it is no oracle for smaller ones."""
+    m = draw(st.integers(1, 24))
+    gradient = st.floats(-4.0, 4.0).map(lambda v: round(v, 6))
+    a = np.array(draw(st.lists(st.lists(gradient, min_size=3, max_size=3),
+                               min_size=m, max_size=m)))
+    d = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m,
+                               max_size=m)))
+    a[draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
+    repeated = draw(st.lists(st.integers(0, m - 1), max_size=4))
+    a = np.vstack([a, a[repeated]])
+    d = np.append(d, d[repeated] + draw(st.sampled_from([0.0, 1e-9])))
+    ends = st.lists(st.one_of(st.just(0.0), st.just(1.0),
+                              st.floats(0.0, 1.0)), min_size=3, max_size=3)
+    return a, d, -np.array(draw(ends)), np.array(draw(ends))
+
+
+class TestMinimaxLP:
+    @given(lp=minimax_lps())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linprog(self, lp):
+        from scipy.optimize import linprog
+
+        a, d, lower, upper = lp
+        x = _minimax_lp(a, d, lower, upper)
+        assert x is not None
+        assert np.all((lower - 1e-12 <= x) & (x <= upper + 1e-12))
+        ones = np.ones((len(d), 1))
+        ref = linprog((0.0, 0.0, 0.0, 1.0),
+                      A_ub=np.block([[a, -ones], [-a, -ones]]),
+                      b_ub=np.concatenate([-d, d]),
+                      bounds=[*zip(lower, upper), (0.0, None)],
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        assert ref.status == 0
+        assert np.max(np.abs(d + a @ x)) == pytest.approx(
+            np.max(np.abs(d + a @ ref.x[:3])), abs=1e-12)
+
+    def test_degenerate_pivots_do_not_cycle(self):
+        # the zero row pins E at 1; taking the most violated row every time
+        # brings an earlier basis back and cycles until the pivot cap
+        a = np.array([[-1.3, 2.4, 0.0], [-0.8, -3.4, 1.4], [0.0, 0.0, 0.0],
+                      [-3.1, 3.1, 3.9], [1.0, -3.0, 3.9], [2.2, 2.7, 3.0],
+                      [0.0, 0.0, -2.7], [-2.0, 2.1, -2.9]])
+        d = np.array([-0.4, 0.0, 1.0, 0.3, -0.6, -0.4, -0.6, 0.1])
+        x = _minimax_lp(a, d, np.array([-0.1, -1.0, -1.0]),
+                        np.array([0.1, 1.0, 1.0]))
+        assert x is not None
+        assert np.max(np.abs(d + a @ x)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("a, d, optimum", [
+        # a x = -d holds inside the box; at E = 0 rounding reads basis row 2
+        # as violated by 1.4e-13, and entering it again swaps it for itself
+        # until the pivot cap
+        ([[-0.2, -4.0, 3.52], [-0.21, -3.96, 3.52], [-1.8, 3.11, 4.0]],
+         [0.97, 0.97, 0.98], 0.0),
+        # an exact fit but for a repeated row with d 1e-11 apart: a stopping
+        # tolerance of 1e-11 or more ends at E = 0, a level of 1e-11
+        ([[-2.7, 2.1, 3.9], [-1.9, 2.1, 2.0], [-2.7, 2.1, 3.9]],
+         [-0.4, 0.7, -0.4 + 1e-11], 5e-12),
+    ])
+    def test_small_optimum(self, a, d, optimum):
+        a, d = np.array(a), np.array(d)
+        x = _minimax_lp(a, d, -np.ones(3), np.ones(3))
+        assert x is not None
+        assert np.max(np.abs(d + a @ x)) <= optimum + 1e-12
 
 
 def profile_field(grid, degrees, beta, c=0.0, eps=0.0):

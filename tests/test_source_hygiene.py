@@ -10,9 +10,10 @@ calls ``time.time``: durations come from a monotonic clock, which a step
 of the wall clock cannot make negative.  Only
 ``fields.py`` spells the 17-digit table format, and no module calls
 ``savetxt``: a field file goes through ``fields.write_field`` and every
-other CSV table through ``fields.write_table``.  No module imports
-``scipy.optimize`` at import time: only the functions that solve an LP or
-find a root load it, so a plain ``fblab solve`` never does.  Every
+other CSV table through ``fields.write_table``.  Only ``prandtl.py``
+imports ``scipy.optimize``, and only inside the functions that find a
+root: the two-plane fit solves its LPs in-house, so neither ``fblab
+solve`` nor ``fblab diagnose`` loads it.  Every
 public function, class and method is named by the package or the
 benchmark, apart from a few kept for a stated reason: an API that only
 tests reach is code nothing needs.  Every private module-level function,
@@ -134,10 +135,17 @@ def _import_time_imports(tree):
     return found
 
 
-def _optimize_imports(tree):
-    """Lines of the import-time imports of scipy.optimize in ``tree``."""
+def _all_imports(tree):
+    """Import statements at any depth of ``tree``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _optimize_imports(tree, imports=_import_time_imports):
+    """Lines of the imports of scipy.optimize among ``imports(tree)``, by
+    default those that run at import time."""
     lines = []
-    for node in _import_time_imports(tree):
+    for node in imports(tree):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         else:  # "from scipy import optimize" names scipy.optimize too
@@ -177,6 +185,15 @@ def test_import_time_optimize_found():
             return linprog
     """))
     assert _optimize_imports(module) == [2, 3, 4, 8, 13]
+    assert _optimize_imports(module, _all_imports) == [2, 3, 4, 8, 13, 16]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "prandtl.py"],
+    ids=lambda p: p.name)
+def test_optimize_only_in_prandtl(path):
+    lines = _optimize_imports(_tree(path), _all_imports)
+    assert not lines, f"{path.name}: imports scipy.optimize at lines {lines}"
 
 
 # the ball integrals, and the one function that may use them
