@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy
 
 from .errors import FieldError, SolverError, UnderResolvedError
 from .fields import (
@@ -239,12 +238,14 @@ def solve_phase(A: CoefficientField, f: ScalarField,
     rows.append(row_of)
     cols.append(row_of)
     vals.append(diag)
-    M = sp.csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_unknown, n_unknown))
+    M = scipy.sparse.csc_matrix((np.concatenate(vals),
+                                 (np.concatenate(rows),
+                                  np.concatenate(cols))),
+                                shape=(n_unknown, n_unknown))
     try:
-        sol = spla.splu(M, permc_spec="MMD_AT_PLUS_A", panel_size=1,
-                        options=dict(SymmetricMode=True)).solve(rhs)
+        sol = scipy.sparse.linalg.splu(
+            M, permc_spec="MMD_AT_PLUS_A", panel_size=1,
+            options=dict(SymmetricMode=True)).solve(rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverError(f"sparse solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):

@@ -37,8 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dct, idct
-from scipy.spatial import cKDTree
+import scipy
 
 from .diagnostics import FlatnessTable, flatness_table
 from .elliptic import (
@@ -199,7 +198,7 @@ def extend_velocity(points: np.ndarray, J: np.ndarray,
     if len(points) == 0:
         raise DegenerateInterfaceError("empty interface")
     grid = phi.grid
-    tree = cKDTree(points)
+    tree = scipy.spatial.cKDTree(points)
     xx, yy = grid.meshgrid()
     band = np.abs(phi.phi) <= _VELOCITY_BAND * grid.h
     vals = np.zeros(grid.shape)
@@ -239,7 +238,8 @@ def _smooth_along(values: np.ndarray, closed: bool):
     transfer = 1 + _SMOOTH_L2 * (2 - 2 * np.cos(2 * np.pi * waves / m))
     if closed:
         return np.fft.irfft(np.fft.rfft(J) / transfer, n=m)
-    return idct(dct(J, norm="ortho") / transfer, norm="ortho")
+    return scipy.fft.idct(scipy.fft.dct(J, norm="ortho") / transfer,
+                          norm="ortho")
 
 
 def _damp_interface_wiggles(phi: LevelSet) -> LevelSet:

@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+import scipy
 
 from .errors import (
     DegenerateInterfaceError,
@@ -374,7 +374,8 @@ def reinitialize(phi: LevelSet) -> LevelSet:
     set, one anchor read 0.767 after one application and 27.8 after two.
     """
     if not phi.has_both_signs():
-        raise DegenerateInterfaceError("reinitialize requires a two-signed phi")
+        raise DegenerateInterfaceError(
+            "reinitialize requires a two-signed phi")
     g = phi.grid
     p = phi.phi
 
@@ -400,7 +401,8 @@ def reinitialize(phi: LevelSet) -> LevelSet:
     xx, yy = g.meshgrid()
     far = ~anchor
     vertices = all_interface_points(interface_extract(phi))
-    d[far] = cKDTree(vertices).query(np.column_stack([xx[far], yy[far]]))[0]
+    d[far] = scipy.spatial.cKDTree(vertices).query(
+        np.column_stack([xx[far], yy[far]]))[0]
     return LevelSet(g, d * sign)
 
 

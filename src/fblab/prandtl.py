@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .errors import FblabError
 
@@ -72,9 +73,6 @@ def _search(jump, h, mu, omega, sigma=None):
     of jump = h^2 sigma, by Brent's method; raises ConditionError when
     h^2 sigma does not exceed max(0, z0), and FblabError when ``jump`` is
     still falling at 1 - 1e-8, so the interval holds no minimum."""
-    # imported here, not at module level, so a plain solve never loads it
-    from scipy.optimize import brentq, minimize_scalar
-
     if mu <= 0 or h <= 0 or omega < 0:
         raise ValueError("h, mu must be positive and omega non-negative")
     where = f"h={h:g}, mu={mu:g}, omega={omega:g}" + (
@@ -91,12 +89,13 @@ def _search(jump, h, mu, omega, sigma=None):
         return value
 
     with np.errstate(invalid="ignore"):  # +inf samples: no parabolic step
-        res = minimize_scalar(level, bounds=(_RHO_LO, _RHO_HI),
-                              method="bounded", options={"xatol": 1e-15})
+        res = scipy.optimize.minimize_scalar(
+            level, bounds=(_RHO_LO, _RHO_HI), method="bounded",
+            options={"xatol": 1e-15})
         z0, rho_star = float(res.fun), float(res.x)
         # it stops about sqrt(eps) rho off, too far where the minimum is
         # sharp next to rho = 1: polish in t = -log(1 - rho) within 1e-6
-        res = minimize_scalar(
+        res = scipy.optimize.minimize_scalar(
             lambda t: level(-math.expm1(-t)), method="bounded",
             bounds=[-math.log1p(-min(max(rho_star + d, _RHO_LO), _RHO_HI))
                     for d in (-1e-6, 1e-6)], options={"xatol": 1e-15})
@@ -119,8 +118,9 @@ def _search(jump, h, mu, omega, sigma=None):
         if max(level(lo, sigma), level(hi, sigma)) < 0:
             raise FblabError(f"the {side} admissible radius for {where} lies "
                              f"outside ({_RHO_LO:g}, 1 - {_RHO_LO:g})")
-        root, info = brentq(level, lo, hi, args=(sigma,), xtol=1e-24,
-                            maxiter=200, full_output=True, disp=False)
+        root, info = scipy.optimize.brentq(
+            level, lo, hi, args=(sigma,), xtol=1e-24, maxiter=200,
+            full_output=True, disp=False)
         if not info.converged:
             raise FblabError(f"no {side} root converged for {where}")
         roots.append(root)

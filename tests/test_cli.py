@@ -419,37 +419,48 @@ levels = 0
         assert timings["seconds"] >= 0
 
 
+_HEAVY = ["scipy.sparse", "scipy.spatial", "scipy.fft", "scipy.optimize"]
 # Imports fblab.cli, then runs each argument list of sys.argv[1] (JSON)
-# through main; prints [exit code, scipy.optimize loaded] after each stage.
+# through main; prints [exit code, the loaded modules of sys.argv[2]] after
+# each stage.
 _IMPORT_PROBE = """
 import json, sys
 import fblab.cli
-stages = [[None, "scipy.optimize" in sys.modules]]
+heavy = json.loads(sys.argv[2])
+def loaded():
+    return [name for name in heavy if name in sys.modules]
+stages = [[None, loaded()]]
 for argv in json.loads(sys.argv[1]):
-    stages.append([fblab.cli.main(argv), "scipy.optimize" in sys.modules])
+    stages.append([fblab.cli.main(argv), loaded()])
 print(json.dumps(stages))
 """
 
 
-def test_solve_and_diagnose_never_load_the_lp_stack(tmp_path):
+def test_only_solve_loads_the_heavy_scipy_submodules(tmp_path):
     # a fresh interpreter: the modules this process has loaded mask nothing
     plain = TWO_PLANE_INI.replace("nx = 65\nny = 65", "nx = 33\nny = 33")
     cfg = write(tmp_path, "run.ini", plain)
     diag = write(tmp_path, "diag.ini", plain + DIAGNOSTICS_BLOCK)
-    out = str(tmp_path / "out")
-    commands = [["solve", "--config", cfg, "--out", out],
-                ["diagnose", "--u", out + "/u.csv", "--phi", out + "/phi.csv",
-                 "--config", diag, "--out", str(tmp_path / "d")]]
+    grid = make_grid(33, 33, (-1.0, -1.0, 1.0, 1.0))
+    write_field(two_plane_field(grid, 0.5), str(tmp_path / "u.csv"))
+    write_field(two_plane_levelset(grid), str(tmp_path / "phi.csv"))
+    commands = [["diagnose", "--u", str(tmp_path / "u.csv"),
+                 "--phi", str(tmp_path / "phi.csv"), "--config", diag,
+                 "--out", str(tmp_path / "d")],
+                ["solve", "--config", cfg, "--out", str(tmp_path / "out")]]
     src = os.path.dirname(os.path.dirname(fblab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands),
+         json.dumps(_HEAVY)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout.splitlines()[-1])
-    # import, solve without a [diagnostics] block, then diagnose
-    assert stages == [[None, False], [0, False], [0, False]]
+    # import, diagnose, then solve without a [diagnostics] block: only the
+    # solve factors matrices, builds k-d trees and takes DCTs, and neither
+    # command solves an LP or finds a root
+    assert stages == [[None, []], [0, []], [0, _HEAVY[:3]]]
 
 
 class TestDiagnose:

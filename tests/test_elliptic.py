@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from fblab import elliptic
 from fblab.elliptic import (
     _THETA_MIN,
     CoefficientField,
@@ -182,7 +182,7 @@ class TestSolvePhase:
         def fail(*args, **kwargs):
             raise raised("Factor is exactly singular")
 
-        monkeypatch.setattr(elliptic.spla, "splu", fail)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
         grid = make_grid(9, 9, (0, 0, 1, 1))
         with pytest.raises(expected, match="exactly singular"):
             solve_full_box(grid, CoefficientField.identity(grid),
@@ -328,14 +328,14 @@ class TestSolvePhaseReference:
             A, f, region = diamond_problem(sign, geometry == "ring",
                                            lambda x, y: 0 * x)
         factored = []
-        splu = elliptic.spla.splu
+        splu = scipy.sparse.linalg.splu
 
         def spy(M, **kwargs):
             lu = splu(M, **kwargs)
             factored.append((M, kwargs, lu))
             return lu
 
-        monkeypatch.setattr(elliptic.spla, "splu", spy)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         u = solve_phase(A, f, region)
         [(M, kwargs, lu)] = factored
         assert kwargs == dict(permc_spec="MMD_AT_PLUS_A", panel_size=1,

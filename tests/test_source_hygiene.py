@@ -10,10 +10,14 @@ calls ``time.time``: durations come from a monotonic clock, which a step
 of the wall clock cannot make negative.  Only
 ``fields.py`` spells the 17-digit table format, and no module calls
 ``savetxt``: a field file goes through ``fields.write_field`` and every
-other CSV table through ``fields.write_table``.  Only ``prandtl.py``
-imports ``scipy.optimize``, and only inside the functions that find a
-root: the two-plane fit solves its LPs in-house, so neither ``fblab
-solve`` nor ``fblab diagnose`` loads it.  Every
+other CSV table through ``fields.write_table``.  SciPy is reached one
+way: the only scipy import statement is a module-level ``import scipy``,
+and each submodule is an attribute at its call site, so it loads on first
+use and ``fblab diagnose`` loads none of ``scipy.sparse``,
+``scipy.spatial``, ``scipy.fft`` and ``scipy.optimize``.  Only
+``prandtl.py`` reaches ``scipy.optimize``, and never at import time: the
+two-plane fit solves its LPs in-house, so ``fblab solve`` does not load it
+either.  Every
 public function, class and method is named by the package or the
 benchmark, apart from a few kept for a stated reason: an API that only
 tests reach is code nothing needs.  Every private module-level function,
@@ -121,48 +125,79 @@ def test_no_wall_clock_durations(path):
     assert not calls, f"{path.name}: time.time used at lines {calls}"
 
 
-def _import_time_imports(tree):
-    """Import statements that run when the module is imported: every one
-    outside a function body, under ``if``, ``try`` or a class included."""
+def _import_time_nodes(tree):
+    """Nodes that run when the module is imported: every one outside a
+    function body, under ``if``, ``try`` or a class included, and the
+    decorators and default values of each function and lambda."""
     found, todo = [], list(tree.body)
     while todo:
         node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        found.append(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            todo.extend(getattr(node, "decorator_list", []))
+            todo.extend(node.args.defaults)
+            todo.extend(d for d in node.args.kw_defaults if d is not None)
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.append(node)
         todo.extend(ast.iter_child_nodes(node))
     return found
 
 
-def _all_imports(tree):
-    """Import statements at any depth of ``tree``."""
-    return [node for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))]
+def _all_nodes(tree):
+    """Every node of ``tree``, at any depth."""
+    return list(ast.walk(tree))
 
 
-def _optimize_imports(tree, imports=_import_time_imports):
-    """Lines of the imports of scipy.optimize among ``imports(tree)``, by
-    default those that run at import time."""
-    lines = []
-    for node in imports(tree):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        else:  # "from scipy import optimize" names scipy.optimize too
-            names = [f"{'.' * node.level}{node.module}.{a.name}"
-                     for a in node.names]
-        if any((name + ".").startswith("scipy.optimize.") for name in names):
-            lines.append(node.lineno)
-    return sorted(lines)
+def _scipy_names(node):
+    """Dotted names that ``node`` imports or, as ``scipy.<attr>``, spells;
+    ``from scipy import optimize`` names scipy.optimize."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{'.' * node.level}{node.module or ''}.{alias.name}"
+                for alias in node.names]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "scipy":
+        return [f"scipy.{node.attr}"]
+    return []
+
+
+def _optimize_uses(tree, nodes=_import_time_nodes):
+    """Lines where ``nodes(tree)``, by default those that run at import
+    time, import scipy.optimize or reach it as an attribute of scipy."""
+    return sorted({node.lineno for node in nodes(tree)
+                   if any((name + ".").startswith("scipy.optimize.")
+                          for name in _scipy_names(node))})
+
+
+def _scipy_imports(tree):
+    """Lines of the import statements, at any depth, that name scipy or a
+    scipy submodule, other than a module-level ``import scipy``."""
+    allowed = [node for node in tree.body if isinstance(node, ast.Import)
+               and [(a.name, a.asname) for a in node.names]
+               == [("scipy", None)]]
+    return sorted(node.lineno for node in _all_nodes(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and node not in allowed
+                  and any(name.split(".")[0] == "scipy"
+                          for name in _scipy_names(node)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_imported_one_way(path):
+    lines = _scipy_imports(_tree(path))
+    assert not lines, "; ".join(
+        f"{path.name}:{line} imports scipy another way: import scipy at "
+        f"module level and reach its submodules as attributes where they "
+        f"are called" for line in lines)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_import_time_optimize(path):
-    lines = _optimize_imports(_tree(path))
+    lines = _optimize_uses(_tree(path))
     assert not lines, "; ".join(
-        f"{path.name}:{line} imports scipy.optimize at module level: import "
-        f"it in the function that solves the LP or finds the root"
-        for line in lines)
+        f"{path.name}:{line} uses scipy.optimize at import time: reach it "
+        f"inside the function that finds the root" for line in lines)
 
 
 def test_import_time_optimize_found():
@@ -183,17 +218,33 @@ def test_import_time_optimize_found():
         def polish():
             from scipy.optimize import linprog
             return linprog
+
+        import scipy
+        import scipy as sp
+        import numpy, scipy
+        from . import fields
+        ROOT = scipy.optimize.brentq
+
+        @scipy.optimize.fixture
+        def search(tol=scipy.optimize.tol):
+            return scipy.optimize.brentq(tol)
+
+        spy = lambda *, f=scipy.optimize: f
+        late = lambda: scipy.optimize.brentq
+        tree = scipy.spatial.cKDTree
     """))
-    assert _optimize_imports(module) == [2, 3, 4, 8, 13]
-    assert _optimize_imports(module, _all_imports) == [2, 3, 4, 8, 13, 16]
+    assert _optimize_uses(module) == [2, 3, 4, 8, 13, 23, 25, 26, 29]
+    assert _optimize_uses(module, _all_nodes) == [
+        2, 3, 4, 8, 13, 16, 23, 25, 26, 27, 29, 30]
+    assert _scipy_imports(module) == [2, 3, 4, 5, 8, 13, 16, 20, 21]
 
 
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "prandtl.py"],
     ids=lambda p: p.name)
 def test_optimize_only_in_prandtl(path):
-    lines = _optimize_imports(_tree(path), _all_imports)
-    assert not lines, f"{path.name}: imports scipy.optimize at lines {lines}"
+    lines = _optimize_uses(_tree(path), _all_nodes)
+    assert not lines, f"{path.name}: uses scipy.optimize at lines {lines}"
 
 
 # the ball integrals, and the one function that may use them
